@@ -1,14 +1,30 @@
 """Modular fast path for exact rational linear algebra.
 
 Heavy kernels over Q are computed by reducing an integer matrix modulo a
-deterministic ladder of word-sized primes (numpy int64 Gauss-Jordan),
-combining the reduced rows by CRT and lifting entries with rational
-reconstruction.  The lift is a *candidate*: callers certify it exactly
-(membership checks plus the mod-p rank lower bound) before trusting it,
-so every published result remains exact.
+deterministic ladder of primes below 2**28, combining the reduced rows by
+CRT and lifting entries with rational reconstruction.  The lift is a
+*candidate*: callers certify it exactly (membership checks plus the mod-p
+rank lower bound) before trusting it, so every published result remains
+exact.
 
-Primes are kept below 2**28 so that sparse integer matrix products used
-during constraint assembly cannot overflow int64.
+Elimination (`rref_mod`) is a column-recursive Gauss-Jordan.  The pivots
+found in a column range act on every later column as one transform
+y -> y + X y[S] (mod p), X an m x k matrix and S the k pivot rows, so
+solving the left half of the columns and applying its X to the right half
+is one matrix product; two transforms compose as
+[X_L + X_R X_L[S_R], X_R].  Ranges of at most `_BASE_COLS` columns are
+eliminated pivot by pivot, updating only the rows that are nonzero in
+the pivot column.  Products run in float64 BLAS and are exact: the right
+operand is split into 14-bit halves and the inner dimension is cut into
+chunks of `_INNER_CHUNK` = 1024, so a product entry sums at most 2048
+terms below 2**28 * 2**14 and, with the entry it updates, stays below
+2**53.  Pivot rows are chosen by index, never swapped; the reduced row
+echelon form is unique, so R and the pivots are those of plain
+elimination, whatever the order of the work.
+
+Every modulus must be below 2**28 (`ModulusTooLarge` otherwise): that
+keeps the split products exact, and the int64 products of the base case
+and of constraint assembly below 2**56.
 """
 
 from __future__ import annotations
@@ -18,7 +34,11 @@ from math import isqrt
 
 import numpy as np
 
+from .arrangement import ArrangementError
 from .fields import _is_prime
+
+#: every modulus of the modular layer is below this
+MODULUS_LIMIT = 1 << 28
 
 
 def _prime_ladder(start: int, count: int):
@@ -32,15 +52,25 @@ def _prime_ladder(start: int, count: int):
 
 
 #: deterministic primes used for reduction/reconstruction, largest first
-PRIMES = tuple(_prime_ladder((1 << 28) - 1, 64))
+PRIMES = tuple(_prime_ladder(MODULUS_LIMIT - 1, 64))
+
+#: column ranges this narrow are eliminated pivot by pivot
+_BASE_COLS = 64
+#: inner-dimension chunk of the exact float64 products
+_INNER_CHUNK = 1024
+#: rows and columns of one block of a rank-k update; they bound the
+#: temporaries and the BLAS packing workspace (256 rows instead of 128 raised
+#: the peak RSS of perfbench's qq-paper workload by 3.6 MB)
+_UPDATE_ROWS = 128
+_UPDATE_COLS = 256
 
 
 class ReconstructionFailed(RuntimeError):
     """Rational reconstruction did not stabilize within the prime ladder."""
 
 
-class BadPrimeSuspected(RuntimeError):
-    """Results over the surrogate primes disagree."""
+class ModulusTooLarge(ArrangementError):
+    """A prime too large for the word-sized modular kernels."""
 
 
 def rref_mod(A: np.ndarray, p: int):
@@ -48,29 +78,140 @@ def rref_mod(A: np.ndarray, p: int):
 
     Returns (R, pivots) with R containing only the nonzero rows.
     """
-    A = np.array(A, dtype=np.int64) % p
-    m, n = A.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
+    if p >= MODULUS_LIMIT:
+        raise ModulusTooLarge(f"modulus {p} too large: modular elimination needs p < 2**28")
+    W = np.asarray(A, dtype=np.int64) % p
+    free = np.ones(W.shape[0], dtype=bool)
+    n = W.shape[1]
+    # up to two base widths one split saves less than its products cost,
+    # and small matrices then never touch the BLAS workspace
+    solve = _solve_base if n <= 2 * _BASE_COLS else _solve
+    rows, pivots, _ = solve(W, 0, n, p, free, False)
+    return W[rows], pivots
+
+
+def _solve(W, c0, c1, p, free, need_x):
+    """Eliminate columns c0:c1 of W in place; return (rows, pivots, X).
+
+    Columns c1: are left alone: the caller applies the returned transform
+    X (only computed when `need_x`) to them.  `free` marks the rows that
+    are not yet pivot rows and is updated.
+    """
+    if c1 - c0 <= _BASE_COLS:
+        return _solve_base(W, c0, c1, p, free, need_x)
+    mid = (c0 + c1) // 2
+    rows_l, piv_l, X_l = _solve(W, c0, mid, p, free, True)
+    if rows_l:
+        _apply(W[:, mid:c1], X_l, rows_l, p)
+    if not need_x:
+        X_l = None  # free it before the right half is solved
+    if not free.any():
+        return rows_l, piv_l, X_l
+    rows_r, piv_r, X_r = _solve(W, mid, c1, p, free, need_x)
+    X = None
+    if need_x:
+        if rows_r and rows_l:
+            _apply(X_l, X_r, rows_r, p)
+        X = np.hstack([X_l, X_r])
+    return rows_l + rows_r, piv_l + piv_r, X
+
+
+def _solve_base(W, c0, c1, p, free, need_x):
+    """Unblocked Gauss-Jordan on columns c0:c1, touching only nonzero rows.
+
+    With `need_x` the row operations also act on the unit vectors of the
+    pivot rows, kept in the columns after the block: they end as
+    X + I[:, rows].
+    """
+    m = W.shape[0]
+    nb = c1 - c0
+    Z = np.hstack([W[:, c0:c1], np.zeros((m, nb), dtype=np.int64)]) if need_x else W[:, c0:c1]
+    nfree = int(np.count_nonzero(free))
+    rows, pivots = [], []
+    for j in range(nb):
+        if nfree == 0:
             break
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        nz = Z[:, j].nonzero()[0]
+        is_free = free[nz]
+        i = int(is_free.argmax()) if nz.size else 0
+        if not nz.size or not is_free[i]:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r] = A[r] * inv % p
-        rows = np.nonzero(A[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            A[rows] = (A[rows] - np.outer(A[rows, c], A[r])) % p
-        pivots.append(c)
-        r += 1
-    return A[: len(pivots)], pivots
+        s = int(nz[i])
+        end = nb + len(rows) + 1 if need_x else nb
+        if need_x:
+            Z[s, end - 1] = 1
+        # row s becomes the pivot row (1 at column j); subtracting its
+        # multiples clears column j in every other nonzero row and in row s
+        # itself, which is then overwritten
+        pivot_row = Z[s, j:end] * pow(int(Z[s, j]), -1, p) % p
+        sub = Z[nz, j:end]
+        sub -= sub[:, :1] * pivot_row
+        sub %= p
+        Z[nz, j:end] = sub
+        Z[s, j:end] = pivot_row
+        free[s] = False
+        nfree -= 1
+        rows.append(s)
+        pivots.append(c0 + j)
+    if not need_x:
+        return rows, pivots, None
+    W[:, c0:c1] = Z[:, :nb]
+    k = len(rows)
+    X = Z[:, nb : nb + k]
+    diag = (rows, np.arange(k))
+    X[diag] = (X[diag] - 1) % p
+    return rows, pivots, X
+
+
+def _apply(C, X, S, p):
+    """C <- (C + X @ C[S]) mod p in place: the transform (X, S) on C's columns.
+
+    Only the rows where X is nonzero and the columns where C[S] is
+    nonzero change.
+    """
+    rows = np.flatnonzero(X.any(axis=1))
+    Y = C[S]
+    cols = np.flatnonzero(Y.any(axis=0))
+    if not cols.size:
+        return
+    Y = Y[:, cols]
+    for i in range(0, rows.size, _UPDATE_ROWS):
+        block = np.ix_(rows[i : i + _UPDATE_ROWS], cols)
+        B = C[block]
+        _addmul(B, X[rows[i : i + _UPDATE_ROWS]], Y, p)
+        C[block] = B
+
+
+def _addmul(C, X, Y, p):
+    """C <- (C + X @ Y) mod p in place, exactly; int64 entries in [0, p).
+
+    Runs as float64 products.  With Y = 2**14 Y_hi + Y_lo, each inner chunk
+    of at most `_INNER_CHUNK` columns of X multiplies [2**14 X mod p | X]
+    by [Y_hi; Y_lo]: at most 2048 terms below 2**28 * 2**14, so the sum
+    plus C stays below 2**53 and every partial sum is an exact integer.
+    """
+    m, k = X.shape
+    w = min(C.shape[1], _UPDATE_COLS)
+    t = np.empty((m, w))
+    r = np.empty((m, w), dtype=np.int64)
+    XX = np.empty((m, 2 * min(k, _INNER_CHUNK)))
+    Ys = np.empty((2 * min(k, _INNER_CHUNK), w))
+    for i in range(0, k, _INNER_CHUNK):
+        Xi = X[:, i : i + _INNER_CHUNK]
+        kk = Xi.shape[1]
+        XX[:, :kk] = (Xi << 14) % p
+        XX[:, kk : 2 * kk] = Xi
+        for j in range(0, C.shape[1], w):
+            Cj = C[:, j : j + w]
+            Yj = Y[i : i + kk, j : j + w]
+            wj = Cj.shape[1]
+            np.right_shift(Yj, 14, out=Ys[:kk, :wj])
+            np.bitwise_and(Yj, 16383, out=Ys[kk : 2 * kk, :wj])
+            tj, rj = t[:, :wj], r[:, :wj]
+            np.matmul(XX[:, : 2 * kk], Ys[: 2 * kk, :wj], out=tj)
+            tj += Cj
+            rj[...] = tj
+            np.remainder(rj, p, out=Cj)
 
 
 def rank_mod(A: np.ndarray, p: int) -> int:
@@ -81,21 +222,13 @@ def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel mod p, one row per free column."""
     R, pivots = rref_mod(A, p)
     n = A.shape[1]
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    K = np.zeros((len(free), n), dtype=np.int64)
-    for k, j in enumerate(free):
-        K[k, j] = 1
-        for i, c in enumerate(pivots):
-            K[k, c] = (-int(R[i, j])) % p
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    K = np.zeros((free.size, n), dtype=np.int64)
+    K[np.arange(free.size), free] = 1
+    K[:, pivots] = -R[:, free].T % p
     return K
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int):
-    g, x = _xgcd(m1, m2)
-    assert g == 1
-    m = m1 * m2
-    return (r1 + (r2 - r1) * x % m2 * m1) % m, m
 
 
 def _xgcd(a, b):
@@ -192,7 +325,8 @@ def kernel_qq_candidates(build, ncols: int, min_primes: int = 2, max_primes: int
             return basis, 0, (), (p,)
         R, pivots = rref_mod(A, p)
         key = tuple(pivots)
-        free = [j for j in range(ncols) if j not in set(pivots)]
+        pivot_set = set(pivots)
+        free = [j for j in range(ncols) if j not in pivot_set]
         results.setdefault(key, []).append((p, R[:, free]))
         used.append(p)
         best = max(results, key=lambda k: (len(k), [-c for c in k]))
@@ -240,14 +374,3 @@ def fraction_matrix_to_mod(rows, p: int) -> np.ndarray:
                 out[i, j] = int(x) % p
     return out
 
-
-def exact_mat_vec_is_zero(rows, v) -> bool:
-    """Exact check that M v = 0 for integer/Fraction data."""
-    for row in rows:
-        s = 0
-        for a, b in zip(row, v):
-            if a and b:
-                s += a * b
-        if s != 0:
-            return False
-    return True

@@ -742,7 +742,6 @@ class _PieceSolver:
     def __init__(self, engine, field):
         self.engine = engine
         self.field = field
-        self.modular = not isinstance(field, Rationals) and field.p < (1 << 28)
 
     def kernel(self, d: int):
         """Exact kernel basis at degree d: (elements, coords, primes)."""
@@ -758,8 +757,6 @@ class _PieceSolver:
             ]
             return elements, vectors, primes
         p = self.field.p
-        if not self.modular:
-            raise SolverError("primes >= 2**28 not supported by the dense solver")
         K = kernel_mod(self.engine.build_mod(d, p), p)
         coords = [[int(x) for x in row] for row in K]
         elements = [

@@ -103,3 +103,21 @@ def test_verify_paper_only_filter(tmp_path, capsys):
     doc = json.loads(payload)
     assert all(c["id"].startswith("critical:grr3") for c in doc["claims"])
     assert len(doc["claims"]) == 3
+
+
+def test_oversized_modulus_exit_code(capsys):
+    code = main(["omega", "@nine4d", "--field", "Fp:2305843009213693951"])
+    assert code == 2
+    assert "2**28" in capsys.readouterr().err
+
+
+def test_reconstruction_failed_exit_code(monkeypatch, capsys):
+    import arrlog.cli
+    from arrlog.modular import ReconstructionFailed
+
+    def fail(args, kind):
+        raise ReconstructionFailed("no stable kernel after 48 primes")
+
+    monkeypatch.setattr(arrlog.cli, "cmd_generators", fail)
+    assert main(["omega", "@boolean:3"]) == 2
+    assert capsys.readouterr().err == "error: no stable kernel after 48 primes\n"

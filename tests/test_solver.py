@@ -131,3 +131,18 @@ def test_membership_failures_reports():
     # d/dx_0 is not logarithmic for the boolean arrangement
     cv = CoeffVector("D", 1, 0, (Poly.const(QQ, 2, 1), Poly.zero(QQ, 2)))
     assert membership_failures(A, cv) == [0]
+
+
+def test_oversized_prime_is_a_typed_error():
+    # word-sized elimination needs p < 2**28; a larger prime must raise,
+    # not return an empty generator set or trip an assertion
+    from arrlog.arrangement import ArrangementError
+    from arrlog.modular import ModulusTooLarge
+
+    big = GF(2**61 - 1)
+    assert issubclass(ModulusTooLarge, ArrangementError)
+    with pytest.raises(ModulusTooLarge):
+        minimal_generators(nine4d(big), "O")
+    with pytest.raises(ModulusTooLarge):
+        saito_check(ziegler22(big))
+    assert minimal_generators(nine4d(GF(268435399)), "O").count_by_degree() == {-1: 1, -2: 6}
