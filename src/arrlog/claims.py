@@ -214,7 +214,7 @@ def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
             A, A.n - 1, kind="O", source_generators=gens_src, target_generators=tgt_gens
         )
         gens_A = minimal_generators(A, "O", base=fb)
-        bt = betti_table(A, "O", base=fb)
+        bt = betti_table(A, "O", generators=gens_A)
         sp = spog_detect(bt)
         cut_not_free = len(tgt_gens.degrees) > res.restricted.ell
         extra = sorted(gens_A.degrees) == sorted(src_multiset + [-1])
@@ -464,7 +464,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
         gens_src = minimal_generators(A1, "O")
         fb = None
         if with_betti:
-            bt_src = betti_table(A1, "O")
+            bt_src = betti_table(A1, "O", generators=gens_src)
             pd_src = bt_src.pd if bt_src.certified_free_tail else None
         else:
             pd_src = None
@@ -520,7 +520,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
             },
         )
     if with_betti:
-        bt = betti_table(A, "O", base=fb) if fb is not None else betti_table(A, "O")
+        bt = betti_table(A, "O", generators=gens_A)
         sp = spog_detect(bt)
         note = None
         if pd_src is not None and pd_src > ell - 3:

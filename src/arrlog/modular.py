@@ -267,33 +267,63 @@ def _gcd(a, b):
     return a
 
 
+class _CRTLift:
+    """Residue matrices of one shape under growing primes, lifted to Q on demand.
+
+    Each matrix is folded into the combined residues once, at the first
+    `lift` after it was added.  A lift stops at the first entry that does
+    not reconstruct and starts the next lift there, so while primes are
+    still missing a lift usually costs one reconstruction.
+    """
+
+    def __init__(self):
+        self.primes = []
+        self._pending = []  # (p, matrix) not yet folded in
+        self._combined = None  # object array of residues mod self._modulus
+        self._modulus = 1
+        self._retry = 0  # flat index of the entry that failed last
+
+    def add(self, p: int, R: np.ndarray):
+        self.primes.append(p)
+        self._pending.append((p, R))
+
+    def lift(self):
+        """Fraction rows reconstructed from all primes added, or None."""
+        for p, R in self._pending:
+            Rp = R.astype(object)
+            if self._combined is None:
+                self._combined = Rp
+            else:
+                m = self._modulus
+                _, x = _xgcd(m, p)
+                self._combined = (self._combined + (Rp - self._combined) * x % p * m) % (m * p)
+            self._modulus *= p
+        self._pending = []
+        m = self._modulus
+        flat = self._combined.ravel()
+        if flat.size and rational_reconstruct(int(flat[self._retry]), m) is None:
+            return None
+        lifted = []
+        for i, a in enumerate(flat):
+            f = rational_reconstruct(int(a), m)
+            if f is None:
+                self._retry = i
+                return None
+            lifted.append(f)
+        rows, cols = self._combined.shape
+        return [lifted[i * cols : (i + 1) * cols] for i in range(rows)]
+
+
 def reconstruct_matrix(rows_mod: list[np.ndarray], primes: list[int]):
     """CRT-combine per-prime integer matrices and lift entrywise to Q.
 
     All matrices must have the same shape.  Returns a list of Fraction
     rows, or None if any entry fails to reconstruct.
     """
-    m = 1
-    combined = np.zeros(rows_mod[0].shape, dtype=object)
+    acc = _CRTLift()
     for R, p in zip(rows_mod, primes):
-        if m == 1:
-            combined = R.astype(object)
-            m = p
-        else:
-            g, x = _xgcd(m, p)
-            Rp = R.astype(object)
-            combined = (combined + (Rp - combined) * x % p * m) % (m * p)
-            m *= p
-    out = []
-    for row in combined:
-        lifted = []
-        for a in row:
-            f = rational_reconstruct(int(a), m)
-            if f is None:
-                return None
-            lifted.append(f)
-        out.append(lifted)
-    return out
+        acc.add(p, R)
+    return acc.lift()
 
 
 def kernel_qq_candidates(build, ncols: int, min_primes: int = 2, max_primes: int = 48):
@@ -311,7 +341,7 @@ def kernel_qq_candidates(build, ncols: int, min_primes: int = 2, max_primes: int
     is a lower bound for the rank over Q, so `ncols - rank` independent
     verified kernel vectors span the whole kernel.
     """
-    results = {}  # pivots tuple -> list of (prime, free-column block)
+    results = {}  # pivots tuple -> _CRTLift of the free-column blocks
     used = []
     for p in PRIMES[:max_primes]:
         A = build(p)
@@ -327,22 +357,20 @@ def kernel_qq_candidates(build, ncols: int, min_primes: int = 2, max_primes: int
         key = tuple(pivots)
         pivot_set = set(pivots)
         free = [j for j in range(ncols) if j not in pivot_set]
-        results.setdefault(key, []).append((p, R[:, free]))
+        results.setdefault(key, _CRTLift()).add(p, R[:, free])
         used.append(p)
         best = max(results, key=lambda k: (len(k), [-c for c in k]))
-        if len(best) == ncols:
-            return [], ncols, best, tuple(p for p, _ in results[best])
         group = results[best]
-        if len(group) >= min_primes:
-            primes = [q for q, _ in group]
-            blocks = [B for _, B in group]
-            lifted = reconstruct_matrix(blocks, primes)
+        if len(best) == ncols:
+            return [], ncols, best, tuple(group.primes)
+        if len(group.primes) >= min_primes:
+            lifted = group.lift()
             if lifted is not None:
                 vectors = _kernel_from_lifted(lifted, list(best), ncols)
-                return vectors, len(best), best, tuple(primes)
+                return vectors, len(best), best, tuple(group.primes)
             min_primes += 1  # need more primes for this group
     raise ReconstructionFailed(
-        f"no stable kernel after {len(used)} primes (pivot groups: {sorted(map(len, results.values()))})"
+        f"no stable kernel after {len(used)} primes (pivot groups: {sorted(len(g.primes) for g in results.values())})"
     )
 
 

@@ -52,6 +52,32 @@ class BettiTable:
         return [sorted(c.twists) for c in self.columns]
 
 
+class GeneratorSetMismatch(SolverError):
+    """A generator set passed to betti_table is not column 0 of the asked table."""
+
+
+def _same_arrangement(A: Arrangement, B: Arrangement) -> bool:
+    return A is B or (
+        A.field == B.field and A.ell == B.ell and A.forms == B.forms and A.mult == B.mult
+    )
+
+
+def _check_generators(gs: GeneratorSet, A: Arrangement, kind: str, order: int, degree_range):
+    if not _same_arrangement(gs.arrangement, A):
+        raise GeneratorSetMismatch("generator set belongs to another arrangement")
+    if (gs.kind, gs.order) != (kind, order):
+        raise GeneratorSetMismatch(
+            f"generator set is for kind {gs.kind!r}, order {gs.order}; "
+            f"asked for kind {kind!r}, order {order}"
+        )
+    if degree_range is not None and tuple(degree_range) != tuple(gs.degree_bound_used):
+        raise GeneratorSetMismatch(
+            f"generator set swept {tuple(gs.degree_bound_used)}, asked for {tuple(degree_range)}"
+        )
+    if gs.stopped_early:
+        raise GeneratorSetMismatch("generator set is incomplete: its sweep stopped early")
+
+
 def betti_table(
     A: Arrangement,
     kind: str = "O",
@@ -61,6 +87,7 @@ def betti_table(
     engine: str = "auto",
     base=None,
     hints=None,
+    generators: GeneratorSet | None = None,
 ) -> BettiTable:
     """Truncated minimal free resolution of D^p or Omega^p.
 
@@ -70,10 +97,21 @@ def betti_table(
     only if no relation generators appear at the window's edge and the
     alternating Hilbert counts reproduce the directly computed piece
     dimensions at every checked degree.
+
+    `generators`, when given, is column 0: the result of
+    minimal_generators(A, kind, order, ...) that the caller already holds.
+    Its sweep is not repeated, and its engine extends the dimension
+    table; `engine`, `base` and `hints` are then unused.  A set for
+    another arrangement, kind, order or window, or one whose sweep stopped
+    early, raises GeneratorSetMismatch.
     """
-    gs = minimal_generators(
-        A, kind, order, degree_range=degree_range, engine=engine, base=base, hints=hints
-    )
+    if generators is None:
+        gs = minimal_generators(
+            A, kind, order, degree_range=degree_range, engine=engine, base=base, hints=hints
+        )
+    else:
+        _check_generators(generators, A, kind, order, degree_range)
+        gs = generators
     notes = []
     field = A.field
     rational = isinstance(field, Rationals)

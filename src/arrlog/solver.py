@@ -44,10 +44,12 @@ from .poly import (
     LinearForm,
     Poly,
     dim_homogeneous,
-    divisibility_row_data,
+    divisibility_table_mod,
     divisible_by_linear_power,
     monomial_basis,
+    monomial_exponents,
     monomial_index,
+    monomial_rank,
     product,
 )
 
@@ -195,16 +197,6 @@ class TwistSpace:
             pos += k
         return tuple(blocks)
 
-    def flatten(self, element, d: int):
-        out = []
-        for poly, deg in zip(element, self.block_degrees(d)):
-            if deg < 0:
-                if not poly.is_zero():
-                    raise ValueError("nonzero block of negative degree")
-                continue
-            out.extend(poly.to_vector(deg))
-        return out
-
     def flatten_mod(self, element, d: int, p: int) -> np.ndarray:
         vec = np.zeros(self.dim(d), dtype=np.int64)
         pos = 0
@@ -233,30 +225,12 @@ def _coeff_mod(c, p: int) -> int:
 @lru_cache(maxsize=None)
 def shift_table(ell: int, d_src: int, mono: tuple) -> np.ndarray:
     """Index map: position of basis(d_src)[i] * mono inside basis(d_src+|mono|)."""
-    tgt = monomial_index(ell, d_src + sum(mono))
-    src = monomial_basis(ell, d_src)
-    return np.array([tgt[tuple(a + b for a, b in zip(m, mono))] for m in src], dtype=np.int64)
+    return monomial_rank(monomial_exponents(ell, d_src) + np.array(mono, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # constraint engines
 # ---------------------------------------------------------------------------
-
-
-class _DivTable:
-    """Dense divisibility matrix for (alpha, m) at one polynomial degree.
-
-    `dense` has one row per vanishing condition and one column per
-    degree-N monomial; a homogeneous polynomial is divisible by alpha^m
-    iff its coefficient vector is killed by every row.
-    """
-
-    def __init__(self, alpha: LinearForm, m: int, degree: int):
-        self.nrows, columns = divisibility_row_data(alpha, m, degree)
-        self.dense = np.zeros((self.nrows, len(columns)), dtype=np.int64)
-        for j, col in enumerate(columns):
-            for i, c in col:
-                self.dense[i, j] = int(c)
 
 
 class AmbientEngine:
@@ -274,7 +248,6 @@ class AmbientEngine:
         self.space = TwistSpace(A.ell, tuple([-offset] * comb(A.ell, order)))
         self._subsets = subsets(A.ell, order)
         self._sub_index = {s: i for i, s in enumerate(self._subsets)}
-        self._div_cache = {}
 
     def numerator_degree(self, d: int) -> int:
         return d if self.kind == "D" else d + self.A.deg_Q()
@@ -327,21 +300,16 @@ class AmbientEngine:
         blocks = []
         for h in range(self.A.n):
             alpha = _form_mod(self.A.forms[h], p)
-            m = self.A.mult[h]
-            key = (h, m, N, p)
-            table = self._div_cache.get(key)
-            if table is None:
-                table = _DivTable(alpha, m, N)
-                self._div_cache[key] = table
+            table = divisibility_table_mod(alpha, self.A.mult[h], N)
+            nrows = table.shape[0]
             conds = self._condition_terms(alpha)
-            M = np.zeros((table.nrows * len(conds), ncols), dtype=np.int64)
+            M = np.zeros((nrows * len(conds), ncols), dtype=np.int64)
             for ci, terms in enumerate(conds):
-                base = ci * table.nrows
+                base = ci * nrows
                 for b, c in terms:
                     c = int(c) % p
-                    M[base : base + table.nrows, b * dimS : (b + 1) * dimS] = (
-                        M[base : base + table.nrows, b * dimS : (b + 1) * dimS]
-                        + c * table.dense
+                    M[base : base + nrows, b * dimS : (b + 1) * dimS] = (
+                        M[base : base + nrows, b * dimS : (b + 1) * dimS] + c * table
                     ) % p
             blocks.append(M)
         if not blocks:
@@ -524,7 +492,6 @@ class RelativeEngine:
             self.space = TwistSpace(A.ell, tuple(base.exponents))
         else:
             self.space = TwistSpace(A.ell, tuple(-(nc + e) for e in base.exponents))
-        self._div_cache = {}
         self._carrier_cache = {}
 
     def numerator_degree(self, d: int) -> int:
@@ -581,33 +548,19 @@ class RelativeEngine:
             col_offsets.append(pos)
             pos += dim_homogeneous(ell, bd)
         for h in self.complement:
-            alpha = _form_mod(self.A.forms[h], p)
-            key = (h, N, p)
-            table = self._div_cache.get(key)
-            if table is None:
-                table = _DivTable(alpha, self.A.mult[h], N)
-                self._div_cache[key] = table
+            # rows of the table transposed, so that the carrier products
+            # gather contiguous rows
+            tableT = divisibility_table_mod(_form_mod(self.A.forms[h], p), self.A.mult[h], N).T.copy()
+            nrows = tableT.shape[1]
             conds = self._conditions_exact(h)
-            M = np.zeros((table.nrows * len(conds), ncols), dtype=np.int64)
+            M = np.zeros((nrows * len(conds), ncols), dtype=np.int64)
             for ci, terms in enumerate(conds):
-                base_row = ci * table.nrows
                 for i, carrier in terms:
                     bd = block_degs[i]
                     if bd < 0:
                         continue
-                    dimg = dim_homogeneous(ell, bd)
-                    block = M[base_row : base_row + table.nrows, col_offsets[i] : col_offsets[i] + dimg]
-                    # products are < 2**56; reduce every 32 terms so the
-                    # running sum stays inside int64
-                    pending = 0
-                    for cm, cc in carrier.terms.items():
-                        tab = shift_table(ell, bd, cm)
-                        block += _coeff_mod(cc, p) * table.dense[:, tab]
-                        pending += 1
-                        if pending == 32:
-                            np.mod(block, p, out=block)
-                            pending = 0
-                    np.mod(block, p, out=block)
+                    block = _carrier_product(tableT, carrier, ell, bd, p)
+                    M[ci * nrows : (ci + 1) * nrows, col_offsets[i] : col_offsets[i] + block.shape[0]] = block.T
             blocks.append(M)
         if not blocks:
             return np.zeros((0, ncols), dtype=np.int64)
@@ -641,6 +594,31 @@ class RelativeEngine:
         return not membership_failures(self.A, cv, hyperplanes=self.complement)
 
 
+#: cells gathered at once when a carrier multiplies a divisibility table
+_GATHER_CELLS = 1 << 20
+
+
+def _carrier_product(tableT, carrier: Poly, ell: int, bd: int, p: int) -> np.ndarray:
+    """Transposed table of g -> carrier * g on S_bd, reduced mod p.
+
+    Column r of the table of the product is sum_t c_t * table[:, tab_t[r]]
+    over the carrier terms c_t * x^(mu_t), tab_t = shift_table(ell, bd, mu_t).
+    Products are below 2**56, so a sum of up to 127 of them plus an entry
+    below p stays inside int64.
+    """
+    tabs = np.stack([shift_table(ell, bd, cm) for cm in carrier.terms])
+    coeffs = np.array([_coeff_mod(c, p) for c in carrier.terms.values()], dtype=np.int64)
+    nterms, dimg = tabs.shape
+    out = np.zeros((dimg, tableT.shape[1]), dtype=np.int64)
+    step = max(1, min(127, _GATHER_CELLS // max(out.size, 1)))
+    for s in range(0, nterms, step):
+        gathered = tableT[tabs[s : s + step]]
+        gathered *= coeffs[s : s + step, None, None]
+        out += gathered.sum(axis=0)
+        np.mod(out, p, out=out)
+    return out
+
+
 def normalize_element(element):
     """Scale an element's polynomials to primitive integer coefficients."""
     from math import gcd
@@ -666,19 +644,6 @@ def normalize_element(element):
 
 def _form_mod(form: LinearForm, p: int) -> LinearForm:
     return LinearForm(GF(p), [_coeff_mod(c, p) for c in form.coeffs])
-
-
-def _poly_mod(poly: Poly, p: int) -> Poly:
-    fld = GF(p)
-    return Poly(fld, poly.ell, {m: _coeff_mod(c, p) for m, c in poly.terms.items()})
-
-
-def _dot_field(fld, u, v):
-    s = fld.zero
-    for a, b in zip(u, v):
-        if a and b:
-            s = fld.add(s, fld.mul(a, b))
-    return s
 
 
 def _invert(M: Matrix) -> Matrix:

@@ -14,6 +14,7 @@ from arrlog.modular import (
     kernel_qq_candidates,
     rank_mod,
     rational_reconstruct,
+    reconstruct_matrix,
     rref_mod,
 )
 
@@ -232,3 +233,128 @@ def test_fraction_matrix_to_mod():
     M = fraction_matrix_to_mod([[Fraction(1, 2), 3]], p)
     assert (2 * M[0, 0]) % p == 1
     assert M[0, 1] == 3
+
+
+# ---------------------------------------------------------------------------
+# reconstruction: the from-scratch CRT of every attempt is the oracle
+# ---------------------------------------------------------------------------
+
+
+def _reconstruct_from_scratch(rows_mod, primes):
+    """Oracle: CRT over all primes, then lift every entry in row order."""
+    from arrlog.modular import _xgcd
+
+    m = 1
+    combined = None
+    for R, p in zip(rows_mod, primes):
+        if m == 1:
+            combined = R.astype(object)
+            m = p
+        else:
+            _, x = _xgcd(m, p)
+            combined = (combined + (R.astype(object) - combined) * x % p * m) % (m * p)
+            m *= p
+    out = []
+    for row in combined:
+        lifted = []
+        for a in row:
+            f = rational_reconstruct(int(a), m)
+            if f is None:
+                return None
+            lifted.append(f)
+        out.append(lifted)
+    return out
+
+
+def _kernel_qq_from_scratch(build, ncols, min_primes=2, max_primes=48):
+    """Oracle: the prime loop with a from-scratch reconstruction per attempt."""
+    results = {}
+    for p in PRIMES[:max_primes]:
+        A = build(p)
+        R, pivots = rref_mod(A, p)
+        free = [j for j in range(ncols) if j not in set(pivots)]
+        results.setdefault(tuple(pivots), []).append((p, R[:, free]))
+        best = max(results, key=lambda k: (len(k), [-c for c in k]))
+        if len(best) == ncols:
+            return [], ncols, best, tuple(q for q, _ in results[best])
+        group = results[best]
+        if len(group) >= min_primes:
+            lifted = _reconstruct_from_scratch([B for _, B in group], [q for q, _ in group])
+            if lifted is not None:
+                pset = set(best)
+                vectors = []
+                for fj, j in enumerate(c for c in range(ncols) if c not in pset):
+                    v = [Fraction(0)] * ncols
+                    v[j] = Fraction(1)
+                    for i, c in enumerate(best):
+                        v[c] = -lifted[i][fj]
+                    vectors.append(v)
+                return vectors, len(best), best, tuple(q for q, _ in group)
+            min_primes += 1
+    raise AssertionError("oracle ran out of primes")
+
+
+def _int_build(rows):
+    def build(p):
+        return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+
+    return build
+
+
+def test_kernel_qq_candidates_matches_from_scratch_reconstruction():
+    # large entries need many primes, so most attempts fail first
+    rng = random.Random(11)
+    for m, n, bound in [(3, 7, 10**3), (5, 11, 10**6), (6, 9, 10**9), (4, 7, 50)]:
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+        got = kernel_qq_candidates(_int_build(rows), n)
+        want = _kernel_qq_from_scratch(_int_build(rows), n)
+        assert got == want
+        assert len(got[3]) >= 2
+        for v in got[0]:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
+def test_kernel_qq_candidates_bad_first_prime():
+    # the second row is the first plus P e_1, so rank drops mod P = PRIMES[0]:
+    # the group of that prime loses to the later ones
+    P = PRIMES[0]
+    rng = random.Random(12)
+    base = [rng.randint(-10**8, 10**8) for _ in range(6)]
+    rows = [base, [x + (P if j == 1 else 0) for j, x in enumerate(base)],
+            [rng.randint(-10**8, 10**8) for _ in range(6)]]
+    got = kernel_qq_candidates(_int_build(rows), 6)
+    assert got == _kernel_qq_from_scratch(_int_build(rows), 6)
+    assert P not in got[3] and got[1] == 3
+
+
+def test_reconstruct_matrix_matches_from_scratch():
+    rng = np.random.default_rng(13)
+    for shape in [(3, 4), (1, 1), (2, 0), (0, 3)]:
+        for k in (1, 2, 3, 6):
+            primes = list(PRIMES[:k])
+            # below three primes the lift may be wrong or missing (callers
+            # certify it); from three on the heights are covered
+            fracs = [[Fraction(int(rng.integers(-10**6, 10**6)), int(rng.integers(1, 10**5)))
+                      for _ in range(shape[1])] for _ in range(shape[0])]
+            mats = [fraction_matrix_to_mod(fracs, p).reshape(shape) for p in primes]
+            got = reconstruct_matrix(mats, primes)
+            assert got == _reconstruct_from_scratch(mats, primes)
+            if k >= 3:
+                assert got == fracs
+
+
+def test_crt_lift_retries_from_the_failed_entry():
+    # lifting with too few primes fails; adding primes then gives the same
+    # answer as one reconstruction over all of them
+    from arrlog.modular import _CRTLift
+
+    fracs = [[Fraction(3, 7), Fraction(-2**70 + 1, 5**20)], [Fraction(1), Fraction(0)]]
+    acc = _CRTLift()
+    results = []
+    for p in PRIMES[:8]:
+        acc.add(p, fraction_matrix_to_mod(fracs, p))
+        results.append(acc.lift())
+    assert results[0] != fracs and results[-1] == fracs
+    for k, res in enumerate(results, start=1):
+        mats = [fraction_matrix_to_mod(fracs, p) for p in PRIMES[:k]]
+        assert res == _reconstruct_from_scratch(mats, PRIMES[:k])

@@ -63,3 +63,66 @@ def test_nine4d_cut_betti():
     assert bt.certified_free_tail
     assert bt.columns[0].twists and sorted(set(bt.columns[0].twists)) == [-3, -2, -1]
     assert bt.pd >= 1  # five generators on a rank-3 module force relations
+
+
+# ---------------------------------------------------------------------------
+# betti_table seeded with a generator set the caller already has
+# ---------------------------------------------------------------------------
+
+
+def _summary(bt):
+    return (bt.twist_multisets(), bt.pd, bt.hilbert_ok, bt.certified_free_tail,
+            bt.validity_bound, bt.dims)
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("betti_table repeated the generator sweep")
+
+
+def test_betti_table_from_generators_matches_unseeded(monkeypatch):
+    from arrlog import resolution
+    from arrlog.solver import free_base_from_saito, minimal_generators, saito_check
+
+    B = boolean(3)
+    sr = saito_check(B)
+    A = B.add_hyperplane(LinearForm(QQ, [1, 2, 3]))
+    fb = free_base_from_saito(A, list(range(B.n)), sr)
+    G = grr3(3, GF(7)).delete(0)
+    cases = [
+        (A, "O", {}),
+        (A, "O", {"base": fb}),
+        (A, "D", {}),
+        (G, "O", {}),
+    ]
+    for X, kind, kw in cases:
+        want = betti_table(X, kind, **kw)
+        gs = minimal_generators(X, kind, **kw)
+        with monkeypatch.context() as mp:
+            mp.setattr(resolution, "minimal_generators", _no_sweep)
+            got = betti_table(X, kind, generators=gs)
+        assert _summary(got) == _summary(want)
+        assert got.generator_set is gs
+
+
+def test_betti_table_rejects_mismatched_generators():
+    from arrlog.resolution import GeneratorSetMismatch
+    from arrlog.solver import minimal_generators
+
+    A = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3]))
+    gs = minimal_generators(A, "O")
+    other = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 4]))
+    bad = [
+        dict(A=other, kind="O", generators=gs),  # another arrangement
+        dict(A=A, kind="D", generators=gs),  # another kind
+        dict(A=A, kind="O", order=2, generators=gs),  # another order
+        dict(A=A, kind="O", degree_range=(-3, 0), generators=gs),  # another window
+        dict(A=A, kind="O", generators=minimal_generators(A, "O", stop_if_exceeds=1)),
+    ]
+    assert bad[-1]["generators"].stopped_early
+    for kw in bad:
+        with pytest.raises(GeneratorSetMismatch) as err:
+            betti_table(**kw)
+        assert isinstance(err.value, ValueError)
+    # an equal arrangement built separately is accepted
+    same = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3]))
+    assert betti_table(same, "O", generators=gs).pd == 1
