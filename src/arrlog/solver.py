@@ -40,16 +40,14 @@ from .modular import (
     reconstruct_matrix,
     rref_mod,
 )
+from .divisibility import divisibility_table_mod, monomial_exponents, monomial_rank
 from .poly import (
     LinearForm,
     Poly,
     dim_homogeneous,
-    divisibility_table_mod,
     divisible_by_linear_power,
     monomial_basis,
-    monomial_exponents,
     monomial_index,
-    monomial_rank,
     product,
 )
 

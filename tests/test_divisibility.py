@@ -16,16 +16,8 @@ import pytest
 from arrlog.fields import GF, QQ
 from arrlog.library import grr3, ziegler22
 from arrlog.modular import PRIMES
-from arrlog.poly import (
-    LinearForm,
-    Poly,
-    divisibility_row_data,
-    divisibility_table_mod,
-    monomial_basis,
-    monomial_exponents,
-    monomial_index,
-    monomial_rank,
-)
+from arrlog.divisibility import divisibility_table_mod, monomial_exponents, monomial_rank
+from arrlog.poly import LinearForm, Poly, divisibility_row_data, monomial_basis, monomial_index
 from arrlog.solver import (
     AmbientEngine,
     RelativeEngine,
