@@ -28,22 +28,19 @@ from math import comb
 
 import numpy as np
 
-from .poly import LinearForm, dim_homogeneous, monomial_basis
+from .poly import LinearForm, monomial_basis
 
 
+@lru_cache(maxsize=None)
 def monomial_exponents(ell: int, d: int) -> np.ndarray:
-    """monomial_basis(ell, d) as an int64 array of shape (dim, ell).
+    """monomial_basis(ell, d) as a read-only int64 array of shape (dim, ell).
 
     ell = 0 is allowed: one empty monomial in degree 0, none otherwise.
     """
     if ell == 0:
-        return np.zeros((1 if d == 0 else 0, 0), dtype=np.int64)
-    return _exponent_array(ell, d)
-
-
-@lru_cache(maxsize=None)
-def _exponent_array(ell: int, d: int) -> np.ndarray:
-    out = np.array(monomial_basis(ell, d), dtype=np.int64).reshape(-1, ell)
+        out = np.zeros((1 if d == 0 else 0, 0), dtype=np.int64)
+    else:
+        out = np.array(monomial_basis(ell, d), dtype=np.int64).reshape(-1, ell)
     out.flags.writeable = False
     return out
 
@@ -73,13 +70,6 @@ def monomial_rank(exps: np.ndarray) -> np.ndarray:
     return table[suffix + later - 1, later].sum(axis=-1)
 
 
-def _free_dim(n: int, d: int) -> int:
-    """Number of monomials of degree d in n >= 0 variables."""
-    if n == 0:
-        return 1 if d == 0 else 0
-    return dim_homogeneous(n, d)
-
-
 def _multinomial(beta) -> int:
     out = 1
     total = 0
@@ -107,7 +97,7 @@ class _DivisibilityPattern:
         rest = np.delete(columns, k, axis=1)
         offsets = [0]
         for t in range(m):
-            offsets.append(offsets[-1] + _free_dim(ell - 1, N - t))
+            offsets.append(offsets[-1] + len(monomial_exponents(ell - 1, N - t)))
         self.nrows = offsets[m]
         cells, value_of, pivot_exp, betas, coeff = [], [], [], [], []
         nvals = 0

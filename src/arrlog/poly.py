@@ -516,10 +516,10 @@ def divisibility_row_data(alpha: LinearForm, m: int, degree: int):
     columns[j] lists (row_index, coeff) for the j-th monomial of
     monomial_basis(ell, degree), zero coefficients left out.
     """
-    if m < 1:
-        raise ValueError("multiplicity must be positive")
     from .divisibility import divisibility_pattern
 
+    if m < 1:
+        raise ValueError("multiplicity must be positive")
     if degree < 0:
         return 0, []
     fld = alpha.field

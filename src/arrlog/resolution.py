@@ -56,14 +56,9 @@ class GeneratorSetMismatch(SolverError):
     """A generator set passed to betti_table is not column 0 of the asked table."""
 
 
-def _same_arrangement(A: Arrangement, B: Arrangement) -> bool:
-    return A is B or (
-        A.field == B.field and A.ell == B.ell and A.forms == B.forms and A.mult == B.mult
-    )
-
-
 def _check_generators(gs: GeneratorSet, A: Arrangement, kind: str, order: int, degree_range):
-    if not _same_arrangement(gs.arrangement, A):
+    B = gs.arrangement
+    if (B.field, B.ell, B.forms, B.mult) != (A.field, A.ell, A.forms, A.mult):
         raise GeneratorSetMismatch("generator set belongs to another arrangement")
     if (gs.kind, gs.order) != (kind, order):
         raise GeneratorSetMismatch(
