@@ -22,6 +22,15 @@ terms below 2**28 * 2**14 and, with the entry it updates, stays below
 echelon form is unique, so R and the pivots are those of plain
 elimination, whatever the order of the work.
 
+Callers that read only the pivots (`rank_mod`, pivot profiles of
+augmented matrices) ask for `rref_mod(A, p, reduced=False)`.  The same
+recursion then updates only the rows that are still free: pivot rows are
+neither back-substituted in the base case nor touched by a transform, and
+their rows of X are never read.  A free row after a set of pivots is the
+unique vector of its coset that vanishes on the pivot columns, with or
+without back-substitution, so every free row, and with it every pivot
+choice, is bit-identical to the reduced path.
+
 Every modulus must be below 2**28 (`ModulusTooLarge` otherwise): that
 keeps the split products exact, and the int64 products of the base case
 and of constraint assembly below 2**56.
@@ -73,10 +82,12 @@ class ModulusTooLarge(ArrangementError):
     """A prime too large for the word-sized modular kernels."""
 
 
-def rref_mod(A: np.ndarray, p: int):
+def rref_mod(A: np.ndarray, p: int, reduced: bool = True):
     """Reduced row echelon form of an integer matrix mod p.
 
-    Returns (R, pivots) with R containing only the nonzero rows.
+    Returns (R, pivots) with R containing only the nonzero rows.  With
+    `reduced=False` only the pivots are computed and (None, pivots) is
+    returned; they equal the pivots of the reduced path.
     """
     if p >= MODULUS_LIMIT:
         raise ModulusTooLarge(f"modulus {p} too large: modular elimination needs p < 2**28")
@@ -86,42 +97,44 @@ def rref_mod(A: np.ndarray, p: int):
     # up to two base widths one split saves less than its products cost,
     # and small matrices then never touch the BLAS workspace
     solve = _solve_base if n <= 2 * _BASE_COLS else _solve
-    rows, pivots, _ = solve(W, 0, n, p, free, False)
-    return W[rows], pivots
+    rows, pivots, _ = solve(W, 0, n, p, free, False, reduced)
+    return (W[rows] if reduced else None), pivots
 
 
-def _solve(W, c0, c1, p, free, need_x):
+def _solve(W, c0, c1, p, free, need_x, reduced):
     """Eliminate columns c0:c1 of W in place; return (rows, pivots, X).
 
     Columns c1: are left alone: the caller applies the returned transform
     X (only computed when `need_x`) to them.  `free` marks the rows that
-    are not yet pivot rows and is updated.
+    are not yet pivot rows and is updated.  Unless `reduced`, only the
+    free rows of W and X are kept up to date.
     """
     if c1 - c0 <= _BASE_COLS:
-        return _solve_base(W, c0, c1, p, free, need_x)
+        return _solve_base(W, c0, c1, p, free, need_x, reduced)
     mid = (c0 + c1) // 2
-    rows_l, piv_l, X_l = _solve(W, c0, mid, p, free, True)
+    rows_l, piv_l, X_l = _solve(W, c0, mid, p, free, True, reduced)
     if rows_l:
-        _apply(W[:, mid:c1], X_l, rows_l, p)
+        _apply(W[:, mid:c1], X_l, rows_l, p, None if reduced else free)
     if not need_x:
         X_l = None  # free it before the right half is solved
     if not free.any():
         return rows_l, piv_l, X_l
-    rows_r, piv_r, X_r = _solve(W, mid, c1, p, free, need_x)
+    rows_r, piv_r, X_r = _solve(W, mid, c1, p, free, need_x, reduced)
     X = None
     if need_x:
         if rows_r and rows_l:
-            _apply(X_l, X_r, rows_r, p)
+            _apply(X_l, X_r, rows_r, p, None if reduced else free)
         X = np.hstack([X_l, X_r])
     return rows_l + rows_r, piv_l + piv_r, X
 
 
-def _solve_base(W, c0, c1, p, free, need_x):
+def _solve_base(W, c0, c1, p, free, need_x, reduced):
     """Unblocked Gauss-Jordan on columns c0:c1, touching only nonzero rows.
 
     With `need_x` the row operations also act on the unit vectors of the
     pivot rows, kept in the columns after the block: they end as
-    X + I[:, rows].
+    X + I[:, rows].  Unless `reduced`, rows that are already pivot rows
+    are left alone.
     """
     m = W.shape[0]
     nb = c1 - c0
@@ -133,10 +146,16 @@ def _solve_base(W, c0, c1, p, free, need_x):
             break
         nz = Z[:, j].nonzero()[0]
         is_free = free[nz]
-        i = int(is_free.argmax()) if nz.size else 0
-        if not nz.size or not is_free[i]:
-            continue
-        s = int(nz[i])
+        if reduced:
+            i = int(is_free.argmax()) if nz.size else 0
+            if not nz.size or not is_free[i]:
+                continue
+            s = int(nz[i])
+        else:
+            nz = nz[is_free]  # pivot rows keep their entries
+            if not nz.size:
+                continue
+            s = int(nz[0])
         end = nb + len(rows) + 1 if need_x else nb
         if need_x:
             Z[s, end - 1] = 1
@@ -163,13 +182,18 @@ def _solve_base(W, c0, c1, p, free, need_x):
     return rows, pivots, X
 
 
-def _apply(C, X, S, p):
+def _apply(C, X, S, p, free=None):
     """C <- (C + X @ C[S]) mod p in place: the transform (X, S) on C's columns.
 
-    Only the rows where X is nonzero and the columns where C[S] is
-    nonzero change.
+    Only the rows where X is nonzero (and, given `free`, that are free)
+    and the columns where C[S] is nonzero change.
     """
-    rows = np.flatnonzero(X.any(axis=1))
+    live = X.any(axis=1)
+    if free is not None:
+        live &= free
+    rows = np.flatnonzero(live)
+    if not rows.size:
+        return
     Y = C[S]
     cols = np.flatnonzero(Y.any(axis=0))
     if not cols.size:
@@ -215,7 +239,7 @@ def _addmul(C, X, Y, p):
 
 
 def rank_mod(A: np.ndarray, p: int) -> int:
-    return len(rref_mod(A, p)[1])
+    return len(rref_mod(A, p, reduced=False)[1])
 
 
 def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:
@@ -270,48 +294,73 @@ def _gcd(a, b):
 class _CRTLift:
     """Residue matrices of one shape under growing primes, lifted to Q on demand.
 
-    Each matrix is folded into the combined residues once, at the first
-    `lift` after it was added.  A lift stops at the first entry that does
-    not reconstruct and starts the next lift there, so while primes are
-    still missing a lift usually costs one reconstruction.
+    Only the union of the nonzero positions seen so far is kept: a position
+    that is zero mod every prime added has combined residue 0, and one that
+    turns nonzero under a later prime joins with combined residue 0 for the
+    earlier ones, which is what a full fold would hold there.  Each matrix
+    is folded into the combined residues once, at the first `lift` after it
+    was added.  A lift reconstructs each distinct residue once and stops at
+    the first that does not reconstruct; the next lift tries that position
+    first, so while primes are still missing a lift usually costs one
+    reconstruction.
     """
 
     def __init__(self):
         self.primes = []
-        self._pending = []  # (p, matrix) not yet folded in
-        self._combined = None  # object array of residues mod self._modulus
+        self._shape = None
+        self._pending = []  # (p, flat nonzero positions, their residues) not yet folded in
+        self._pos = np.zeros(0, dtype=np.int64)  # sorted union of the nonzero positions
+        self._combined = np.zeros(0, dtype=object)  # residues at _pos mod self._modulus
         self._modulus = 1
-        self._retry = 0  # flat index of the entry that failed last
+        self._retry = None  # flat position whose residue failed last
 
     def add(self, p: int, R: np.ndarray):
         self.primes.append(p)
-        self._pending.append((p, R))
+        self._shape = R.shape
+        flat = R.ravel()
+        nz = np.flatnonzero(flat)
+        self._pending.append((p, nz, flat[nz]))
+
+    def _fold(self, p, nz, vals):
+        pos = np.union1d(self._pos, nz)
+        if pos.size == self._pos.size:
+            combined = self._combined
+        else:
+            combined = np.zeros(pos.size, dtype=object)
+            combined[np.searchsorted(pos, self._pos)] = self._combined
+        r = np.zeros(pos.size, dtype=object)
+        r[np.searchsorted(pos, nz)] = vals.astype(object)
+        m = self._modulus
+        _, x = _xgcd(m, p)
+        self._combined = (combined + (r - combined) * x % p * m) % (m * p)
+        self._pos = pos
+        self._modulus = m * p
 
     def lift(self):
         """Fraction rows reconstructed from all primes added, or None."""
-        for p, R in self._pending:
-            Rp = R.astype(object)
-            if self._combined is None:
-                self._combined = Rp
-            else:
-                m = self._modulus
-                _, x = _xgcd(m, p)
-                self._combined = (self._combined + (Rp - self._combined) * x % p * m) % (m * p)
-            self._modulus *= p
+        for p, nz, vals in self._pending:
+            self._fold(p, nz, vals)
         self._pending = []
         m = self._modulus
-        flat = self._combined.ravel()
-        if flat.size and rational_reconstruct(int(flat[self._retry]), m) is None:
-            return None
-        lifted = []
-        for i, a in enumerate(flat):
-            f = rational_reconstruct(int(a), m)
-            if f is None:
-                self._retry = i
+        residues = self._combined.tolist()
+        if self._retry is not None:
+            i = int(np.searchsorted(self._pos, self._retry))
+            if rational_reconstruct(residues[i], m) is None:
                 return None
-            lifted.append(f)
-        rows, cols = self._combined.shape
-        return [lifted[i * cols : (i + 1) * cols] for i in range(rows)]
+        lifted = {}
+        for i, a in enumerate(residues):
+            if a not in lifted:
+                f = rational_reconstruct(a, m)
+                if f is None:
+                    self._retry = int(self._pos[i])
+                    return None
+                lifted[a] = f
+        rows, cols = self._shape
+        zero = Fraction(0)
+        flat = [zero] * (rows * cols)
+        for i, a in zip(self._pos.tolist(), residues):
+            flat[i] = lifted[a]
+        return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
 
 
 def reconstruct_matrix(rows_mod: list[np.ndarray], primes: list[int]):

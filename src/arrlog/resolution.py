@@ -149,8 +149,13 @@ def betti_table(
     columns = [BettiColumn(list(gs.degrees), list(gs.elements))]
     prev_space = gs.engine.space
     prev_gens = list(zip(gs.degrees, gs.elements))
+    # the eval map of a column's generators has the certified dimensions of
+    # the module they span as its ranks over Q: column 0 spans its module
+    # up to validity_bound unless a generator turned up beyond the window,
+    # and a relation column spans its module over its whole sweep
+    prev_dims = None if uncertified else dims
     while True:
-        fam = EvalKernelFamily(prev_space, prev_gens, field)
+        fam = EvalKernelFamily(prev_space, prev_gens, field, image_dims=prev_dims)
         lo = min(e for e, _ in prev_gens) + 1
         res = sweep_minimal_generators(fam, (lo, validity_bound))
         if not res.degrees:
@@ -158,6 +163,7 @@ def betti_table(
         columns.append(BettiColumn(list(res.degrees), list(res.elements)))
         prev_space = fam.space
         prev_gens = list(zip(res.degrees, res.elements))
+        prev_dims = res.dims
         if len(columns) > A.ell + 2:
             notes.append("resolution longer than expected; stopping")
             uncertified = True

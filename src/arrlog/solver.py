@@ -37,7 +37,6 @@ from .modular import (
     kernel_mod,
     kernel_qq_candidates,
     rank_mod,
-    reconstruct_matrix,
     rref_mod,
 )
 from .divisibility import divisibility_table_mod, monomial_exponents, monomial_rank
@@ -885,6 +884,10 @@ class ConstraintFamily:
     def verify_element(self, element, d: int) -> bool:
         return self.engine.verify(element, d)
 
+    def rank_qq(self, d: int):
+        """Rank over Q of the matrix at degree d if known without elimination."""
+        return None
+
 
 class EvalKernelFamily:
     """Graded pieces of the relation module of a list of generators.
@@ -892,19 +895,28 @@ class EvalKernelFamily:
     The piece at degree d is the kernel of the evaluation map into
     `tgt_space`; its elements are coefficient tuples (one polynomial per
     generator), i.e. elements of TwistSpace(twists = generator degrees).
+
+    `image_dims`, when given, maps degrees to the exact dimension of the
+    module the generators span there (certified by the caller): that is
+    the rank over Q of the evaluation map, so no elimination is needed
+    for it.
     """
 
-    def __init__(self, tgt_space: TwistSpace, gens, field):
+    def __init__(self, tgt_space: TwistSpace, gens, field, image_dims=None):
         self.tgt_space = tgt_space
         self.gens = gens
         self.space = TwistSpace(tgt_space.ell, tuple(e for e, _ in gens))
         self.field = field
+        self.image_dims = image_dims or {}
 
     def matrix_mod(self, d: int, p: int) -> np.ndarray:
         return eval_matrix_mod(self.tgt_space, self.gens, d, p)
 
     def verify_element(self, element, d: int) -> bool:
         return combination_is_zero(self.tgt_space, self.gens, element, d)
+
+    def rank_qq(self, d: int):
+        return self.image_dims.get(d)
 
 
 @dataclass
@@ -986,7 +998,7 @@ def _degree_step_fp(family, gens, d: int, p: int):
     if r == n_d:
         return n_d, []
     aug = np.hstack([E, K.T])
-    _, pivots = rref_mod(aug, p)
+    _, pivots = rref_mod(aug, p, reduced=False)
     new = []
     for c in pivots:
         if c >= E.shape[1]:
@@ -997,11 +1009,15 @@ def _degree_step_fp(family, gens, d: int, p: int):
 
 
 def _degree_step_qq(family, gens, d: int, ncols: int, hints_d=()):
-    # fast path: dim <= n0 (constraint rank mod p bounds the rational
-    # kernel) and dim >= eval rank mod p (the span of verified-member
-    # multiples); equality pins the dimension with no reconstruction
+    # fast path: dim <= n0 (the constraint rank mod p bounds the rational
+    # kernel; a certified rank over Q gives it exactly) and dim >= eval
+    # rank mod p (the span of verified-member multiples); equality pins
+    # the dimension with no reconstruction
     p0 = _eval_prime(gens, PRIMES[0])
-    n0 = ncols - rank_mod(family.matrix_mod(d, p0), p0)
+    rank = family.rank_qq(d)
+    if rank is None:
+        rank = rank_mod(family.matrix_mod(d, p0), p0)
+    n0 = ncols - rank
     if n0 == 0:
         return 0, []
     E = (
@@ -1052,7 +1068,7 @@ def _degree_step_qq(family, gens, d: int, ncols: int, hints_d=()):
         except ZeroDivisionError:
             continue
         aug = np.hstack([Ep, Kmod.T])
-        _, aug_pivots = rref_mod(aug, p)
+        _, aug_pivots = rref_mod(aug, p, reduced=False)
         new = [elements[c - Ep.shape[1]] for c in aug_pivots if c >= Ep.shape[1]]
         if len(new) != n_d - rank_eval:
             continue
@@ -1089,7 +1105,7 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
         return None
     H = np.stack(cols, axis=1)
     aug = np.hstack([E, H]) if E.shape[1] else H
-    _, pivots = rref_mod(aug, p0)
+    _, pivots = rref_mod(aug, p0, reduced=False)
     chosen = [valid[c - E.shape[1]] for c in pivots if c >= E.shape[1]]
     if rank_eval + len(chosen) != n0:
         return None

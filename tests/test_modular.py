@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrlog.fields import QQ, _is_prime
 from arrlog.linalg import Matrix, kernel_basis, rref
@@ -48,6 +50,7 @@ def _assert_same_rref(A, p):
     R, pivots = rref_mod(A, p)
     R0, pivots0 = _rref_mod_unblocked(A, p)
     assert pivots == pivots0
+    assert rref_mod(A, p, reduced=False) == (None, pivots0)
     assert all(type(c) is int for c in pivots)
     assert R.dtype == np.int64 and R.shape == R0.shape
     assert np.array_equal(R, R0)
@@ -173,6 +176,27 @@ def test_rref_mod_more_than_1024_pivots():
     R, got = rref_mod(A, p)
     assert got == pivots
     assert np.array_equal(R, R0)
+    assert rref_mod(A, p, reduced=False) == (None, pivots)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 160),
+    n=st.integers(1, 300),
+    rank_frac=st.floats(0.0, 1.0),
+    density=st.sampled_from([0.005, 0.02, 0.1, 0.5, 1.0]),
+    p=st.sampled_from([3, 5, 7, PRIMES[0]]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rref_mod_pivots_only_matches_unblocked(m, n, rank_frac, density, p, seed):
+    # widths on both sides of the 128-column threshold of the recursion;
+    # small primes make rank drops and repeated entries common
+    rng = np.random.default_rng(seed)
+    r = round(rank_frac * min(m, n))
+    A = _random_rank(rng, m, n, r, p, density)
+    _, pivots0 = _rref_mod_unblocked(A, p)
+    assert rref_mod(A, p, reduced=False) == (None, pivots0)
+    assert rank_mod(A, p) == len(pivots0)
 
 
 def test_modulus_limit():
@@ -181,6 +205,8 @@ def test_modulus_limit():
     for p in (1 << 28, (1 << 61) - 1):
         with pytest.raises(ModulusTooLarge):
             rref_mod(A, p)
+        with pytest.raises(ModulusTooLarge):
+            rref_mod(A, p, reduced=False)
         with pytest.raises(ModulusTooLarge):
             rank_mod(A, p)
         with pytest.raises(ModulusTooLarge):
@@ -358,3 +384,51 @@ def test_crt_lift_retries_from_the_failed_entry():
     for k, res in enumerate(results, start=1):
         mats = [fraction_matrix_to_mod(fracs, p) for p in PRIMES[:k]]
         assert res == _reconstruct_from_scratch(mats, PRIMES[:k])
+
+
+def test_crt_lift_sparse_positions_match_from_scratch():
+    # P0 | 3 P0 / 7 and P1 | 2 P1, so those entries vanish mod one prime and
+    # not the other: their positions join the kept set only at a later prime
+    from arrlog.modular import _CRTLift
+
+    P0, P1 = PRIMES[0], PRIMES[1]
+    z = Fraction(0)
+    cases = [
+        [[z, Fraction(3 * P0, 7), z, Fraction(3, 7)], [Fraction(2 * P1), z, Fraction(3, 7), z]],
+        [[z] * 5, [z] * 5],  # all zero
+        [[Fraction(P0 * P1, 11), z, Fraction(-5, 3)]],  # zero mod the first two primes
+        [[Fraction(-2**70 + 1, 5**20), z, Fraction(P0)], [z, Fraction(1, 2), z]],
+    ]
+    for fracs in cases:
+        acc = _CRTLift()
+        lifts = []
+        for k, p in enumerate(PRIMES[:8], start=1):
+            acc.add(p, fraction_matrix_to_mod(fracs, p))
+            got = acc.lift()
+            mats = [fraction_matrix_to_mod(fracs, q) for q in PRIMES[:k]]
+            assert got == _reconstruct_from_scratch(mats, PRIMES[:k])
+            assert got == reconstruct_matrix(mats, PRIMES[:k])
+            lifts.append(got)
+        assert lifts[-1] == fracs
+        assert all(type(x) is Fraction for row in lifts[-1] for x in row)
+    # the all-zero block lifts at once
+    zero = [fraction_matrix_to_mod(cases[1], p) for p in PRIMES[:2]]
+    assert reconstruct_matrix(zero, PRIMES[:2]) == cases[1]
+
+
+def test_kernel_qq_candidates_sparse_block_matches_from_scratch():
+    # a block that is mostly zero, with entries divisible by ladder primes,
+    # needing several lifts
+    rng = random.Random(14)
+    P0, P1 = PRIMES[0], PRIMES[1]
+    for m, n in [(4, 30), (6, 41), (3, 12)]:
+        rows = [[0] * n for _ in range(m)]
+        for i in range(m):
+            rows[i][i] = rng.choice([1, 3, P0, 2 * P1])
+            for j in rng.sample(range(m, n), 3):
+                rows[i][j] = rng.choice([P0, P1, -P0 * 7, rng.randint(-10**6, 10**6)])
+        got = kernel_qq_candidates(_int_build(rows), n)
+        want = _kernel_qq_from_scratch(_int_build(rows), n)
+        assert got == want
+        for v in got[0]:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from arrlog.fields import GF, QQ
@@ -126,3 +127,94 @@ def test_betti_table_rejects_mismatched_generators():
     # an equal arrangement built separately is accepted
     same = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3]))
     assert betti_table(same, "O", generators=gs).pd == 1
+
+
+# ---------------------------------------------------------------------------
+# relation sweeps over Q read the eval-map ranks from certified dimensions
+# ---------------------------------------------------------------------------
+
+
+def _four_extra():
+    L = lambda *c: LinearForm(QQ, list(c))  # noqa: E731
+    B = boolean(3)
+    for c in [(1, 1, 0), (1, 0, 1), (1, 2, 3), (0, 1, 1)]:
+        B = B.add_hyperplane(L(*c))
+    return B
+
+
+class _Marked(np.ndarray):
+    """A constraint matrix of a relation sweep."""
+
+
+def _count_constraint_ranks(monkeypatch):
+    from arrlog import solver
+
+    calls = [0]
+    matrix_mod = solver.EvalKernelFamily.matrix_mod
+    rank_mod = solver.rank_mod
+
+    def marked(self, d, p):
+        return matrix_mod(self, d, p).view(_Marked)
+
+    def counting(A, p):
+        calls[0] += isinstance(A, _Marked)
+        return rank_mod(A, p)
+
+    monkeypatch.setattr(solver.EvalKernelFamily, "matrix_mod", marked)
+    monkeypatch.setattr(solver, "rank_mod", counting)
+    return calls
+
+
+def test_relation_sweep_reads_certified_dims(monkeypatch):
+    from arrlog import solver
+
+    cases = [
+        (boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3])), "O"),
+        (boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3])), "D"),
+        (_four_extra(), "O"),
+        (_four_extra(), "D"),
+    ]
+    for A, kind in cases:
+        with monkeypatch.context() as mp:
+            calls = _count_constraint_ranks(mp)
+            got = betti_table(A, kind)
+            assert calls[0] == 0
+            # the same table with every constraint rank eliminated mod p
+            mp.setattr(solver.EvalKernelFamily, "rank_qq", lambda self, d: None)
+            want = betti_table(A, kind)
+            assert calls[0] > 0
+        assert got.pd >= 1
+        assert _summary(got) == _summary(want)
+        assert got.notes == want.notes == []
+
+
+def test_relation_sweep_after_generator_beyond_window(monkeypatch):
+    # the window misses a module generator, so column 0 does not span the
+    # module above it and the relation sweep eliminates its constraints;
+    # the values are those of the sweep that always eliminated
+    A = _four_extra()
+    frozen = {
+        ("O", (-7, -2)): (
+            [[-2, -2, -2, -2], [-1, -1]], 1, 3, False, False,
+            {-7: 0, -6: 0, -5: 0, -4: 0, -3: 0, -2: 4, -1: 11, 0: 21, 1: 34, 2: 50, 3: 69},
+            ["module generator beyond the sweep window at degree -1"]
+            + [f"Hilbert mismatch at degree {d}: table {t}, piece {g}"
+               for d, t, g in [(-1, 10, 11), (0, 18, 21), (1, 28, 34), (2, 40, 50), (3, 54, 69)]],
+        ),
+        ("D", (0, 3)): (
+            [[1]], 0, 6, False, False,
+            {0: 0, 1: 1, 2: 3, 3: 6, 4: 14, 5: 25, 6: 39},
+            ["module generator beyond the sweep window at degree 4"]
+            + [f"Hilbert mismatch at degree {d}: table {t}, piece {g}"
+               for d, t, g in [(4, 10, 14), (5, 15, 25), (6, 21, 39)]],
+        ),
+    }
+    for (kind, window), (twists, pd, bound, hilbert, cert, dims, notes) in frozen.items():
+        with monkeypatch.context() as mp:
+            calls = _count_constraint_ranks(mp)
+            bt = betti_table(A, kind, degree_range=window)
+            assert calls[0] > 0
+        assert bt.twist_multisets() == twists
+        assert (bt.pd, bt.validity_bound, bt.hilbert_ok, bt.certified_free_tail) == (pd, bound, hilbert, cert)
+        assert bt.dims == dims
+        assert bt.notes == notes
