@@ -145,17 +145,12 @@ def _solve_base(W, c0, c1, p, free, need_x, reduced):
         if nfree == 0:
             break
         nz = Z[:, j].nonzero()[0]
-        is_free = free[nz]
-        if reduced:
-            i = int(is_free.argmax()) if nz.size else 0
-            if not nz.size or not is_free[i]:
-                continue
-            s = int(nz[i])
-        else:
-            nz = nz[is_free]  # pivot rows keep their entries
-            if not nz.size:
-                continue
-            s = int(nz[0])
+        live = nz[free[nz]]
+        if not live.size:
+            continue
+        s = int(live[0])
+        if not reduced:
+            nz = live  # pivot rows keep their entries
         end = nb + len(rows) + 1 if need_x else nb
         if need_x:
             Z[s, end - 1] = 1
@@ -323,11 +318,8 @@ class _CRTLift:
 
     def _fold(self, p, nz, vals):
         pos = np.union1d(self._pos, nz)
-        if pos.size == self._pos.size:
-            combined = self._combined
-        else:
-            combined = np.zeros(pos.size, dtype=object)
-            combined[np.searchsorted(pos, self._pos)] = self._combined
+        combined = np.zeros(pos.size, dtype=object)
+        combined[np.searchsorted(pos, self._pos)] = self._combined
         r = np.zeros(pos.size, dtype=object)
         r[np.searchsorted(pos, nz)] = vals.astype(object)
         m = self._modulus
