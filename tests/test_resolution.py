@@ -135,10 +135,9 @@ def test_betti_table_rejects_mismatched_generators():
 
 
 def _four_extra():
-    L = lambda *c: LinearForm(QQ, list(c))  # noqa: E731
     B = boolean(3)
     for c in [(1, 1, 0), (1, 0, 1), (1, 2, 3), (0, 1, 1)]:
-        B = B.add_hyperplane(L(*c))
+        B = B.add_hyperplane(LinearForm(QQ, list(c)))
     return B
 
 
