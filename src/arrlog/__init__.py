@@ -49,6 +49,7 @@ from .checks import (
     criticality_check,
     duality_dimension_check,
     euler_exactness_check,
+    euler_ledgers,
 )
 from .resolution import BettiTable, betti_table, spog_detect
 from .report import Report

@@ -16,9 +16,11 @@ from .poly import dim_homogeneous, divide_by_linear
 from .solver import (
     AmbientEngine,
     CoeffVector,
+    _PieceSolver,
     graded_basis,
     graded_dimension,
     minimal_generators,
+    pick_engine,
     saito_check,
 )
 
@@ -49,10 +51,10 @@ def criticality_check(A: Arrangement, k: int) -> CriticalityReport:
     expectation would be that some hyperplane achieves gap = k, recorded
     as conjecture86_holds.
     """
-    dim_full = graded_dimension(A, "O", 1, -k)
-    witness = None
-    if dim_full:
-        witness = graded_basis(A, "O", 1, -k).vectors[0]
+    solver = _PieceSolver(pick_engine(A, "O", 1), A.field)
+    elements = solver.kernel(-k)[0]
+    dim_full = len(elements)
+    witness = solver.engine.to_coeffvector(elements[0], -k) if elements else None
     deletion_dims = []
     for i in range(A.n):
         deletion_dims.append(graded_dimension(A.delete(i), "O", 1, -k))
@@ -158,32 +160,38 @@ class EulerLedger:
     exact: bool
 
 
-def euler_exactness_check(A: Arrangement, i: int, kind: str, order: int = 1, degree_range=None) -> EulerLedger:
+def euler_exactness_check(
+    A: Arrangement, i: int, kind: str, order: int = 1, degree_range=None, *, _shared=None
+) -> EulerLedger:
     """Degreewise rank ledger of the deletion-restriction sequences.
 
     kind "D": 0 -> D(A') --alpha--> D(A) --rho--> D(A^H): checks
     dim D(A')_{d-1} + dim rho(D(A)_d) = dim D(A)_d.
     kind "O": 0 -> O(A) --alpha--> O(A') --res--> O(A^H): checks
     dim O(A)_{d-1} + dim res(O(A')_d) = dim O(A')_d.
+
+    `_shared` is the work on A alone that `euler_ledgers` hands to every
+    hyperplane's ledger.
     """
+    sweep_A, solver_A = _shared or _ledger_shared(A, kind, order)
     res = restrict(A, i)
     A_del = A.delete(i)
     if kind == "D":
-        big, small = A, A_del
-        src_gens = minimal_generators(A, "D", order)
+        src_gens = sweep_A
         mapped = [
             (d, tuple(euler_restrict_der(cv, A, i, res, checked=True).numerators))
             for d, cv in zip(src_gens.degrees, src_gens.representatives)
         ]
+        big, small = solver_A, _PieceSolver(pick_engine(A_del, kind, order), A.field)
         if degree_range is None:
             degree_range = (0, A.deg_Q())
     else:
-        big, small = A_del, A
         src_gens = minimal_generators(A_del, "O", order)
         mapped = [
             (d, tuple(restrict_form(cv, A_del, res=res, checked=True).numerators))
             for d, cv in zip(src_gens.degrees, src_gens.representatives)
         ]
+        big, small = _PieceSolver(src_gens.engine, A.field), solver_A
         if degree_range is None:
             degree_range = (-A_del.deg_Q(), 0)
     mapped = [(d, el) for d, el in mapped if any(not p.is_zero() for p in el)]
@@ -192,8 +200,12 @@ def euler_exactness_check(A: Arrangement, i: int, kind: str, order: int = 1, deg
     exact = True
     lo, hi = degree_range
     for d in range(lo, hi + 1):
-        dim_small = graded_dimension(small, kind, order, d - 1)
-        dim_big = graded_dimension(big, kind, order, d)
+        dim_small = small.dimension(d - 1)
+        # the source sweep is of the bigger module and has certified its
+        # dimensions across its window
+        dim_big = src_gens.dims.get(d)
+        if dim_big is None:
+            dim_big = big.dimension(d)
         # alpha-multiples always map to zero, so the image rank is at most
         # dim_big - dim_small; reaching it mod p pins the rank exactly
         image = certified_image_rank(tgt_space, mapped, d, A.field, upper=dim_big - dim_small)
@@ -201,6 +213,27 @@ def euler_exactness_check(A: Arrangement, i: int, kind: str, order: int = 1, deg
         if dim_small + image != dim_big:
             exact = False
     return EulerLedger(arrangement=A, index=i, kind=kind, rows=rows, exact=exact)
+
+
+def _ledger_shared(A: Arrangement, kind: str, order: int):
+    """(D(A) sweep or None, piece solver of A): the ledger work that does not depend on i."""
+    if kind == "D":
+        sweep = minimal_generators(A, "D", order)
+        return sweep, _PieceSolver(sweep.engine, A.field)
+    return None, _PieceSolver(pick_engine(A, kind, order), A.field)
+
+
+def euler_ledgers(A: Arrangement, kind: str, order: int = 1, degree_range=None) -> list:
+    """`euler_exactness_check` for every hyperplane of A, in index order.
+
+    The D(A) sweep and A's graded pieces are computed once for all
+    hyperplanes; each ledger equals the one computed alone.
+    """
+    shared = _ledger_shared(A, kind, order)
+    return [
+        euler_exactness_check(A, i, kind, order, degree_range, _shared=shared)
+        for i in range(A.n)
+    ]
 
 
 # ---------------------------------------------------------------------------

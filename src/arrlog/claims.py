@@ -2,15 +2,13 @@
 
 Each claim re-derives a documented property of the bundled example
 arrangements from scratch and records a pass/fail entry keyed by a
-stable anchor slug.  Claims are independent; failures never abort the
-suite.  ARRLOG_THREADS caps the worker pool that fans them out.
+stable anchor slug.  Claims are independent and run one after another;
+failures never abort the suite.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 
 from .arrangement import Arrangement, restrict
 from .checks import (
@@ -18,7 +16,7 @@ from .checks import (
     calibrate_duality_shift,
     criticality_check,
     duality_dimension_check,
-    euler_exactness_check,
+    euler_ledgers,
     plus_one_extension_count,
     pole_degree_check,
     restriction_size_dichotomy,
@@ -264,9 +262,9 @@ def claim_euler_ledgers(rep: Report, seed: int):
     for t in range(10):
         n = 4 + (t % 5)
         A = generic(n, 3, seed=seed * 37 + t, field=F)
-        for i in range(A.n):
-            led_d = euler_exactness_check(A, i, "D", degree_range=(0, n))
-            led_o = euler_exactness_check(A, i, "O", degree_range=(-n, 0))
+        ledgers_d = euler_ledgers(A, "D", degree_range=(0, n))
+        ledgers_o = euler_ledgers(A, "O", degree_range=(-n, 0))
+        for i, (led_d, led_o) in enumerate(zip(ledgers_d, ledgers_o)):
             if not (led_d.exact and led_o.exact):
                 all_ok = False
                 details.append({"t": t, "i": i, "D": led_d.exact, "O": led_o.exact})
@@ -572,20 +570,8 @@ def run_verification_suite(seed: int = 0, only=None, properties: bool = False, p
         ]
     if only:
         tasks = [(name, fn) for name, fn in tasks if name.startswith(only) or only in name]
-    threads = int(os.environ.get("ARRLOG_THREADS", "1") or "1")
-    if threads > 1:
-        partials = [Report(command="", field_spec="") for _ in tasks]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_task, fn, partials[i]) for i, (_, fn) in enumerate(tasks)
-            ]
-            for f in futures:
-                f.result()
-        for part in partials:
-            rep.claims.extend(part.claims)
-    else:
-        for name, fn in tasks:
-            _run_task(fn, rep)
+    for _, fn in tasks:
+        _run_task(fn, rep)
     return rep
 
 

@@ -16,9 +16,9 @@ from itertools import combinations
 import numpy as np
 
 from .arrangement import Arrangement, Restriction, restrict
-from .fields import QQ, Rationals
+from .fields import Rationals
 from .linalg import Matrix
-from .modular import PRIMES, kernel_qq_candidates, rank_mod
+from .modular import PRIMES, rank_mod
 from .poly import LinearForm, Poly, dim_homogeneous, divide_by_linear
 from .solver import (
     AmbientEngine,
@@ -26,8 +26,8 @@ from .solver import (
     NotLogarithmic,
     SolverError,
     TwistSpace,
+    _certified_eval_rank,
     _invert,
-    combination_is_zero,
     eval_matrix_mod,
     graded_basis,
     membership_failures,
@@ -192,15 +192,7 @@ def certified_image_rank(tgt_space: TwistSpace, gens, d: int, field, upper=None)
                 continue
             if r == upper:
                 return r
-    vectors, _, _, _ = kernel_qq_candidates(
-        lambda p: eval_matrix_mod(tgt_space, gens, d, p), src_dim
-    )
-    src = TwistSpace(tgt_space.ell, tuple(e for e, _ in gens))
-    for v in vectors:
-        coeff_el = src.element_from_coords(QQ, d, v)
-        if not combination_is_zero(tgt_space, gens, coeff_el, d):
-            raise SolverError("image-rank kernel candidate failed exact verification")
-    return src_dim - len(vectors)
+    return _certified_eval_rank(tgt_space, gens, d)
 
 
 @dataclass

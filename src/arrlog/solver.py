@@ -699,25 +699,37 @@ class GradedBasis:
 
 
 class _PieceSolver:
-    """Kernel machinery for one engine over one field."""
+    """Kernel machinery for one engine over one field.
+
+    Dimensions are remembered per degree, so one solver answers repeated
+    questions about the same module without eliminating again.
+    """
 
     def __init__(self, engine, field):
         self.engine = engine
         self.field = field
+        self._dims = {}
 
-    def kernel(self, d: int):
-        """Exact kernel basis at degree d: (elements, coords, primes)."""
+    def kernel(self, d: int, certify: bool = True):
+        """Exact kernel basis at degree d: (elements, coords, primes).
+
+        Over Q, with `certify`, every element is verified exactly; a lift
+        that fails is replaced by one from more primes.
+        """
         ncols = self.engine.space.dim(d)
         if ncols == 0:
             return [], [], ()
         if isinstance(self.field, Rationals):
-            vectors, rank, pivots, primes = kernel_qq_candidates(
-                lambda p: self.engine.build_mod(d, p), ncols
-            )
-            elements = [
-                self.engine.space.element_from_coords(self.field, d, v) for v in vectors
-            ]
-            return elements, vectors, primes
+
+            def accept(vectors, rank, pivots, primes):
+                elements = [
+                    self.engine.space.element_from_coords(self.field, d, v) for v in vectors
+                ]
+                if certify and not all(self.engine.verify(el, d) for el in elements):
+                    return None
+                return elements, vectors, primes
+
+            return _certified_kernel_qq(lambda p: self.engine.build_mod(d, p), ncols, accept)
         p = self.field.p
         K = kernel_mod(self.engine.build_mod(d, p), p)
         coords = [[int(x) for x in row] for row in K]
@@ -726,16 +738,47 @@ class _PieceSolver:
         ]
         return elements, coords, (p,)
 
-    def dim_upper_bound(self, d: int):
-        """dim of the piece mod one prime: exact over F_p, an upper bound over Q."""
-        ncols = self.engine.space.dim(d)
-        if ncols == 0:
-            return 0, None
-        if isinstance(self.field, Rationals):
-            p = PRIMES[0]
-        else:
-            p = self.field.p
-        return ncols - rank_mod(self.engine.build_mod(d, p), p), p
+    def dimension(self, d: int) -> int:
+        """Exact dimension of the piece at degree d.
+
+        Over F_p it is ncols - rank.  Over Q the rank mod one prime bounds
+        the dimension from above, so 0 is already exact; otherwise a full
+        basis is reconstructed and verified.
+        """
+        n = self._dims.get(d)
+        if n is None:
+            ncols = self.engine.space.dim(d)
+            n = 0
+            if ncols:
+                p = PRIMES[0] if isinstance(self.field, Rationals) else self.field.p
+                n = ncols - rank_mod(self.engine.build_mod(d, p), p)
+            if n and isinstance(self.field, Rationals):
+                n = len(self.kernel(d)[0])
+            self._dims[d] = n
+        return n
+
+
+def _certified_kernel_qq(build, ncols: int, accept):
+    """First kernel candidate over Q that `accept` certifies.
+
+    `accept(vectors, rank, pivots, primes)` returns its result, or None
+    when a candidate fails exact verification.  A wrong lift of a few
+    primes can still reconstruct, so the kernel is then lifted again from
+    more primes; `ReconstructionFailed` is raised once the ladder is used
+    up.  A candidate accepted at once costs exactly one
+    `kernel_qq_candidates` call.
+    """
+    min_primes = 2
+    while True:
+        candidate = kernel_qq_candidates(build, ncols, min_primes=min_primes)
+        result = accept(*candidate)
+        if result is not None:
+            return result
+        primes = candidate[3]
+        if len(primes) < min_primes:
+            # a zero matrix mod the first prime: more primes cannot change it
+            raise ReconstructionFailed("kernel candidate failed exact verification")
+        min_primes = len(primes) + 1
 
 
 def graded_basis(
@@ -756,25 +799,16 @@ def graded_basis(
     ranks bound the rank over Q from below.
     """
     eng = pick_engine(A, kind, order, engine, base=base)
-    solver = _PieceSolver(eng, A.field)
-    elements, coords, primes = solver.kernel(d)
-    vectors = [eng.to_coeffvector(el, d) for el in elements]
-    certified = True
-    if isinstance(A.field, Rationals) and certify:
-        for el in elements:
-            if not eng.verify(el, d):
-                raise SolverError(
-                    f"reconstructed basis element failed exact verification at degree {d}"
-                )
+    elements, coords, primes = _PieceSolver(eng, A.field).kernel(d, certify)
     return GradedBasis(
         arrangement=A,
         kind=kind,
         order=order,
         degree=d,
-        vectors=vectors,
+        vectors=[eng.to_coeffvector(el, d) for el in elements],
         elements=elements,
         engine=eng,
-        certified=certified,
+        certified=True,
         primes=primes,
     )
 
@@ -786,12 +820,7 @@ def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0, engi
     mod-p kernel bounds the rational kernel); a nonzero answer is
     certified by reconstructing and verifying a full basis.
     """
-    eng = pick_engine(A, kind, order, engine, base=base)
-    solver = _PieceSolver(eng, A.field)
-    n, _ = solver.dim_upper_bound(d)
-    if n == 0 or not isinstance(A.field, Rationals):
-        return n
-    return graded_basis(A, kind, order, d, engine=engine, base=base).dimension
+    return _PieceSolver(pick_engine(A, kind, order, engine, base=base), A.field).dimension(d)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1057,7 @@ def _degree_step_qq(family, gens, d: int, ncols: int, hints_d=()):
     r0 = rank_mod(E, p0) if E.shape[1] else 0
     if r0 == n0:
         return n0, []
-    rank_eval = _certified_eval_rank(family, gens, d) if E.shape[1] else 0
+    rank_eval = _certified_eval_rank(family.space, gens, d) if E.shape[1] else 0
     if rank_eval == n0:
         return n0, []
     if hints_d:
@@ -1040,45 +1069,43 @@ def _degree_step_qq(family, gens, d: int, ncols: int, hints_d=()):
     # piece dimension is then rank + (number of new generators), both
     # sides certified (mod-p ranks bound the rational ranks from below,
     # the representatives are exhibited members)
-    vectors, rank_c, pivots, primes = kernel_qq_candidates(
-        lambda p: family.matrix_mod(d, p), ncols
-    )
-    n_d = len(vectors)
-    if n_d == 0:
-        return 0, []
-    elements = [
-        normalize_element(family.space.element_from_coords(QQ, d, v)) for v in vectors
-    ]
-    if rank_eval == n_d:
-        return n_d, []
-    # pick representatives with a prime whose eval rank is the true one
-    for p in PRIMES:
-        try:
-            Ep = eval_matrix_mod(family.space, gens, d, p) if gens else np.zeros((family.space.dim(d), 0), dtype=np.int64)
-        except ZeroDivisionError:
-            continue
-        if (rank_mod(Ep, p) if Ep.shape[1] else 0) != rank_eval:
-            continue
-        Kmod = np.zeros((n_d, ncols), dtype=np.int64)
-        try:
-            for i, v in enumerate(vectors):
-                for j, x in enumerate(v):
-                    if x:
-                        Kmod[i, j] = _coeff_mod(x, p)
-        except ZeroDivisionError:
-            continue
-        aug = np.hstack([Ep, Kmod.T])
-        _, aug_pivots = rref_mod(aug, p, reduced=False)
-        new = [elements[c - Ep.shape[1]] for c in aug_pivots if c >= Ep.shape[1]]
-        if len(new) != n_d - rank_eval:
-            continue
-        for el in new:
-            if not family.verify_element(el, d):
-                raise SolverError(
-                    f"selected generator failed exact verification at degree {d}"
-                )
-        return rank_eval + len(new), new
-    raise SolverError("no ladder prime reproduced the certified eval rank")
+
+    def select(vectors, rank_c, pivots, primes):
+        n_d = len(vectors)
+        if n_d == 0:
+            return 0, []
+        elements = [
+            normalize_element(family.space.element_from_coords(QQ, d, v)) for v in vectors
+        ]
+        if rank_eval == n_d:
+            return n_d, []
+        # pick representatives with a prime whose eval rank is the true one
+        for p in PRIMES:
+            try:
+                Ep = eval_matrix_mod(family.space, gens, d, p) if gens else np.zeros((family.space.dim(d), 0), dtype=np.int64)
+            except ZeroDivisionError:
+                continue
+            if (rank_mod(Ep, p) if Ep.shape[1] else 0) != rank_eval:
+                continue
+            Kmod = np.zeros((n_d, ncols), dtype=np.int64)
+            try:
+                for i, v in enumerate(vectors):
+                    for j, x in enumerate(v):
+                        if x:
+                            Kmod[i, j] = _coeff_mod(x, p)
+            except ZeroDivisionError:
+                continue
+            aug = np.hstack([Ep, Kmod.T])
+            _, aug_pivots = rref_mod(aug, p, reduced=False)
+            new = [elements[c - Ep.shape[1]] for c in aug_pivots if c >= Ep.shape[1]]
+            if len(new) != n_d - rank_eval:
+                continue
+            if not all(family.verify_element(el, d) for el in new):
+                return None
+            return rank_eval + len(new), new
+        raise SolverError("no ladder prime reproduced the certified eval rank")
+
+    return _certified_kernel_qq(lambda p: family.matrix_mod(d, p), ncols, select)
 
 
 def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
@@ -1112,20 +1139,24 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
     return [normalize_element(el) for el in chosen]
 
 
-def _certified_eval_rank(family, gens, d: int) -> int:
-    """Exact rank of the evaluation map, certified by exhibiting its kernel."""
-    src = TwistSpace(family.space.ell, tuple(e for e, _ in gens))
+def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int) -> int:
+    """Exact rank over Q of the evaluation map of `gens` at degree d.
+
+    Certified by exhibiting its kernel: every candidate relation must
+    vanish exactly.
+    """
+    src = TwistSpace(tgt_space.ell, tuple(e for e, _ in gens))
     ncols = src.dim(d)
     if ncols == 0:
         return 0
-    vectors, rank_c, _, _ = kernel_qq_candidates(
-        lambda p: eval_matrix_mod(family.space, gens, d, p), ncols
-    )
-    for v in vectors:
-        coeff_el = src.element_from_coords(QQ, d, v)
-        if not combination_is_zero(family.space, gens, coeff_el, d):
-            raise SolverError("eval kernel candidate failed exact verification")
-    return ncols - len(vectors)
+
+    def accept(vectors, rank, pivots, primes):
+        for v in vectors:
+            if not combination_is_zero(tgt_space, gens, src.element_from_coords(QQ, d, v), d):
+                return None
+        return ncols - len(vectors)
+
+    return _certified_kernel_qq(lambda p: eval_matrix_mod(tgt_space, gens, d, p), ncols, accept)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from arrlog.checks import (
     criticality_check,
     duality_dimension_check,
     euler_exactness_check,
+    euler_ledgers,
     plus_one_extension_count,
     pole_degree_check,
     restriction_size_dichotomy,
@@ -14,6 +15,7 @@ from arrlog.fields import GF, QQ
 from arrlog.arrangement import validate
 from arrlog.library import boolean, braid, generic, grr3, nine4d, ziegler22
 from arrlog.poly import LinearForm
+from arrlog.report import PASS, Report
 
 
 def test_criticality_grr3():
@@ -56,6 +58,40 @@ def test_euler_exactness_fp():
         assert led_d.exact
         led_o = euler_exactness_check(A, i, "O", degree_range=(-5, 0))
         assert led_o.exact
+
+
+@pytest.mark.parametrize("field", [GF(1009), QQ], ids=["F1009", "QQ"])
+def test_euler_ledgers_match_single_checks(field):
+    # over QQ, hyperplanes 3 and 4 used to hit a wrong early lift and raise
+    A = generic(5, 3, seed=3, field=field)
+    for kind, rng in (("D", (0, 6)), ("O", (-5, 0))):
+        ledgers = euler_ledgers(A, kind, degree_range=rng)
+        assert [led.index for led in ledgers] == list(range(A.n))
+        for i, led in enumerate(ledgers):
+            single = euler_exactness_check(A, i, kind, degree_range=rng)
+            assert (led.rows, led.exact) == (single.rows, single.exact), (kind, i)
+            assert led.exact, (kind, i)
+
+
+def test_claim_euler_ledgers_sweeps_each_module_once(monkeypatch):
+    from arrlog import checks
+    from arrlog.claims import claim_euler_ledgers
+
+    sweeps = []
+    original = checks.minimal_generators
+
+    def counting(*args, **kwargs):
+        sweeps.append(args[:2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "minimal_generators", counting)
+    rep = Report(command="test", field_spec="")
+    claim_euler_ledgers(rep, 1)
+    assert [c.status for c in rep.claims] == [PASS]
+    # one D(A) sweep per arrangement (10) and one Omega(A') sweep per
+    # deletion (4 + 5 + 6 + 7 + 8 hyperplanes, twice)
+    assert len(sweeps) == 70
+    assert sum(1 for _, kind in sweeps if kind == "D") == 10
 
 
 def test_addition_deletion_boolean_chain():

@@ -1,20 +1,25 @@
 import random
 
+import numpy as np
 import pytest
 
 from arrlog.arrangement import validate
 from arrlog.fields import GF, QQ
 from arrlog.library import boolean, braid, generic, grr3, nine4d, ziegler22
+from arrlog.modular import ReconstructionFailed, kernel_qq_candidates
 from arrlog.poly import LinearForm
 from arrlog.solver import (
     AmbientEngine,
     RelativeEngine,
+    _PieceSolver,
+    _certified_kernel_qq,
     free_piece_dimension,
     graded_basis,
     graded_dimension,
     is_logarithmic,
     membership_failures,
     minimal_generators,
+    pick_engine,
     saito_check,
 )
 
@@ -146,3 +151,52 @@ def test_oversized_prime_is_a_typed_error():
     with pytest.raises(ModulusTooLarge):
         saito_check(ziegler22(big))
     assert minimal_generators(nine4d(GF(268435399)), "O").count_by_degree() == {-1: 1, -2: 6}
+
+
+@pytest.mark.parametrize("field", [GF(1009), QQ], ids=["F1009", "QQ"])
+def test_piece_solver_dimension_matches_graded_dimension(field):
+    A = generic(5, 3, seed=2, field=field)
+    for engine in ("ambient", "relative"):
+        for kind, degrees in (("D", range(-1, 5)), ("O", range(-6, 1))):
+            solver = _PieceSolver(pick_engine(A, kind, 1, engine), A.field)
+            for d in degrees:
+                assert solver.dimension(d) == graded_dimension(A, kind, 1, d, engine=engine), (engine, kind, d)
+            # remembered: asking again builds no constraint matrix
+            solver.engine.build_mod = None
+            assert [solver.dimension(d) for d in degrees] == [
+                graded_dimension(A, kind, 1, d, engine=engine) for d in degrees
+            ]
+
+
+@pytest.mark.parametrize("engine", ["ambient", "relative"])
+def test_wrong_early_lift_takes_more_primes(engine):
+    # the first lift reconstructs but is wrong at degree 2 on the relative
+    # engine (3 primes, 42 bits; 4 primes verify) and at degrees 3 and 4 on
+    # the ambient one; verification must ask for more primes, not raise
+    A = generic(5, 3, seed=3, field=QQ).delete(3)
+    dims = [graded_dimension(A, "D", 1, d, engine=engine) for d in range(7)]
+    assert dims == [0, 1, 6, 14, 25, 39, 56]
+    for d in (2, 3):
+        for cv in graded_basis(A, "D", 1, d, engine=engine).vectors:
+            assert is_logarithmic(A, cv)
+
+
+def test_certified_kernel_qq_retry_and_exhaustion():
+    rows = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)  # kernel (1, -2, 1)
+
+    def build(p):
+        return rows % p
+
+    first = kernel_qq_candidates(build, 3)
+    seen = []
+
+    def reject_first(vectors, rank, pivots, primes):
+        seen.append(primes)
+        return vectors if len(seen) > 1 else None
+
+    assert _certified_kernel_qq(build, 3, lambda *cand: cand) == first
+    assert _certified_kernel_qq(build, 3, reject_first) == first[0]
+    assert seen[0] == first[3]
+    assert len(seen[1]) == len(first[3]) + 1
+    with pytest.raises(ReconstructionFailed):
+        _certified_kernel_qq(build, 3, lambda *cand: None)
