@@ -148,6 +148,23 @@ def rank(M: Matrix) -> int:
     return rref(M)[2]
 
 
+def det(field, entries):
+    """Cofactor determinant of a small square list-of-rows matrix; 1 when empty."""
+    k = len(entries)
+    if k == 0:
+        return field.one
+    if k == 1:
+        return entries[0][0]
+    acc = field.zero
+    for j in range(k):
+        if not entries[0][j]:
+            continue
+        minor = [[entries[i][c] for c in range(k) if c != j] for i in range(1, k)]
+        term = field.mul(entries[0][j], det(field, minor))
+        acc = field.add(acc, term) if j % 2 == 0 else field.sub(acc, term)
+    return acc
+
+
 def kernel_basis(M: Matrix):
     """Basis of the right kernel {v : M v = 0}, one vector per free column.
 

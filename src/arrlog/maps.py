@@ -17,7 +17,7 @@ import numpy as np
 
 from .arrangement import Arrangement, Restriction, restrict
 from .fields import Rationals
-from .linalg import Matrix
+from .linalg import Matrix, det
 from .modular import PRIMES, rank_mod
 from .poly import LinearForm, Poly, dim_homogeneous, divide_by_linear
 from .solver import (
@@ -34,26 +34,6 @@ from .solver import (
     minimal_generators,
     subsets,
 )
-
-
-def _scalar_det(field, entries):
-    k = len(entries)
-    if k == 0:
-        return field.one
-    if k == 1:
-        return entries[0][0]
-    acc = field.zero
-    for j in range(k):
-        if not entries[0][j]:
-            continue
-        minor = [[entries[i][c] for c in range(k) if c != j] for i in range(1, k)]
-        term = field.mul(entries[0][j], _scalar_det(field, minor))
-        acc = field.add(acc, term) if j % 2 == 0 else field.sub(acc, term)
-    return acc
-
-
-def _submatrix_det(M: Matrix, rows, cols):
-    return _scalar_det(M.field, [[M.rows[i][j] for j in cols] for i in rows])
 
 
 def _substitution_images(B: Matrix):
@@ -104,7 +84,7 @@ def euler_restrict_der(
             poly = theta.numerators[idx]
             if poly.is_zero():
                 continue
-            c = _submatrix_det(lam, list(I), list(T))
+            c = det(lam.field, [[lam.rows[i][j] for j in T] for i in I])
             if c:
                 acc = acc + poly.substitute(images).scale(c)
         out.append(acc)
@@ -151,7 +131,7 @@ def restrict_form(
             poly = omega.numerators[idx]
             if poly.is_zero():
                 continue
-            c = _submatrix_det(B, list(T), list(I))
+            c = det(B.field, [[B.rows[t][i] for i in I] for t in T])
             if c:
                 acc = acc + poly.substitute(images).scale(c)
         # Q(A')(y B) = kappa * prod(target forms ^ ziegler multiplicity)

@@ -426,20 +426,3 @@ def _kernel_from_lifted(free_block, pivots, ncols):
             v[c] = -free_block[i][fj]
         basis.append(v)
     return basis
-
-
-def fraction_matrix_to_mod(rows, p: int) -> np.ndarray:
-    """Reduce a matrix of Fractions/ints mod p (denominators inverted)."""
-    out = np.zeros((len(rows), len(rows[0]) if rows else 0), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            if isinstance(x, Fraction):
-                num = x.numerator % p
-                den = x.denominator % p
-                if den == 0:
-                    raise ZeroDivisionError("denominator divisible by p")
-                out[i, j] = num * pow(den, p - 2, p) % p
-            else:
-                out[i, j] = int(x) % p
-    return out
-

@@ -14,15 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import Arrangement
-from .fields import Rationals
 from .poly import dim_homogeneous
 from .solver import (
     ConstraintFamily,
     EvalKernelFamily,
     GeneratorSet,
     SolverError,
-    _degree_step_fp,
-    _degree_step_qq,
     minimal_generators,
     sweep_minimal_generators,
 )
@@ -107,9 +104,7 @@ def betti_table(
     else:
         _check_generators(generators, A, kind, order, degree_range)
         gs = generators
-    notes = []
     field = A.field
-    rational = isinstance(field, Rationals)
     if not gs.degrees:
         return BettiTable(
             arrangement=A,
@@ -127,28 +122,17 @@ def betti_table(
     validity_bound = max(gs.degrees) + A.ell + validity_margin
     # extend the exact dimension table past the generator window,
     # flagging any generator that would appear beyond it
-    family = ConstraintFamily(gs.engine, field)
-    gens_pairs = list(zip(gs.degrees, gs.elements))
-    dims = dict(gs.dims)
-    uncertified = False
-    for d in range(gs.degree_bound_used[1] + 1, validity_bound + 1):
-        ncols = family.space.dim(d)
-        if ncols == 0:
-            dims[d] = 0
-            continue
-        if rational:
-            n_d, new = _degree_step_qq(family, gens_pairs, d, ncols)
-        else:
-            n_d, new = _degree_step_fp(family, gens_pairs, d, field.p)
-        dims[d] = n_d
-        if new:
-            uncertified = True
-            notes.append(f"module generator beyond the sweep window at degree {d}")
-            for el in new:
-                gens_pairs.append((d, el))
+    prev_gens = list(zip(gs.degrees, gs.elements))
+    ext = sweep_minimal_generators(
+        ConstraintFamily(gs.engine, field),
+        (gs.degree_bound_used[1] + 1, validity_bound),
+        gens=prev_gens,
+    )
+    dims = {**gs.dims, **ext.dims}
+    notes = [f"module generator beyond the sweep window at degree {d}" for d in dict.fromkeys(ext.degrees)]
+    uncertified = bool(ext.degrees)
     columns = [BettiColumn(list(gs.degrees), list(gs.elements))]
     prev_space = gs.engine.space
-    prev_gens = list(zip(gs.degrees, gs.elements))
     # the eval map of a column's generators has the certified dimensions of
     # the module they span as its ranks over Q: column 0 spans its module
     # up to validity_bound unless a generator turned up beyond the window,

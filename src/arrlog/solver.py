@@ -30,7 +30,7 @@ import numpy as np
 
 from .arrangement import Arrangement, ArrangementError
 from .fields import GF, QQ, Rationals
-from .linalg import Matrix
+from .linalg import Matrix, det
 from .modular import (
     PRIMES,
     ReconstructionFailed,
@@ -97,48 +97,52 @@ class CoeffVector:
         return all(f.is_zero() for f in self.numerators)
 
 
-def condition_polys(cv: CoeffVector, alpha: LinearForm):
-    """The per-hyperplane polynomials that must be divisible by alpha^m."""
+def condition_terms(kind: str, order: int, alpha: LinearForm):
+    """The logarithmic conditions along one hyperplane, one list per condition.
+
+    Each condition is a list of (subset index, coefficient): alpha^m must
+    divide sum c * numerators[index].  Zero coefficients are left out, so
+    a condition may be empty; it still stands for its (zero) block of
+    constraint rows.
+    """
     ell = alpha.ell
-    subs = subsets(ell, cv.order)
-    index = {s: i for i, s in enumerate(subs)}
     a = alpha.coeffs
-    fld = alpha.field
-    out = []
-    if cv.kind == "D":
-        for J in combinations(range(ell), cv.order - 1):
-            P = None
+    neg = alpha.field.neg
+    index = {s: i for i, s in enumerate(subsets(ell, order))}
+    conds = []
+    if kind == "D":
+        # Lambda^0 Der = S carries no conditions
+        for J in combinations(range(ell), order - 1) if order else ():
+            terms = []
             for i in range(ell):
                 if i in J:
                     continue
                 I = tuple(sorted((i,) + J))
-                sign = (-1) ** I.index(i)
-                c = a[i] if sign > 0 else fld.neg(a[i])
-                if not c:
-                    continue
-                term = cv.numerators[index[I]].scale(c)
-                P = term if P is None else P + term
-            out.append(P)
-    elif cv.order == 1:
-        # parallel-to-a mod alpha: the ell-1 pivot pairs carry full rank
+                terms.append((index[I], a[i] if I.index(i) % 2 == 0 else neg(a[i])))
+            conds.append(terms)
+    elif order == 1:
+        # F parallel to a mod alpha: the ell-1 pairs against the pivot
+        # coordinate already have full rank among the wedge conditions
         k0 = alpha.pivot()
-        for j in range(ell):
-            if j == k0:
-                continue
-            P = cv.numerators[j].scale(a[k0]) - cv.numerators[k0].scale(a[j])
-            out.append(P)
+        conds = [[(j, a[k0]), (k0, neg(a[j]))] for j in range(ell) if j != k0]
     else:
-        for K in combinations(range(ell), cv.order + 1):
-            P = None
-            for t, k in enumerate(K):
-                rest = K[:t] + K[t + 1 :]
-                c = a[k] if t % 2 == 0 else fld.neg(a[k])
-                if not c:
-                    continue
-                term = cv.numerators[index[rest]].scale(c)
-                P = term if P is None else P + term
+        for K in combinations(range(ell), order + 1):
+            conds.append(
+                [(index[K[:t] + K[t + 1 :]], a[k] if t % 2 == 0 else neg(a[k])) for t, k in enumerate(K)]
+            )
+    return [[(b, c) for b, c in terms if c] for terms in conds]
+
+
+def condition_polys(cv: CoeffVector, alpha: LinearForm):
+    """The per-hyperplane polynomials that must be divisible by alpha^m."""
+    out = []
+    for terms in condition_terms(cv.kind, cv.order, alpha):
+        if terms:
+            P = cv.numerators[terms[0][0]].scale(terms[0][1])
+            for b, c in terms[1:]:
+                P = P + cv.numerators[b].scale(c)
             out.append(P)
-    return [p for p in out if p is not None]
+    return out
 
 
 def membership_failures(A: Arrangement, cv: CoeffVector, hyperplanes=None):
@@ -206,9 +210,6 @@ class TwistSpace:
             pos += len(idx)
         return vec
 
-    def times_monomial(self, element, mono):
-        return tuple(poly.times_monomial(mono) for poly in element)
-
 
 def _coeff_mod(c, p: int) -> int:
     if isinstance(c, Fraction):
@@ -243,50 +244,9 @@ class AmbientEngine:
         self.order = order
         offset = 0 if kind == "D" else A.deg_Q()
         self.space = TwistSpace(A.ell, tuple([-offset] * comb(A.ell, order)))
-        self._subsets = subsets(A.ell, order)
-        self._sub_index = {s: i for i, s in enumerate(self._subsets)}
 
     def numerator_degree(self, d: int) -> int:
         return d if self.kind == "D" else d + self.A.deg_Q()
-
-    def _condition_terms(self, alpha: LinearForm):
-        """Per condition: list of (block index, scalar coefficient)."""
-        ell = self.A.ell
-        a = alpha.coeffs
-        fld = alpha.field
-        conds = []
-        if self.kind == "D" and self.order == 0:
-            pass  # Lambda^0 Der = S carries no conditions
-        elif self.kind == "D":
-            for J in combinations(range(ell), self.order - 1):
-                terms = []
-                for i in range(ell):
-                    if i in J:
-                        continue
-                    I = tuple(sorted((i,) + J))
-                    sign = (-1) ** I.index(i)
-                    c = a[i] if sign > 0 else fld.neg(a[i])
-                    if c:
-                        terms.append((self._sub_index[I], c))
-                conds.append(terms)
-        elif self.order == 1:
-            # F parallel to a mod alpha: the ell-1 pairs against the pivot
-            # coordinate already have full rank among the wedge conditions
-            k0 = alpha.pivot()
-            for j in range(ell):
-                if j == k0:
-                    continue
-                conds.append([(j, a[k0]), (k0, fld.neg(a[j]))])
-        else:
-            for K in combinations(range(ell), self.order + 1):
-                terms = []
-                for t, k in enumerate(K):
-                    rest = K[:t] + K[t + 1 :]
-                    c = a[k] if t % 2 == 0 else fld.neg(a[k])
-                    if c:
-                        terms.append((self._sub_index[rest], c))
-                conds.append(terms)
-        return conds
 
     def build_mod(self, d: int, p: int) -> np.ndarray:
         N = self.numerator_degree(d)
@@ -299,7 +259,7 @@ class AmbientEngine:
             alpha = _form_mod(self.A.forms[h], p)
             table = divisibility_table_mod(alpha, self.A.mult[h], N)
             nrows = table.shape[0]
-            conds = self._condition_terms(alpha)
+            conds = condition_terms(self.kind, self.order, alpha)
             M = np.zeros((nrows * len(conds), ncols), dtype=np.int64)
             for ci, terms in enumerate(conds):
                 base = ci * nrows
@@ -373,7 +333,7 @@ def boolean_like_base(A: Arrangement) -> FreeBase:
     for i in range(ell):
         P_i = product([u[j] for j in range(ell) if j != i], field=fld, ell=ell)
         omega.append(tuple(P_i.scale(T.rows[i][k]) for k in range(ell)))
-    det_t = _scalar_det_field(fld, [list(r) for r in T.rows])
+    det_t = det(fld, T.rows)
     return FreeBase(
         indices=idxs,
         exponents=[1] * ell,
@@ -381,20 +341,6 @@ def boolean_like_base(A: Arrangement) -> FreeBase:
         omega_numerators=omega,
         constant=det_t,
     )
-
-
-def _scalar_det_field(fld, entries):
-    k = len(entries)
-    if k == 1:
-        return entries[0][0]
-    acc = fld.zero
-    for j in range(k):
-        if not entries[0][j]:
-            continue
-        minor = [[entries[i][c] for c in range(k) if c != j] for i in range(1, k)]
-        term = fld.mul(entries[0][j], _scalar_det_field(fld, minor))
-        acc = fld.add(acc, term) if j % 2 == 0 else fld.sub(acc, term)
-    return acc
 
 
 def free_base_from_saito(A: Arrangement, indices, saito_result) -> FreeBase:
@@ -690,7 +636,6 @@ class GradedBasis:
     vectors: list  # of CoeffVector
     elements: list  # engine-internal block tuples
     engine: object
-    certified: bool
     primes: tuple
 
     @property
@@ -808,7 +753,6 @@ def graded_basis(
         vectors=[eng.to_coeffvector(el, d) for el in elements],
         elements=elements,
         engine=eng,
-        certified=True,
         primes=primes,
     )
 
@@ -878,10 +822,6 @@ def combination_is_zero(space: TwistSpace, gens, coeff_element, d: int) -> bool:
     if not gens:
         return all(p.is_zero() for p in coeff_element)
     nblocks = len(gens[0][1])
-    field = None
-    for poly in coeff_element:
-        field = poly.field
-        break
     for j in range(nblocks):
         acc = None
         for (e, el), c in zip(gens, coeff_element):
@@ -950,12 +890,10 @@ class EvalKernelFamily:
 
 @dataclass
 class SweepResult:
-    degrees: list  # generator degrees in sweep order
+    degrees: list  # degrees of the generators found in the window, in sweep order
     elements: list  # engine/space elements, aligned with degrees
-    dims: dict  # degree -> exact piece dimension
-    degree_range: tuple
+    dims: dict  # degree -> exact piece dimension, for every degree swept
     stopped_early: bool
-    certified: bool
 
 
 def _eval_prime(gens, fallback: int):
@@ -972,20 +910,25 @@ def _eval_prime(gens, fallback: int):
     return fallback
 
 
-def sweep_minimal_generators(family, degree_range, stop_if_exceeds=None, hints=None) -> SweepResult:
+def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=()) -> SweepResult:
     """Degreewise minimal generators of the graded module cut out by `family`.
 
     At each degree the new generators are the cokernel of the evaluation
     map of the generators found so far.  Over F_p everything is native;
     over Q the dimensions are certified by mod-p rank bounds and every
     exhibited representative passes `family.verify_element` exactly.
+
+    `gens` are (degree, element) generators already known below the
+    window; only the generators found inside it are returned.  After each
+    degree with a nonzero coordinate space, `stop(gens)` sees every
+    (degree, element) generator so far and ends the sweep when it returns
+    true.
     """
     lo, hi = degree_range
     field = family.field
     rational = isinstance(field, Rationals)
-    gens = []
-    degrees = []
-    elements = []
+    gens = list(gens)
+    known = len(gens)
     dims = {}
     stopped = False
     for d in range(lo, hi + 1):
@@ -999,20 +942,16 @@ def sweep_minimal_generators(family, degree_range, stop_if_exceeds=None, hints=N
         else:
             n_d, new = _degree_step_fp(family, gens, d, field.p)
         dims[d] = n_d
-        for el in new:
-            gens.append((d, el))
-            degrees.append(d)
-            elements.append(el)
-        if stop_if_exceeds is not None and len(gens) > stop_if_exceeds:
+        gens.extend((d, el) for el in new)
+        if stop is not None and stop(gens):
             stopped = True
             break
+    found = gens[known:]
     return SweepResult(
-        degrees=degrees,
-        elements=elements,
+        degrees=[d for d, _ in found],
+        elements=[el for _, el in found],
         dims=dims,
-        degree_range=(lo, hi),
         stopped_early=stopped,
-        certified=True,
     )
 
 
@@ -1176,7 +1115,6 @@ class GeneratorSet:
     elements: list
     dims: dict
     degree_bound_used: tuple
-    certified: bool
     engine: object
     stopped_early: bool = False
 
@@ -1215,29 +1153,14 @@ def minimal_generators(
     if degree_range is None:
         degree_range = default_degree_range(A, kind)
     eng = pick_engine(A, kind, order, engine, base=base)
-    family = ConstraintFamily(eng, A.field)
     hint_map = None
     if hints:
         hint_map = {}
         for cv in hints:
             hint_map.setdefault(cv.degree, []).append(eng.element_from_cv(cv))
-    res = sweep_minimal_generators(
-        family, degree_range, stop_if_exceeds=stop_if_exceeds, hints=hint_map
-    )
-    reps = [eng.to_coeffvector(el, d) for d, el in zip(res.degrees, res.elements)]
-    return GeneratorSet(
-        arrangement=A,
-        kind=kind,
-        order=order,
-        degrees=res.degrees,
-        representatives=reps,
-        elements=res.elements,
-        dims=res.dims,
-        degree_bound_used=res.degree_range,
-        certified=res.certified,
-        engine=eng,
-        stopped_early=res.stopped_early,
-    )
+    stop = None if stop_if_exceeds is None else (lambda gens: len(gens) > stop_if_exceeds)
+    res = sweep_minimal_generators(ConstraintFamily(eng, A.field), degree_range, stop=stop, hints=hint_map)
+    return _generator_set(A, kind, order, eng, res, tuple(degree_range), res.stopped_early)
 
 
 @dataclass
@@ -1267,51 +1190,40 @@ def saito_check(A: Arrangement, degree_bound=None, engine: str = "auto", base=No
     degQ = A.deg_Q()
     hi = degQ if degree_bound is None else degree_bound
     eng = pick_engine(A, "D", 1, engine, base=base)
-    family = ConstraintFamily(eng, A.field)
-    gens = []
-    degrees = []
-    dims = {}
-    rational = isinstance(A.field, Rationals)
-    for d in range(0, hi + 1):
-        ncols = family.space.dim(d)
-        if ncols == 0:
-            dims[d] = 0
-            continue
-        if rational:
-            n_d, new = _degree_step_qq(family, gens, d, ncols)
-        else:
-            n_d, new = _degree_step_fp(family, gens, d, A.field.p)
-        dims[d] = n_d
-        for el in new:
-            gens.append((d, el))
-            degrees.append(d)
+    constant = None
+
+    def stop(gens):
+        nonlocal constant
         if len(gens) > ell:
-            gs = _generator_set(A, "D", eng, gens, dims, (0, d), stopped=True)
-            return SaitoResult(False, None, None, gs, f"more than {ell} minimal generators")
-        if len(gens) == ell and sum(degrees) == degQ:
-            cvs = [eng.to_coeffvector(el, dd) for dd, el in gens]
-            c = _saito_constant(A, cvs)
-            if c is not None:
-                gs = _generator_set(A, "D", eng, gens, dims, (0, d), stopped=False)
-                return SaitoResult(True, sorted(degrees), c, gs, "determinant matches Q")
-    gs = _generator_set(A, "D", eng, gens, dims, (0, hi), stopped=False)
-    if degree_bound is None:
-        return SaitoResult(False, None, None, gs, "no Saito basis; arrangement not free")
-    return SaitoResult(False, None, None, gs, "not free up to bound")
+            return True
+        if len(gens) == ell and sum(e for e, _ in gens) == degQ:
+            constant = _saito_constant(A, [eng.to_coeffvector(el, e) for e, el in gens])
+        return constant is not None
+
+    res = sweep_minimal_generators(ConstraintFamily(eng, A.field), (0, hi), stop=stop)
+    rng = (0, max(res.dims)) if res.stopped_early else (0, hi)
+    gs = _generator_set(A, "D", 1, eng, res, rng, res.stopped_early and constant is None)
+    if constant is not None:
+        return SaitoResult(True, sorted(res.degrees), constant, gs, "determinant matches Q")
+    if res.stopped_early:
+        reason = f"more than {ell} minimal generators"
+    elif degree_bound is None:
+        reason = "no Saito basis; arrangement not free"
+    else:
+        reason = "not free up to bound"
+    return SaitoResult(False, None, None, gs, reason)
 
 
-def _generator_set(A, kind, eng, gens, dims, rng, stopped):
-    reps = [eng.to_coeffvector(el, d) for d, el in gens]
+def _generator_set(A, kind, order, eng, res: SweepResult, rng, stopped):
     return GeneratorSet(
         arrangement=A,
         kind=kind,
-        order=1,
-        degrees=[d for d, _ in gens],
-        representatives=reps,
-        elements=[el for _, el in gens],
-        dims=dims,
+        order=order,
+        degrees=res.degrees,
+        representatives=[eng.to_coeffvector(el, d) for d, el in zip(res.degrees, res.elements)],
+        elements=res.elements,
+        dims=res.dims,
         degree_bound_used=rng,
-        certified=True,
         engine=eng,
         stopped_early=stopped,
     )
@@ -1369,7 +1281,6 @@ def omega_generators_from_free(A: Arrangement, saito_result: SaitoResult) -> Gen
         elements=[tuple(reps[i].numerators) for i in order_idx],
         dims=dims,
         degree_bound_used=(lo, hi),
-        certified=True,
         engine=AmbientEngine(A, "O", 1),
         stopped_early=False,
     )

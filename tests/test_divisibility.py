@@ -24,6 +24,7 @@ from arrlog.solver import (
     _coeff_mod,
     _form_mod,
     boolean_like_base,
+    condition_terms,
     shift_table,
 )
 
@@ -116,7 +117,7 @@ def oracle_ambient_build(eng, d, p):
     for h in range(eng.A.n):
         alpha = _form_mod(eng.A.forms[h], p)
         dense = oracle_table(alpha, eng.A.mult[h], N)
-        conds = eng._condition_terms(alpha)
+        conds = condition_terms(eng.kind, eng.order, alpha)
         M = np.zeros((dense.shape[0] * len(conds), ncols), dtype=np.int64)
         for ci, terms in enumerate(conds):
             r = slice(ci * dense.shape[0], (ci + 1) * dense.shape[0])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from arrlog.fields import GF, QQ, FieldMismatch
-from arrlog.linalg import Matrix, in_span, kernel_basis, rank, rref, solve
+from arrlog.linalg import Matrix, det, in_span, kernel_basis, rank, rref, solve
 
 
 def test_rref_identity():
@@ -103,3 +103,17 @@ def test_solve():
     M = Matrix(QQ, [[1, 1], [0, 1]])
     assert solve(M, [3, 1]) == [2, 1]
     assert solve(Matrix(QQ, [[1, 1], [1, 1]]), [1, 2]) is None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+def test_det_matches_sympy(field):
+    import sympy
+
+    rng = random.Random(11)
+    for n in range(5):
+        for _ in range(6):
+            rows = [[rng.randint(-4, 4) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(n)]
+            want = sympy.Matrix(n, n, [x for r in rows for x in r]).det()
+            got = det(field, [[field.of(x) for x in r] for r in rows])
+            assert got == field.of(int(want))
+    assert det(field, []) == field.one

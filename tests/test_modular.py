@@ -11,7 +11,6 @@ from arrlog.linalg import Matrix, kernel_basis, rref
 from arrlog.modular import (
     PRIMES,
     ModulusTooLarge,
-    fraction_matrix_to_mod,
     kernel_mod,
     kernel_qq_candidates,
     rank_mod,
@@ -19,6 +18,22 @@ from arrlog.modular import (
     reconstruct_matrix,
     rref_mod,
 )
+
+
+def fraction_matrix_to_mod(rows, p: int) -> np.ndarray:
+    """Oracle: reduce a matrix of Fractions/ints mod p (denominators inverted)."""
+    out = np.zeros((len(rows), len(rows[0]) if rows else 0), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if isinstance(x, Fraction):
+                num = x.numerator % p
+                den = x.denominator % p
+                if den == 0:
+                    raise ZeroDivisionError("denominator divisible by p")
+                out[i, j] = num * pow(den, p - 2, p) % p
+            else:
+                out[i, j] = int(x) % p
+    return out
 
 
 def _rref_mod_unblocked(A, p):
