@@ -9,11 +9,10 @@ with positive leading entry over Q, leading coefficient 1 over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .fields import QQ, Rationals
-from .linalg import Matrix, kernel_basis, rank, rref, solve
+from .linalg import Matrix, rank, rref
 from .poly import LinearForm, Poly, product
 
 

@@ -8,15 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, restrict, validate
-from .fields import QQ, Rationals
-from .lattice import _Echelon
+from .fields import QQ
 from .linalg import Matrix, rank as mat_rank
 from .maps import certified_image_rank, euler_restrict_der, restrict_form
-from .poly import dim_homogeneous, divide_by_linear
+from .poly import divide_by_linear
 from .solver import (
     AmbientEngine,
     CoeffVector,
-    _PieceSolver,
+    ConstraintFamily,
     graded_basis,
     graded_dimension,
     minimal_generators,
@@ -51,10 +50,10 @@ def criticality_check(A: Arrangement, k: int) -> CriticalityReport:
     expectation would be that some hyperplane achieves gap = k, recorded
     as conjecture86_holds.
     """
-    solver = _PieceSolver(pick_engine(A, "O", 1), A.field)
-    elements = solver.kernel(-k)[0]
+    family = ConstraintFamily(pick_engine(A, "O", 1), A.field)
+    elements = family.kernel(-k)[0]
     dim_full = len(elements)
-    witness = solver.engine.to_coeffvector(elements[0], -k) if elements else None
+    witness = family.engine.to_coeffvector(elements[0], -k) if elements else None
     deletion_dims = []
     for i in range(A.n):
         deletion_dims.append(graded_dimension(A.delete(i), "O", 1, -k))
@@ -173,7 +172,7 @@ def euler_exactness_check(
     `_shared` is the work on A alone that `euler_ledgers` hands to every
     hyperplane's ledger.
     """
-    sweep_A, solver_A = _shared or _ledger_shared(A, kind, order)
+    sweep_A, family_A = _shared or _ledger_shared(A, kind, order)
     res = restrict(A, i)
     A_del = A.delete(i)
     if kind == "D":
@@ -182,7 +181,7 @@ def euler_exactness_check(
             (d, tuple(euler_restrict_der(cv, A, i, res, checked=True).numerators))
             for d, cv in zip(src_gens.degrees, src_gens.representatives)
         ]
-        big, small = solver_A, _PieceSolver(pick_engine(A_del, kind, order), A.field)
+        big, small = family_A, ConstraintFamily(pick_engine(A_del, kind, order), A.field)
         if degree_range is None:
             degree_range = (0, A.deg_Q())
     else:
@@ -191,7 +190,7 @@ def euler_exactness_check(
             (d, tuple(restrict_form(cv, A_del, res=res, checked=True).numerators))
             for d, cv in zip(src_gens.degrees, src_gens.representatives)
         ]
-        big, small = _PieceSolver(src_gens.engine, A.field), solver_A
+        big, small = ConstraintFamily(src_gens.engine, A.field), family_A
         if degree_range is None:
             degree_range = (-A_del.deg_Q(), 0)
     mapped = [(d, el) for d, el in mapped if any(not p.is_zero() for p in el)]
@@ -216,11 +215,11 @@ def euler_exactness_check(
 
 
 def _ledger_shared(A: Arrangement, kind: str, order: int):
-    """(D(A) sweep or None, piece solver of A): the ledger work that does not depend on i."""
+    """(D(A) sweep or None, constraint family of A): the ledger work that does not depend on i."""
     if kind == "D":
         sweep = minimal_generators(A, "D", order)
-        return sweep, _PieceSolver(sweep.engine, A.field)
-    return None, _PieceSolver(pick_engine(A, kind, order), A.field)
+        return sweep, ConstraintFamily(sweep.engine, A.field)
+    return None, ConstraintFamily(pick_engine(A, kind, order), A.field)
 
 
 def euler_ledgers(A: Arrangement, kind: str, order: int = 1, degree_range=None) -> list:

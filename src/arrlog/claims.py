@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .arrangement import Arrangement, restrict
+from .arrangement import Arrangement, ArrangementError, restrict
 from .checks import (
     addition_deletion_check,
     calibrate_duality_shift,
@@ -22,7 +22,7 @@ from .checks import (
     restriction_size_dichotomy,
 )
 from .fields import GF, QQ, Rationals, _is_prime
-from .lattice import intersection_lattice, is_k_generic
+from .lattice import InLattice, intersection_lattice, is_k_generic
 from .library import boolean, braid, generic, grr3, nine4d, ziegler22
 from .maps import preparation_check, restrict_form, surjectivity_check
 from .poly import LinearForm
@@ -104,10 +104,7 @@ def claim_nine4d(rep: Report):
     )
     h = LinearForm(QQ, [1, 3, 5, 7])
     ok_gen, _ = is_k_generic([h], A, 3)
-    B = A.add_hyperplane(h)
-    res = restrict(B, B.n - 1)
-    hints = [restrict_form(cv, A, res=res, checked=True) for cv in gens.representatives]
-    tgt_gens = minimal_generators(res.restricted, "O", engine="ambient", hints=hints)
+    _, _, tgt_gens, sj = _cut_sweep(A, h, gens)
     rep.add(
         "generators:nine4d-cut",
         "nine4d-restriction-generator-degrees--1--2--3",
@@ -116,9 +113,6 @@ def claim_nine4d(rep: Report):
             "hyperplane_generic": ok_gen,
             "by_degree": {str(k): v for k, v in sorted(tgt_gens.count_by_degree().items())},
         },
-    )
-    sj = surjectivity_check(
-        B, B.n - 1, kind="O", source_generators=gens, target_generators=tgt_gens
     )
     rep.add(
         "surjectivity:nine4d-cut",
@@ -176,6 +170,10 @@ def claim_criticality_family(rep: Report, rs=(3, 4, 5), primes=None):
         )
 
 
+class NoGenericHyperplane(ArrangementError):
+    """No sampled hyperplane passed the genericity certificate."""
+
+
 def _sample_generic_hyperplane(A: Arrangement, seed: int, lattice, k: int):
     rng = random.Random(seed)
     for _ in range(200):
@@ -188,11 +186,27 @@ def _sample_generic_hyperplane(A: Arrangement, seed: int, lattice, k: int):
         h = LinearForm(A.field, coeffs)
         try:
             ok, _ = is_k_generic([h], A, k, lattice=lattice)
-        except Exception:
+        except InLattice:
             continue
         if ok:
             return h
-    raise RuntimeError(f"no generic hyperplane found for seed {seed}")
+    raise NoGenericHyperplane(f"no generic hyperplane found for seed {seed}")
+
+
+def _cut_sweep(A1: Arrangement, h: LinearForm, gens_src):
+    """(A, restriction, cut generators, surjectivity report) of A = A1 + H.
+
+    The cut's ambient sweep takes the restrictions of the source
+    generators `gens_src` (1-forms of A1) as hints.
+    """
+    A = A1.add_hyperplane(h)
+    res = restrict(A, A.n - 1)
+    hints = [restrict_form(cv, A1, res=res, checked=True) for cv in gens_src.representatives]
+    tgt_gens = minimal_generators(res.restricted, "O", engine="ambient", hints=hints)
+    sj = surjectivity_check(
+        A, A.n - 1, kind="O", source_generators=gens_src, target_generators=tgt_gens
+    )
+    return A, res, tgt_gens, sj
 
 
 def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
@@ -203,14 +217,8 @@ def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
     src_multiset = gens_src.degree_multiset()
     for seed in seeds:
         h = _sample_generic_hyperplane(A1, seed, lat, A1.ell - 1)
-        A = A1.add_hyperplane(h)
-        res = restrict(A, A.n - 1)
+        A, res, tgt_gens, sj = _cut_sweep(A1, h, gens_src)
         fb = free_base_from_saito(A, list(range(A1.n)), sr)
-        hints = [restrict_form(cv, A1, res=res, checked=True) for cv in gens_src.representatives]
-        tgt_gens = minimal_generators(res.restricted, "O", engine="ambient", hints=hints)
-        sj = surjectivity_check(
-            A, A.n - 1, kind="O", source_generators=gens_src, target_generators=tgt_gens
-        )
         gens_A = minimal_generators(A, "O", base=fb)
         bt = betti_table(A, "O", generators=gens_A)
         sp = spog_detect(bt)
@@ -440,7 +448,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
     for k in range(1, ell):
         try:
             okk, _ = is_k_generic([hyper], A1, k, lattice=lat)
-        except Exception:
+        except InLattice:
             okk = False
         genericity[k] = okk
     fully = genericity.get(ell - 1, False)
@@ -451,27 +459,17 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
         {"levels": {str(k): v for k, v in genericity.items()}, "fully_generic": fully},
     )
     sr = saito_check(A1)
-    A = A1.add_hyperplane(hyper)
-    res = restrict(A, A.n - 1)
-    bt_src = None
     if sr.free:
         pd_src = 0
         gens_src = omega_generators_from_free(A1, sr)
-        fb = free_base_from_saito(A, list(range(A1.n)), sr)
     else:
         gens_src = minimal_generators(A1, "O")
-        fb = None
+        pd_src = None
         if with_betti:
             bt_src = betti_table(A1, "O", generators=gens_src)
             pd_src = bt_src.pd if bt_src.certified_free_tail else None
-        else:
-            pd_src = None
     hypothesis_ok = fully and pd_src is not None and pd_src <= ell - 3
-    hints = [restrict_form(cv, A1, res=res, checked=True) for cv in gens_src.representatives]
-    tgt_gens = minimal_generators(res.restricted, "O", engine="ambient", hints=hints)
-    sj = surjectivity_check(
-        A, A.n - 1, kind="O", source_generators=gens_src, target_generators=tgt_gens
-    )
+    A, res, tgt_gens, sj = _cut_sweep(A1, hyper, gens_src)
     rep.add(
         "cut:surjectivity",
         "form-restriction-surjectivity",
@@ -496,7 +494,8 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
             "cut_not_free": cut_not_free,
         },
     )
-    gens_A = minimal_generators(A, "O", base=fb) if fb is not None else minimal_generators(A, "O")
+    fb = free_base_from_saito(A, list(range(A1.n)), sr) if sr.free else None
+    gens_A = minimal_generators(A, "O", base=fb)
     extra_ok = sorted(gens_A.degrees) == sorted(gens_src.degree_multiset() + [-1])
     rep.add(
         "cut:extra-generator",

@@ -12,14 +12,13 @@ for fixed flags; timing only appears in the human-readable output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
 from .arrangement import Arrangement, ArrangementError, parse_arrangement
 from .checks import criticality_check
-from .fields import GF, QQ, parse_field
-from .lattice import characteristic_polynomial, intersection_lattice, is_k_generic
+from .fields import QQ, parse_field
+from .lattice import characteristic_polynomial, intersection_lattice
 from .library import parse_library_ref
 from .modular import ReconstructionFailed
 from .poly import LinearForm
@@ -31,9 +30,6 @@ from .solver import minimal_generators, saito_check
 def _add_common(p):
     p.add_argument("input", help="arrangement file or @library[:params]")
     p.add_argument("--field", default=None, help="Q or Fp:<p> (library inputs)")
-    p.add_argument("--primes", default=None, help="comma list of surrogate primes")
-    p.add_argument("--bound", type=int, default=None, help="degree bound override")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed")
     p.add_argument("--json", dest="json_out", default=None, help="write JSON report here")
 
 
@@ -50,6 +46,7 @@ def build_parser():
 
     p = sub.add_parser("free", help="Saito freeness certificate")
     _add_common(p)
+    p.add_argument("--bound", type=int, default=None, help="degree bound of the sweep")
 
     p = sub.add_parser("omega", help="minimal generators of the 1-forms")
     _add_common(p)
@@ -69,15 +66,14 @@ def build_parser():
 
     p = sub.add_parser("generic-cut", help="generic hyperplane cut analysis")
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled hyperplane")
     p.add_argument("--hyperplane", default=None, help="comma coefficients; sampled if absent")
     p.add_argument("--skip-betti", action="store_true", help="skip the resolution comparison")
 
     p = sub.add_parser("verify-paper", help="run the full verification suite")
-    p.add_argument("--field", default=None)
-    p.add_argument("--primes", default=None)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", dest="json_out", default=None)
+    p.add_argument("--primes", default=None, help="comma list of surrogate primes")
+    p.add_argument("--seed", type=int, default=0, help="seed of the seeded claims")
+    p.add_argument("--json", dest="json_out", default=None, help="write JSON report here")
     p.add_argument("--only", default=None, help="claim id prefix filter")
     p.add_argument("--properties", action="store_true", help="include the property suites")
     return ap

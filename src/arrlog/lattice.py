@@ -9,10 +9,10 @@ defining forms.  This avoids enumerating hyperplane subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .arrangement import Arrangement, ArrangementError
-from .linalg import Matrix, kernel_basis, rref
+from .linalg import Matrix, kernel_basis
 
 
 class InLattice(ArrangementError):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 
 from .arrangement import Arrangement, ArrangementError, validate
-from .fields import GF, QQ, PrimeField, Rationals
+from .fields import QQ, Rationals
 from .linalg import Matrix, rank
 
 

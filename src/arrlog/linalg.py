@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import QQ, FieldMismatch, check_same_field
+from .fields import QQ, check_same_field
 
 
 class Matrix:

@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .arrangement import Arrangement, Restriction, restrict
-from .fields import Rationals
 from .linalg import Matrix, det
-from .modular import PRIMES, rank_mod
+from .modular import rank_mod
 from .poly import LinearForm, Poly, dim_homogeneous, divide_by_linear
 from .solver import (
     AmbientEngine,
@@ -28,6 +25,8 @@ from .solver import (
     TwistSpace,
     _certified_eval_rank,
     _invert,
+    _primes,
+    _reusing,
     eval_matrix_mod,
     graded_basis,
     membership_failures,
@@ -152,27 +151,30 @@ def certified_image_rank(tgt_space: TwistSpace, gens, d: int, field, upper=None)
     """Exact rank at degree d of the eval map of verified target elements.
 
     When `upper` (the ambient piece dimension) is supplied and some prime
-    reaches it, the rank is pinned with no reconstruction: mod-p ranks
-    bound the rational rank from below, membership bounds it above.
-    Otherwise the exact kernel of the eval map is exhibited.
+    reaches it, the rank is pinned with no kernel: mod-p ranks bound the
+    rational rank from below, membership bounds it above.  Otherwise the
+    exact kernel of the eval map is exhibited.
     """
     if not gens:
         return 0
     src_dim = sum(dim_homogeneous(tgt_space.ell, d - e) for e, _ in gens)
     if src_dim == 0:
         return 0
-    if not isinstance(field, Rationals):
-        p = field.p
-        return rank_mod(eval_matrix_mod(tgt_space, gens, d, p), p)
+
+    def build(p):
+        return eval_matrix_mod(tgt_space, gens, d, p)
+
+    built = {}
     if upper is not None:
-        for p in PRIMES[:3]:
+        for p in _primes(field)[:3]:
             try:
-                r = rank_mod(eval_matrix_mod(tgt_space, gens, d, p), p)
+                built[p] = build(p)
             except ZeroDivisionError:
                 continue
+            r = rank_mod(built[p], p)
             if r == upper:
                 return r
-    return _certified_eval_rank(tgt_space, gens, d)
+    return _certified_eval_rank(tgt_space, gens, d, field, _reusing(build, built))
 
 
 @dataclass

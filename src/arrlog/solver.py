@@ -11,11 +11,16 @@ coefficient vectors.  Two engines produce them:
     contribute constraints.  This collapses the solve sizes; the two
     engines must agree and are cross-checked in the tests.
 
-Over F_p the modular elimination is the field arithmetic, hence exact.
-Over Q kernels are computed mod deterministic ladder primes, lifted by
-CRT + rational reconstruction, and then certified: exhibited elements
-are verified exactly at the polynomial level, and mod-p ranks bound the
-ranks over Q from below, which pins every reported dimension exactly.
+One class, `ConstraintFamily`, owns the pieces of one engine over one
+field, and one degree step of `sweep_minimal_generators` serves both
+fields.  Every kernel goes through `_certified_kernel`; the field is looked
+at only there and where the primes are chosen (`_primes`).  Over F_p the
+modular elimination is the field arithmetic, so every rank and kernel mod
+the field's prime is exact and is taken once.  Over Q kernels are
+computed mod deterministic ladder primes, lifted by CRT + rational
+reconstruction, and then certified: exhibited elements are verified
+exactly at the polynomial level, and mod-p ranks bound the ranks over Q
+from below, which pins every reported dimension exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from math import comb
 import numpy as np
 
 from .arrangement import Arrangement, ArrangementError
-from .fields import GF, QQ, Rationals
+from .fields import GF, Rationals
 from .linalg import Matrix, det
 from .modular import (
     PRIMES,
@@ -643,87 +648,112 @@ class GradedBasis:
         return len(self.vectors)
 
 
-class _PieceSolver:
-    """Kernel machinery for one engine over one field.
+def _primes(field):
+    """The primes that ranks and kernels over `field` are taken at.
 
-    Dimensions are remembered per degree, so one solver answers repeated
-    questions about the same module without eliminating again.
+    Over F_p it is the field's own prime, and every rank mod it is exact.
+    Over Q it is the ladder, and a rank mod p bounds the rational rank
+    from below.
     """
-
-    def __init__(self, engine, field):
-        self.engine = engine
-        self.field = field
-        self._dims = {}
-
-    def kernel(self, d: int, certify: bool = True):
-        """Exact kernel basis at degree d: (elements, coords, primes).
-
-        Over Q, with `certify`, every element is verified exactly; a lift
-        that fails is replaced by one from more primes.
-        """
-        ncols = self.engine.space.dim(d)
-        if ncols == 0:
-            return [], [], ()
-        if isinstance(self.field, Rationals):
-
-            def accept(vectors, rank, pivots, primes):
-                elements = [
-                    self.engine.space.element_from_coords(self.field, d, v) for v in vectors
-                ]
-                if certify and not all(self.engine.verify(el, d) for el in elements):
-                    return None
-                return elements, vectors, primes
-
-            return _certified_kernel_qq(lambda p: self.engine.build_mod(d, p), ncols, accept)
-        p = self.field.p
-        K = kernel_mod(self.engine.build_mod(d, p), p)
-        coords = [[int(x) for x in row] for row in K]
-        elements = [
-            self.engine.space.element_from_coords(self.field, d, v) for v in coords
-        ]
-        return elements, coords, (p,)
-
-    def dimension(self, d: int) -> int:
-        """Exact dimension of the piece at degree d.
-
-        Over F_p it is ncols - rank.  Over Q the rank mod one prime bounds
-        the dimension from above, so 0 is already exact; otherwise a full
-        basis is reconstructed and verified.
-        """
-        n = self._dims.get(d)
-        if n is None:
-            ncols = self.engine.space.dim(d)
-            n = 0
-            if ncols:
-                p = PRIMES[0] if isinstance(self.field, Rationals) else self.field.p
-                n = ncols - rank_mod(self.engine.build_mod(d, p), p)
-            if n and isinstance(self.field, Rationals):
-                n = len(self.kernel(d)[0])
-            self._dims[d] = n
-        return n
+    return PRIMES if isinstance(field, Rationals) else (field.p,)
 
 
-def _certified_kernel_qq(build, ncols: int, accept):
-    """First kernel candidate over Q that `accept` certifies.
+def _certified_kernel(build, ncols: int, field, accept):
+    """The result of the first kernel candidate that `accept` certifies.
 
-    `accept(vectors, rank, pivots, primes)` returns its result, or None
-    when a candidate fails exact verification.  A wrong lift of a few
-    primes can still reconstruct, so the kernel is then lifted again from
-    more primes; `ReconstructionFailed` is raised once the ladder is used
-    up.  A candidate accepted at once costs exactly one
+    `build(p)` returns the matrix mod p.  `accept(vectors, primes, exact)`
+    gets a candidate basis (coordinate lists) and returns its result, or
+    None when the candidate fails exact verification; `exact` says it
+    needs none.  Over F_p the kernel mod the field's prime is exact, and
+    so is every rank at that prime.  Over
+    Q a wrong lift of a few primes can still reconstruct, so a rejected
+    candidate is lifted again from more primes, until the ladder is used
+    up (`ReconstructionFailed`).  An accepted first candidate costs one
     `kernel_qq_candidates` call.
     """
+    if not isinstance(field, Rationals):
+        p = field.p
+        return accept(kernel_mod(build(p), p).tolist(), (p,), True)
     min_primes = 2
     while True:
-        candidate = kernel_qq_candidates(build, ncols, min_primes=min_primes)
-        result = accept(*candidate)
+        vectors, _, _, primes = kernel_qq_candidates(build, ncols, min_primes=min_primes)
+        result = accept(vectors, primes, False)
         if result is not None:
             return result
-        primes = candidate[3]
         if len(primes) < min_primes:
             # a zero matrix mod the first prime: more primes cannot change it
             raise ReconstructionFailed("kernel candidate failed exact verification")
         min_primes = len(primes) + 1
+
+
+def _reusing(build, built):
+    """`build`, but handing out (and dropping) the matrices of `built`, prime -> matrix, first."""
+    return lambda p: built.pop(p) if p in built else build(p)
+
+
+class ConstraintFamily:
+    """The graded pieces of one engine's module over one field.
+
+    The piece at degree d is the kernel of the engine's divisibility
+    constraints.  Dimensions are remembered per degree, so one family
+    answers repeated questions about the same module without eliminating
+    again.
+    """
+
+    def __init__(self, engine, field):
+        self.engine = engine
+        self.space = engine.space
+        self.field = field
+        self._dims = {}
+
+    def matrix_mod(self, d: int, p: int) -> np.ndarray:
+        return self.engine.build_mod(d, p)
+
+    def verify_element(self, element, d: int) -> bool:
+        return self.engine.verify(element, d)
+
+    def known_rank(self, d: int):
+        """Rank over the field of the matrix at degree d if known without elimination."""
+        return None
+
+    def kernel(self, d: int, certify: bool = True):
+        """Exact kernel basis at degree d: (elements, coords, primes).
+
+        With `certify`, a lifted candidate is verified element by element,
+        and one that fails is replaced by a lift from more primes.
+        """
+        ncols = self.space.dim(d)
+        if ncols == 0:
+            return [], [], ()
+
+        def accept(vectors, primes, exact):
+            elements = [self.space.element_from_coords(self.field, d, v) for v in vectors]
+            if certify and not exact and not all(self.verify_element(el, d) for el in elements):
+                return None
+            return elements, vectors, primes
+
+        return _certified_kernel(lambda p: self.matrix_mod(d, p), ncols, self.field, accept)
+
+    def dimension(self, d: int) -> int:
+        """Exact dimension of the piece at degree d: the size of its certified kernel.
+
+        A matrix of full rank mod the first prime ends the kernel search
+        at once, and an exact kernel is counted without building elements.
+        """
+        n = self._dims.get(d)
+        if n is None:
+            ncols = self.space.dim(d)
+
+            def count(vectors, primes, exact):
+                if exact or all(
+                    self.verify_element(self.space.element_from_coords(self.field, d, v), d) for v in vectors
+                ):
+                    return len(vectors)
+                return None
+
+            n = _certified_kernel(lambda p: self.matrix_mod(d, p), ncols, self.field, count) if ncols else 0
+            self._dims[d] = n
+        return n
 
 
 def graded_basis(
@@ -744,7 +774,7 @@ def graded_basis(
     ranks bound the rank over Q from below.
     """
     eng = pick_engine(A, kind, order, engine, base=base)
-    elements, coords, primes = _PieceSolver(eng, A.field).kernel(d, certify)
+    elements, coords, primes = ConstraintFamily(eng, A.field).kernel(d, certify)
     return GradedBasis(
         arrangement=A,
         kind=kind,
@@ -764,7 +794,7 @@ def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0, engi
     mod-p kernel bounds the rational kernel); a nonzero answer is
     certified by reconstructing and verifying a full basis.
     """
-    return _PieceSolver(pick_engine(A, kind, order, engine, base=base), A.field).dimension(d)
+    return ConstraintFamily(pick_engine(A, kind, order, engine, base=base), A.field).dimension(d)
 
 
 # ---------------------------------------------------------------------------
@@ -813,11 +843,11 @@ def eval_matrix_mod(space: TwistSpace, gens, d: int, p: int) -> np.ndarray:
     return E
 
 
-def combination_is_zero(space: TwistSpace, gens, coeff_element, d: int) -> bool:
+def combination_is_zero(gens, coeff_element) -> bool:
     """Exact check that sum_k c_k * gen_k vanishes identically.
 
-    `coeff_element` is an element of the TwistSpace with twists = gen
-    degrees at degree d (one coefficient polynomial per generator).
+    `coeff_element` is an element of the TwistSpace whose twists are the
+    generator degrees (one coefficient polynomial per generator).
     """
     if not gens:
         return all(p.is_zero() for p in coeff_element)
@@ -839,25 +869,6 @@ def combination_is_zero(space: TwistSpace, gens, coeff_element, d: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class ConstraintFamily:
-    """Graded pieces cut out by an engine's divisibility constraints."""
-
-    def __init__(self, engine, field):
-        self.engine = engine
-        self.space = engine.space
-        self.field = field
-
-    def matrix_mod(self, d: int, p: int) -> np.ndarray:
-        return self.engine.build_mod(d, p)
-
-    def verify_element(self, element, d: int) -> bool:
-        return self.engine.verify(element, d)
-
-    def rank_qq(self, d: int):
-        """Rank over Q of the matrix at degree d if known without elimination."""
-        return None
-
-
 class EvalKernelFamily:
     """Graded pieces of the relation module of a list of generators.
 
@@ -867,8 +878,8 @@ class EvalKernelFamily:
 
     `image_dims`, when given, maps degrees to the exact dimension of the
     module the generators span there (certified by the caller): that is
-    the rank over Q of the evaluation map, so no elimination is needed
-    for it.
+    the rank over the field of the evaluation map, so no elimination is
+    needed for it.
     """
 
     def __init__(self, tgt_space: TwistSpace, gens, field, image_dims=None):
@@ -882,9 +893,9 @@ class EvalKernelFamily:
         return eval_matrix_mod(self.tgt_space, self.gens, d, p)
 
     def verify_element(self, element, d: int) -> bool:
-        return combination_is_zero(self.tgt_space, self.gens, element, d)
+        return combination_is_zero(self.gens, element)
 
-    def rank_qq(self, d: int):
+    def known_rank(self, d: int):
         return self.image_dims.get(d)
 
 
@@ -896,9 +907,9 @@ class SweepResult:
     stopped_early: bool
 
 
-def _eval_prime(gens, fallback: int):
-    """First ladder prime coprime to every denominator in the generators."""
-    for p in PRIMES:
+def _eval_prime(gens, primes):
+    """First of `primes` coprime to every denominator in the generators, else the first."""
+    for p in primes if len(primes) > 1 else ():
         try:
             for e, el in gens:
                 for poly in el:
@@ -907,16 +918,16 @@ def _eval_prime(gens, fallback: int):
             return p
         except ZeroDivisionError:
             continue
-    return fallback
+    return primes[0]
 
 
 def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=()) -> SweepResult:
     """Degreewise minimal generators of the graded module cut out by `family`.
 
     At each degree the new generators are the cokernel of the evaluation
-    map of the generators found so far.  Over F_p everything is native;
-    over Q the dimensions are certified by mod-p rank bounds and every
-    exhibited representative passes `family.verify_element` exactly.
+    map of the generators found so far.  The dimensions are certified by
+    mod-p rank bounds (exact over F_p), and over Q every exhibited
+    representative passes `family.verify_element` exactly.
 
     `gens` are (degree, element) generators already known below the
     window; only the generators found inside it are returned.  After each
@@ -925,8 +936,6 @@ def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=(
     true.
     """
     lo, hi = degree_range
-    field = family.field
-    rational = isinstance(field, Rationals)
     gens = list(gens)
     known = len(gens)
     dims = {}
@@ -936,11 +945,7 @@ def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=(
         if ncols == 0:
             dims[d] = 0
             continue
-        hints_d = (hints or {}).get(d, ())
-        if rational:
-            n_d, new = _degree_step_qq(family, gens, d, ncols, hints_d)
-        else:
-            n_d, new = _degree_step_fp(family, gens, d, field.p)
+        n_d, new = _degree_step(family, gens, d, ncols, (hints or {}).get(d, ()))
         dims[d] = n_d
         gens.extend((d, el) for el in new)
         if stop is not None and stop(gens):
@@ -955,76 +960,60 @@ def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=(
     )
 
 
-def _degree_step_fp(family, gens, d: int, p: int):
-    C = family.matrix_mod(d, p)
-    K = kernel_mod(C, p)
-    n_d = K.shape[0]
-    if n_d == 0:
-        return 0, []
-    E = eval_matrix_mod(family.space, gens, d, p) if gens else np.zeros((family.space.dim(d), 0), dtype=np.int64)
-    r = rank_mod(E, p) if E.shape[1] else 0
-    if r == n_d:
-        return n_d, []
-    aug = np.hstack([E, K.T])
-    _, pivots = rref_mod(aug, p, reduced=False)
-    new = []
-    for c in pivots:
-        if c >= E.shape[1]:
-            coords = [int(x) for x in K[c - E.shape[1]]]
-            new.append(family.space.element_from_coords(family.field, d, coords))
-    assert len(new) == n_d - r
-    return n_d, new
-
-
-def _degree_step_qq(family, gens, d: int, ncols: int, hints_d=()):
-    # fast path: dim <= n0 (the constraint rank mod p bounds the rational
-    # kernel; a certified rank over Q gives it exactly) and dim >= eval
-    # rank mod p (the span of verified-member multiples); equality pins
-    # the dimension with no reconstruction
-    p0 = _eval_prime(gens, PRIMES[0])
-    rank = family.rank_qq(d)
+def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
+    """(piece dimension, new generators) at degree d, given the generators below it."""
+    # fast path: dim <= n0 (the constraint rank mod p bounds the kernel;
+    # a known rank gives it exactly) and dim >= eval rank mod p (the span
+    # of verified-member multiples); equality pins the dimension with no
+    # kernel.  Over F_p, p0 is the field's prime and both bounds are exact.
+    field = family.field
+    primes = _primes(field)
+    p0 = _eval_prime(gens, primes)
+    built = {}
+    rank = family.known_rank(d)
     if rank is None:
-        rank = rank_mod(family.matrix_mod(d, p0), p0)
+        built[p0] = family.matrix_mod(d, p0)
+        rank = rank_mod(built[p0], p0)
+        if len(primes) > 1:
+            # a kernel taken at p0 alone reuses this matrix; a lift builds
+            # one per prime anyway, and holding a large matrix through the
+            # eval rank would only raise the peak memory
+            built.clear()
     n0 = ncols - rank
     if n0 == 0:
         return 0, []
-    E = (
-        eval_matrix_mod(family.space, gens, d, p0)
-        if gens
-        else np.zeros((family.space.dim(d), 0), dtype=np.int64)
-    )
+    E = eval_matrix_mod(family.space, gens, d, p0) if gens else np.zeros((ncols, 0), dtype=np.int64)
     r0 = rank_mod(E, p0) if E.shape[1] else 0
     if r0 == n0:
         return n0, []
-    rank_eval = _certified_eval_rank(family.space, gens, d) if E.shape[1] else 0
+
+    def eval_build(p):
+        return E if p == p0 else eval_matrix_mod(family.space, gens, d, p)
+
+    rank_eval = _certified_eval_rank(family.space, gens, d, field, eval_build) if E.shape[1] else 0
     if rank_eval == n0:
         return n0, []
     if hints_d:
         chosen = _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0)
         if chosen is not None:
             return n0, chosen
-    # apparent generator degree: reconstruct candidates, certify the
-    # exact eval rank, and verify the selected representatives; the
-    # piece dimension is then rank + (number of new generators), both
-    # sides certified (mod-p ranks bound the rational ranks from below,
-    # the representatives are exhibited members)
+    # apparent generator degree: take a kernel candidate and select new
+    # generators from it; the piece dimension is then the eval rank plus
+    # their number, both sides certified (mod-p ranks bound the rational
+    # ranks from below, and the representatives are exhibited members)
 
-    def select(vectors, rank_c, pivots, primes):
+    def select(vectors, _, exact):
         n_d = len(vectors)
-        if n_d == 0:
-            return 0, []
-        elements = [
-            normalize_element(family.space.element_from_coords(QQ, d, v)) for v in vectors
-        ]
         if rank_eval == n_d:
             return n_d, []
-        # pick representatives with a prime whose eval rank is the true one
-        for p in PRIMES:
+        # pick representatives with a prime whose eval rank is the certified
+        # one, as every rank at an exact candidate's prime is
+        for p in primes:
             try:
-                Ep = eval_matrix_mod(family.space, gens, d, p) if gens else np.zeros((family.space.dim(d), 0), dtype=np.int64)
+                Ep = eval_build(p)
             except ZeroDivisionError:
                 continue
-            if (rank_mod(Ep, p) if Ep.shape[1] else 0) != rank_eval:
+            if not exact and (rank_mod(Ep, p) if Ep.shape[1] else 0) != rank_eval:
                 continue
             Kmod = np.zeros((n_d, ncols), dtype=np.int64)
             try:
@@ -1036,15 +1025,17 @@ def _degree_step_qq(family, gens, d: int, ncols: int, hints_d=()):
                 continue
             aug = np.hstack([Ep, Kmod.T])
             _, aug_pivots = rref_mod(aug, p, reduced=False)
-            new = [elements[c - Ep.shape[1]] for c in aug_pivots if c >= Ep.shape[1]]
-            if len(new) != n_d - rank_eval:
+            picked = [vectors[c - Ep.shape[1]] for c in aug_pivots if c >= Ep.shape[1]]
+            if len(picked) != n_d - rank_eval:
                 continue
-            if not all(family.verify_element(el, d) for el in new):
+            new = [normalize_element(family.space.element_from_coords(field, d, v)) for v in picked]
+            if not exact and not all(family.verify_element(el, d) for el in new):
                 return None
             return rank_eval + len(new), new
         raise SolverError("no ladder prime reproduced the certified eval rank")
 
-    return _certified_kernel_qq(lambda p: family.matrix_mod(d, p), ncols, select)
+    matrix_build = _reusing(lambda p: family.matrix_mod(d, p), built)
+    return _certified_kernel(matrix_build, ncols, field, select)
 
 
 def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
@@ -1078,24 +1069,25 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
     return [normalize_element(el) for el in chosen]
 
 
-def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int) -> int:
-    """Exact rank over Q of the evaluation map of `gens` at degree d.
+def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, build=None) -> int:
+    """Exact rank over `field` of the evaluation map of `gens` at degree d.
 
-    Certified by exhibiting its kernel: every candidate relation must
-    vanish exactly.
+    Certified by exhibiting its kernel: over Q every candidate relation
+    must vanish exactly.  `build(p)`, when given, returns the eval matrix
+    mod p, so a caller hands out the matrices it has already built.
     """
     src = TwistSpace(tgt_space.ell, tuple(e for e, _ in gens))
     ncols = src.dim(d)
     if ncols == 0:
         return 0
 
-    def accept(vectors, rank, pivots, primes):
-        for v in vectors:
-            if not combination_is_zero(tgt_space, gens, src.element_from_coords(QQ, d, v), d):
-                return None
-        return ncols - len(vectors)
+    def accept(vectors, primes, exact):
+        if exact or all(combination_is_zero(gens, src.element_from_coords(field, d, v)) for v in vectors):
+            return ncols - len(vectors)
+        return None
 
-    return _certified_kernel_qq(lambda p: eval_matrix_mod(tgt_space, gens, d, p), ncols, accept)
+    build = build or (lambda p: eval_matrix_mod(tgt_space, gens, d, p))
+    return _certified_kernel(build, ncols, field, accept)
 
 
 # ---------------------------------------------------------------------------

@@ -121,3 +121,95 @@ def test_reconstruction_failed_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(arrlog.cli, "cmd_generators", fail)
     assert main(["omega", "@boolean:3"]) == 2
     assert capsys.readouterr().err == "error: no stable kernel after 48 primes\n"
+
+
+# generic-cut: (input, extra flags) -> (record id, status) in report order
+GENERIC_CUT_RECORDS = {
+    ("@boolean:4",): [
+        ("cut:sampled-hyperplane", "pass"),
+        ("cut:genericity", "pass"),
+        ("cut:surjectivity", "pass"),
+        ("cut:generators", "pass"),
+        ("cut:extra-generator", "pass"),
+        ("cut:resolution", "pass"),
+    ],
+    ("@generic:n=5,ell=3,seed=1",): [
+        ("cut:sampled-hyperplane", "pass"),
+        ("cut:genericity", "pass"),
+        ("cut:surjectivity", "skip"),
+        ("cut:generators", "skip"),
+        ("cut:extra-generator", "skip"),
+        ("cut:resolution", "pass"),
+    ],
+    ("@generic:n=5,ell=3,seed=1", "--field", "Fp:1009"): [
+        ("cut:sampled-hyperplane", "pass"),
+        ("cut:genericity", "pass"),
+        ("cut:surjectivity", "skip"),
+        ("cut:generators", "skip"),
+        ("cut:extra-generator", "skip"),
+        ("cut:resolution", "pass"),
+    ],
+}
+
+
+@pytest.mark.parametrize("args", list(GENERIC_CUT_RECORDS), ids=["boolean4", "generic5-QQ", "generic5-F1009"])
+def test_generic_cut_records(args, tmp_path, capsys):
+    code, p1 = run_cli(["generic-cut", *args], tmp_path, "gc1.json")
+    _, p2 = run_cli(["generic-cut", *args], tmp_path, "gc2.json")
+    assert code == 0
+    assert p1 == p2
+    claims = json.loads(p1)["claims"]
+    assert [(c["id"], c["status"]) for c in claims] == GENERIC_CUT_RECORDS[args]
+    data = {c["id"]: c["data"] for c in claims}
+    if args == ("@boolean:4",):
+        assert data["cut:generators"]["cut"] == [-1, -1, -1, -1]
+        assert data["cut:resolution"]["betti_columns"] == [[-1] * 5, [0]]
+    else:
+        # the cut of a non-free arrangement: the generic-cut hypothesis fails
+        ledger = data["cut:surjectivity"]["ledger"]
+        assert [(r["degree"], r["target_dim"], r["image_dim"]) for r in ledger] == [
+            (-4, 1, 0), (-3, 2, 0), (-2, 3, 0), (-1, 5, 5)
+        ]
+        assert data["cut:generators"]["cut"] == [-4, -1]
+        assert data["cut:resolution"]["betti_columns"] == [[-1] * 6, [0, 0, 0]]
+        assert data["cut:resolution"]["pd_source"] == 1
+
+
+def test_generic_cut_without_generic_hyperplane_exit_code(capsys):
+    # over F_7 no sampled plane is generic for grr3(3): a typed error, not a traceback
+    assert main(["generic-cut", "@grr3:3", "--field", "Fp:7"]) == 2
+    assert capsys.readouterr().err == "error: no generic hyperplane found for seed 0\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["omega", "@boolean:3", "--seed", "1"],
+        ["lattice", "@boolean:3", "--bound", "2"],
+        ["generic-cut", "@boolean:4", "--primes", "7"],
+        ["verify-paper", "--field", "Q"],
+        ["verify-paper", "--bound", "3"],
+    ],
+    ids=["omega-seed", "lattice-bound", "generic-cut-primes", "verify-paper-field", "verify-paper-bound"],
+)
+def test_unread_options_are_rejected(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_free_bound_and_generic_cut_seed(tmp_path, capsys):
+    code, payload = run_cli(["free", "@braid:4", "--bound", "2"], tmp_path, "fb.json")
+    assert code == 0
+    data = json.loads(payload)["claims"][0]["data"]
+    assert (data["free"], data["reason"], data["generator_degrees"]) == (False, "not free up to bound", [1, 2])
+    _, seed0 = run_cli(["generic-cut", "@boolean:4", "--skip-betti"], tmp_path, "s0.json")
+    code, seed3 = run_cli(["generic-cut", "@boolean:4", "--skip-betti", "--seed", "3"], tmp_path, "s3.json")
+    assert code == 0
+    assert json.loads(seed3)["seed"] == 3
+
+    def sampled(payload):
+        return json.loads(payload)["claims"][0]["data"]["coefficients"]
+
+    assert sampled(seed3) != sampled(seed0)

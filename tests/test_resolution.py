@@ -179,7 +179,7 @@ def test_relation_sweep_reads_certified_dims(monkeypatch):
             got = betti_table(A, kind)
             assert calls[0] == 0
             # the same table with every constraint rank eliminated mod p
-            mp.setattr(solver.EvalKernelFamily, "rank_qq", lambda self, d: None)
+            mp.setattr(solver.EvalKernelFamily, "known_rank", lambda self, d: None)
             want = betti_table(A, kind)
             assert calls[0] > 0
         assert got.pd >= 1

@@ -12,9 +12,9 @@ from arrlog.poly import LinearForm, Poly
 from arrlog.solver import (
     AmbientEngine,
     CoeffVector,
+    ConstraintFamily,
     RelativeEngine,
-    _PieceSolver,
-    _certified_kernel_qq,
+    _certified_kernel,
     condition_polys,
     condition_terms,
     free_piece_dimension,
@@ -198,17 +198,41 @@ def test_oversized_prime_is_a_typed_error():
     assert minimal_generators(nine4d(GF(268435399)), "O").count_by_degree() == {-1: 1, -2: 6}
 
 
+@pytest.mark.parametrize("field", [QQ, GF(1009)], ids=["QQ", "F1009"])
+@pytest.mark.parametrize("source", ["boolean4", "generic5"])
+def test_hints_keep_generator_degrees_and_dims(field, source):
+    # the restrictions of a source's generators, as hints for the sweep of
+    # the cut, change which representatives are found but not the module
+    from arrlog.arrangement import restrict
+    from arrlog.maps import restrict_form
+
+    if source == "boolean4":
+        A1, h = boolean(4, field=field), [865, 395, 777, 912]
+    else:
+        A1, h = generic(5, 3, seed=1, field=field), [865, 395, 777]
+    A = A1.add_hyperplane(LinearForm(field, [field.of(c) for c in h]))
+    res = restrict(A, A.n - 1)
+    gens = minimal_generators(A1, "O")
+    hints = [restrict_form(cv, A1, res=res, checked=True) for cv in gens.representatives]
+    hinted = minimal_generators(res.restricted, "O", engine="ambient", hints=hints)
+    plain = minimal_generators(res.restricted, "O", engine="ambient")
+    assert hinted.degrees == plain.degrees
+    assert hinted.dims == plain.dims
+    for cv in hinted.representatives:
+        assert is_logarithmic(res.restricted, cv)
+
+
 @pytest.mark.parametrize("field", [GF(1009), QQ], ids=["F1009", "QQ"])
 def test_piece_solver_dimension_matches_graded_dimension(field):
     A = generic(5, 3, seed=2, field=field)
     for engine in ("ambient", "relative"):
         for kind, degrees in (("D", range(-1, 5)), ("O", range(-6, 1))):
-            solver = _PieceSolver(pick_engine(A, kind, 1, engine), A.field)
+            family = ConstraintFamily(pick_engine(A, kind, 1, engine), A.field)
             for d in degrees:
-                assert solver.dimension(d) == graded_dimension(A, kind, 1, d, engine=engine), (engine, kind, d)
+                assert family.dimension(d) == graded_dimension(A, kind, 1, d, engine=engine), (engine, kind, d)
             # remembered: asking again builds no constraint matrix
-            solver.engine.build_mod = None
-            assert [solver.dimension(d) for d in degrees] == [
+            family.engine.build_mod = None
+            assert [family.dimension(d) for d in degrees] == [
                 graded_dimension(A, kind, 1, d, engine=engine) for d in degrees
             ]
 
@@ -235,16 +259,29 @@ def test_certified_kernel_qq_retry_and_exhaustion():
     first = kernel_qq_candidates(build, 3)
     seen = []
 
-    def reject_first(vectors, rank, pivots, primes):
+    def reject_first(vectors, primes, exact):
         seen.append(primes)
         return vectors if len(seen) > 1 else None
 
-    assert _certified_kernel_qq(build, 3, lambda *cand: cand) == first
-    assert _certified_kernel_qq(build, 3, reject_first) == first[0]
+    assert _certified_kernel(build, 3, QQ, lambda *cand: cand) == (first[0], first[3], False)
+    assert _certified_kernel(build, 3, QQ, reject_first) == first[0]
     assert seen[0] == first[3]
     assert len(seen[1]) == len(first[3]) + 1
     with pytest.raises(ReconstructionFailed):
-        _certified_kernel_qq(build, 3, lambda *cand: None)
+        _certified_kernel(build, 3, QQ, lambda *cand: None)
+
+
+
+def test_certified_kernel_fp_is_exact_and_taken_once():
+    rows = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
+    built = []
+
+    def build(p):
+        built.append(p)
+        return rows % p
+
+    vectors, primes, exact = _certified_kernel(build, 3, GF(7), lambda *cand: cand)
+    assert (vectors, primes, exact, built) == ([[1, 5, 1]], (7,), True, [7])  # (1, -2, 1) mod 7
 
 
 # each exit of saito_check: its reason and the sweep it reports
