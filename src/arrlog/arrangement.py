@@ -13,7 +13,7 @@ from math import gcd
 
 from .fields import QQ, Rationals
 from .linalg import Matrix, rank, rref
-from .poly import LinearForm, Poly, product
+from .poly import LinearForm
 
 
 class ArrangementError(ValueError):
@@ -88,13 +88,6 @@ class Arrangement:
     def deg_Q(self) -> int:
         return sum(self.mult)
 
-    def Q_poly(self) -> Poly:
-        return product(
-            [f.as_poly() ** m for f, m in zip(self.forms, self.mult)],
-            field=self.field,
-            ell=self.ell,
-        )
-
     def delete(self, i: int) -> "Arrangement":
         if not 0 <= i < self.n:
             raise IndexError(f"hyperplane index {i} out of range")
@@ -108,21 +101,12 @@ class Arrangement:
             raise ArrangementError("multiplicity list must be positive, one per hyperplane")
         return Arrangement(self.field, self.ell, self.forms, mult, self._rank)
 
-    def simple(self) -> "Arrangement":
-        return self.with_multiplicities([1] * self.n)
-
     def add_hyperplane(self, form: LinearForm, m: int = 1) -> "Arrangement":
         form = canonicalize_form(form)
         for f in self.forms:
             if f.proportional_to(form):
                 raise DuplicateHyperplane("new hyperplane already present")
         return Arrangement(self.field, self.ell, self.forms + (form,), self.mult + (m,))
-
-    def index_of(self, form: LinearForm):
-        for i, f in enumerate(self.forms):
-            if f.proportional_to(form):
-                return i
-        return None
 
     def restrict(self, i: int) -> "Restriction":
         return restrict(self, i)
@@ -320,20 +304,27 @@ def parse_arrangement(text: str) -> Arrangement:
             continue
         parts = line.split()
         if parts[0] == "field":
-            if parts[1] in ("Q", "QQ"):
-                field = QQ
-            elif parts[1] in ("Fp", "F") and len(parts) == 3:
-                field = GF(int(parts[2]))
-            else:
-                raise ArrangementError(f"line {lineno}: bad field declaration {line!r}")
+            try:
+                if parts[1] in ("Q", "QQ"):
+                    field = QQ
+                elif parts[1] in ("Fp", "F") and len(parts) == 3:
+                    field = GF(int(parts[2]))
+                else:
+                    raise ValueError("expected 'field Q' or 'field Fp <p>'")
+            except (IndexError, ValueError) as exc:
+                raise ArrangementError(f"line {lineno}: bad field declaration {line!r}: {exc}") from exc
             continue
         if parts[0] == "dim":
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise ArrangementError(f"line {lineno}: bad dimension {line!r}")
             ell = int(parts[1])
             continue
         if field is None or ell is None:
             raise ArrangementError(f"line {lineno}: field/dim headers must come first")
         m = 1
         if parts[-1].startswith("*"):
+            if not parts[-1][1:].isdigit():
+                raise ArrangementError(f"line {lineno}: bad multiplicity {parts[-1]!r}")
             m = int(parts[-1][1:])
             parts = parts[:-1]
         if len(parts) != ell:

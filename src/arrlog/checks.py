@@ -15,7 +15,6 @@ from .poly import divide_by_linear
 from .solver import (
     AmbientEngine,
     CoeffVector,
-    ConstraintFamily,
     graded_basis,
     graded_dimension,
     minimal_generators,
@@ -50,10 +49,10 @@ def criticality_check(A: Arrangement, k: int) -> CriticalityReport:
     expectation would be that some hyperplane achieves gap = k, recorded
     as conjecture86_holds.
     """
-    family = ConstraintFamily(pick_engine(A, "O", 1), A.field)
-    elements = family.kernel(-k)[0]
+    engine = pick_engine(A, "O", 1)
+    elements = engine.kernel(-k)[0]
     dim_full = len(elements)
-    witness = family.engine.to_coeffvector(elements[0], -k) if elements else None
+    witness = engine.to_coeffvector(elements[0], -k) if elements else None
     deletion_dims = []
     for i in range(A.n):
         deletion_dims.append(graded_dimension(A.delete(i), "O", 1, -k))
@@ -172,7 +171,7 @@ def euler_exactness_check(
     `_shared` is the work on A alone that `euler_ledgers` hands to every
     hyperplane's ledger.
     """
-    sweep_A, family_A = _shared or _ledger_shared(A, kind, order)
+    sweep_A, engine_A = _shared or _ledger_shared(A, kind, order)
     res = restrict(A, i)
     A_del = A.delete(i)
     if kind == "D":
@@ -181,7 +180,7 @@ def euler_exactness_check(
             (d, tuple(euler_restrict_der(cv, A, i, res, checked=True).numerators))
             for d, cv in zip(src_gens.degrees, src_gens.representatives)
         ]
-        big, small = family_A, ConstraintFamily(pick_engine(A_del, kind, order), A.field)
+        big, small = engine_A, pick_engine(A_del, kind, order)
         if degree_range is None:
             degree_range = (0, A.deg_Q())
     else:
@@ -190,7 +189,7 @@ def euler_exactness_check(
             (d, tuple(restrict_form(cv, A_del, res=res, checked=True).numerators))
             for d, cv in zip(src_gens.degrees, src_gens.representatives)
         ]
-        big, small = ConstraintFamily(src_gens.engine, A.field), family_A
+        big, small = src_gens.engine, engine_A
         if degree_range is None:
             degree_range = (-A_del.deg_Q(), 0)
     mapped = [(d, el) for d, el in mapped if any(not p.is_zero() for p in el)]
@@ -215,11 +214,11 @@ def euler_exactness_check(
 
 
 def _ledger_shared(A: Arrangement, kind: str, order: int):
-    """(D(A) sweep or None, constraint family of A): the ledger work that does not depend on i."""
+    """(D(A) sweep or None, engine of A): the ledger work that does not depend on i."""
     if kind == "D":
         sweep = minimal_generators(A, "D", order)
-        return sweep, ConstraintFamily(sweep.engine, A.field)
-    return None, ConstraintFamily(pick_engine(A, kind, order), A.field)
+        return sweep, sweep.engine
+    return None, pick_engine(A, kind, order)
 
 
 def euler_ledgers(A: Arrangement, kind: str, order: int = 1, degree_range=None) -> list:

@@ -17,7 +17,7 @@ import time
 
 from .arrangement import Arrangement, ArrangementError, parse_arrangement
 from .checks import criticality_check
-from .fields import QQ, parse_field
+from .fields import parse_field
 from .lattice import characteristic_polynomial, intersection_lattice
 from .library import parse_library_ref
 from .modular import ReconstructionFailed
@@ -80,7 +80,10 @@ def build_parser():
 
 
 def load_arrangement(args) -> Arrangement:
-    field = parse_field(args.field) if args.field else None
+    try:
+        field = parse_field(args.field) if args.field else None
+    except ValueError as exc:
+        raise ArrangementError(f"bad --field {args.field!r}: {exc}") from exc
     if args.input.startswith("@"):
         return parse_library_ref(args.input, field=field)
     with open(args.input) as fh:
@@ -147,8 +150,11 @@ def cmd_free(args) -> Report:
 def _parse_window(spec, default):
     if spec is None:
         return default
-    a, b = spec.split(":")
-    return (int(a), int(b))
+    try:
+        a, b = spec.split(":")
+        return (int(a), int(b))
+    except ValueError:
+        raise ArrangementError(f"bad degree window {spec!r}: expected a:b with integers a and b") from None
 
 
 def cmd_generators(args, kind: str) -> Report:
@@ -230,8 +236,13 @@ def cmd_generic_cut(args) -> Report:
     )
     hyper = None
     if args.hyperplane:
-        coeffs = [QQ.of(c) if A.field == QQ else A.field.parse(c) for c in args.hyperplane.split(",")]
-        hyper = LinearForm(A.field, coeffs)
+        tokens = args.hyperplane.split(",")
+        if len(tokens) != A.ell:
+            raise ArrangementError(f"--hyperplane needs {A.ell} coefficients, got {len(tokens)}")
+        try:
+            hyper = LinearForm(A.field, [A.field.parse(c) for c in tokens])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ArrangementError(f"bad --hyperplane {args.hyperplane!r}: {exc}") from exc
     generic_cut_analysis(rep, A, hyper, seed=args.seed, with_betti=not args.skip_betti)
     return rep
 
@@ -239,12 +250,11 @@ def cmd_generic_cut(args) -> Report:
 def cmd_verify_paper(args) -> Report:
     from .claims import run_verification_suite
 
-    return run_verification_suite(
-        seed=args.seed,
-        only=args.only,
-        properties=args.properties,
-        primes=[int(p) for p in args.primes.split(",")] if args.primes else None,
-    )
+    try:
+        primes = [int(p) for p in args.primes.split(",")] if args.primes else None
+    except ValueError:
+        raise ArrangementError(f"bad --primes {args.primes!r}: expected comma-separated integers") from None
+    return run_verification_suite(seed=args.seed, only=args.only, properties=args.properties, primes=primes)
 
 
 def main(argv=None) -> int:

@@ -202,7 +202,7 @@ def parse_field(spec: str):
         return QQ
     if s.lower().startswith("fp:"):
         return GF(int(s[3:]))
-    if s[0] in "Ff" and s[1:].isdigit():
+    if s[:1] in ("F", "f") and s[1:].isdigit():
         return GF(int(s[1:]))
     raise ValueError(f"unrecognized field spec {spec!r}")
 

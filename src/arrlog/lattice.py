@@ -119,6 +119,8 @@ def intersection_lattice(A: Arrangement, max_codim=None) -> Lattice:
     r = A.essential_rank
     if max_codim is None:
         max_codim = r
+    if max_codim < 0:
+        raise ArrangementError(f"max_codim must be nonnegative, got {max_codim}")
     max_codim = min(max_codim, r)
     top = Flat(codim=0, members=frozenset(), key=(), mu=1)
     levels = [[top]]

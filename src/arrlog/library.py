@@ -231,5 +231,9 @@ def parse_library_ref(ref: str, field=None) -> Arrangement:
         }.get(name.lower(), [])
         for slot, val in zip(order, positional):
             params.setdefault(slot, val)
+        try:
+            params = {k: int(v) for k, v in params.items()}
+        except ValueError:
+            raise ArrangementError(f"library parameters must be integers: {ref!r}") from None
         return example_library(name, field=field, **params)
     return example_library(body, field=field)

@@ -15,8 +15,7 @@ from itertools import combinations
 
 from .arrangement import Arrangement, Restriction, restrict
 from .linalg import Matrix, det
-from .modular import rank_mod
-from .poly import LinearForm, Poly, dim_homogeneous, divide_by_linear
+from .poly import LinearForm, Poly, divide_by_linear
 from .solver import (
     AmbientEngine,
     CoeffVector,
@@ -25,9 +24,6 @@ from .solver import (
     TwistSpace,
     _certified_eval_rank,
     _invert,
-    _primes,
-    _reusing,
-    eval_matrix_mod,
     graded_basis,
     membership_failures,
     minimal_generators,
@@ -150,31 +146,13 @@ def restrict_form(
 def certified_image_rank(tgt_space: TwistSpace, gens, d: int, field, upper=None) -> int:
     """Exact rank at degree d of the eval map of verified target elements.
 
-    When `upper` (the ambient piece dimension) is supplied and some prime
-    reaches it, the rank is pinned with no kernel: mod-p ranks bound the
-    rational rank from below, membership bounds it above.  Otherwise the
-    exact kernel of the eval map is exhibited.
+    When `upper` (the ambient piece dimension) is supplied and the rank
+    mod the first usable prime reaches it, the rank is pinned with no
+    kernel: mod-p ranks bound the rational rank from below, membership
+    bounds it above.  Otherwise the exact kernel of the eval map is
+    exhibited (`solver._certified_eval_rank`).
     """
-    if not gens:
-        return 0
-    src_dim = sum(dim_homogeneous(tgt_space.ell, d - e) for e, _ in gens)
-    if src_dim == 0:
-        return 0
-
-    def build(p):
-        return eval_matrix_mod(tgt_space, gens, d, p)
-
-    built = {}
-    if upper is not None:
-        for p in _primes(field)[:3]:
-            try:
-                built[p] = build(p)
-            except ZeroDivisionError:
-                continue
-            r = rank_mod(built[p], p)
-            if r == upper:
-                return r
-    return _certified_eval_rank(tgt_space, gens, d, field, _reusing(build, built))
+    return _certified_eval_rank(tgt_space, gens, d, field, upper)[0]
 
 
 @dataclass

@@ -39,7 +39,7 @@ and of constraint assembly below 2**56.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -250,16 +250,6 @@ def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:
     return K
 
 
-def _xgcd(a, b):
-    """(g, x) with a*x === g (mod b)."""
-    x0, x1 = 1, 0
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-    return a, x0
-
-
 def rational_reconstruct(r: int, m: int):
     """Lift r mod m to a fraction n/d with |n|, d <= sqrt(m/2), or None."""
     r %= m
@@ -275,15 +265,9 @@ def rational_reconstruct(r: int, m: int):
     n, d = t, x1
     if d < 0:
         n, d = -n, -d
-    if d > bound or _gcd(abs(n), d) != 1 or _gcd(d, m) != 1:
+    if d > bound or gcd(abs(n), d) != 1 or gcd(d, m) != 1:
         return None
     return Fraction(n, d)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class _CRTLift:
@@ -323,7 +307,7 @@ class _CRTLift:
         r = np.zeros(pos.size, dtype=object)
         r[np.searchsorted(pos, nz)] = vals.astype(object)
         m = self._modulus
-        _, x = _xgcd(m, p)
+        x = pow(m, -1, p)
         self._combined = (combined + (r - combined) * x % p * m) % (m * p)
         self._pos = pos
         self._modulus = m * p

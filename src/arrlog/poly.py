@@ -79,11 +79,6 @@ class Poly:
         mono = tuple(1 if j == i else 0 for j in range(ell))
         return cls(field, ell, {mono: field.one})
 
-    @classmethod
-    def monomial(cls, field, ell, mono, c=None):
-        c = field.one if c is None else field.of(c)
-        return cls(field, ell, {tuple(mono): c})
-
     # -- queries -----------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
@@ -204,17 +199,6 @@ class Poly:
         return " + ".join(bits)
 
     # -- coefficient vectors ------------------------------------------
-    def to_vector(self, d: int):
-        """Dense coefficient vector over monomial_basis(ell, d)."""
-        idx = monomial_index(self.ell, d)
-        f = self.field
-        v = [f.zero] * len(idx)
-        for m, c in self.terms.items():
-            if sum(m) != d:
-                raise ValueError("not homogeneous of requested degree")
-            v[idx[m]] = c
-        return v
-
     @classmethod
     def from_vector(cls, field, ell, d, v):
         basis = monomial_basis(ell, d)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .arrangement import Arrangement
 from .poly import dim_homogeneous
 from .solver import (
-    ConstraintFamily,
     EvalKernelFamily,
     GeneratorSet,
     SolverError,
@@ -124,7 +123,7 @@ def betti_table(
     # flagging any generator that would appear beyond it
     prev_gens = list(zip(gs.degrees, gs.elements))
     ext = sweep_minimal_generators(
-        ConstraintFamily(gs.engine, field),
+        gs.engine,
         (gs.degree_bound_used[1] + 1, validity_bound),
         gens=prev_gens,
     )

@@ -11,12 +11,17 @@ coefficient vectors.  Two engines produce them:
     contribute constraints.  This collapses the solve sizes; the two
     engines must agree and are cross-checked in the tests.
 
-One class, `ConstraintFamily`, owns the pieces of one engine over one
-field, and one degree step of `sweep_minimal_generators` serves both
-fields.  Every kernel goes through `_certified_kernel`; the field is looked
-at only there and where the primes are chosen (`_primes`).  Over F_p the
-modular elimination is the field arithmetic, so every rank and kernel mod
-the field's prime is exact and is taken once.  Over Q kernels are
+Both engines condition on `condition_terms`, and each is the family of
+its module's pieces: `space`, `field`, `build_mod`, `verify` and
+`known_rank`, plus the remembered `kernel(d)` and `dimension(d)`.  The
+relation pieces of a list of generators (`EvalKernelFamily`) read the
+same protocol, so one degree step of `sweep_minimal_generators` serves
+every family on both fields, and one routine, `_certified_eval_rank`,
+certifies the rank of every evaluation map.  Every kernel goes through
+`_certified_kernel`; the field is looked at only there and where the
+primes are chosen (`_primes`).  Over F_p the modular elimination is the
+field arithmetic, so every rank and kernel mod the field's prime is exact
+and is taken once.  Over Q kernels are
 computed mod deterministic ladder primes, lifted by CRT + rational
 reconstruction, and then certified: exhibited elements are verified
 exactly at the polynomial level, and mod-p ranks bound the ranks over Q
@@ -236,17 +241,73 @@ def shift_table(ell: int, d_src: int, mono: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class AmbientEngine:
-    """Constraints on raw numerator tuples; valid for any (A, m, p)."""
+class _Engine:
+    """The graded pieces of one module over its arrangement's field.
 
-    def __init__(self, A: Arrangement, kind: str, order: int = 1):
+    The piece at degree d is the kernel of the engine's divisibility
+    constraints (`build_mod`), and `verify` checks an element exactly.
+    Dimensions are remembered per degree, so one engine answers repeated
+    questions about its module without eliminating again.
+    """
+
+    def __init__(self, A: Arrangement, kind: str, order: int):
         if kind not in ("D", "O"):
             raise ValueError("kind must be 'D' or 'O'")
-        if not 0 <= order <= A.ell:
-            raise SolverError("order must satisfy 0 <= p <= ell")
         self.A = A
         self.kind = kind
         self.order = order
+        self.field = A.field
+        self._dims = {}
+
+    def known_rank(self, d: int):
+        """Rank over the field of the matrix at degree d if known without elimination."""
+        return None
+
+    def kernel(self, d: int):
+        """Exact kernel basis at degree d: (elements, coords, primes).
+
+        A lifted candidate is verified element by element, and one that
+        fails is replaced by a lift from more primes.
+        """
+        ncols = self.space.dim(d)
+        if ncols == 0:
+            return [], [], ()
+
+        def accept(vectors, primes, exact):
+            elements = [self.space.element_from_coords(self.field, d, v) for v in vectors]
+            if not exact and not all(self.verify(el, d) for el in elements):
+                return None
+            return elements, vectors, primes
+
+        return _certified_kernel(lambda p: self.build_mod(d, p), ncols, self.field, accept)
+
+    def dimension(self, d: int) -> int:
+        """Exact dimension of the piece at degree d: the size of its certified kernel.
+
+        A matrix of full rank mod the first prime ends the kernel search
+        at once, and an exact kernel is counted without building elements.
+        """
+        n = self._dims.get(d)
+        if n is None:
+            ncols = self.space.dim(d)
+
+            def count(vectors, primes, exact):
+                if exact or all(self.verify(self.space.element_from_coords(self.field, d, v), d) for v in vectors):
+                    return len(vectors)
+                return None
+
+            n = _certified_kernel(lambda p: self.build_mod(d, p), ncols, self.field, count) if ncols else 0
+            self._dims[d] = n
+        return n
+
+
+class AmbientEngine(_Engine):
+    """Constraints on raw numerator tuples; valid for any (A, m, p)."""
+
+    def __init__(self, A: Arrangement, kind: str, order: int = 1):
+        super().__init__(A, kind, order)
+        if not 0 <= order <= A.ell:
+            raise SolverError("order must satisfy 0 <= p <= ell")
         offset = 0 if kind == "D" else A.deg_Q()
         self.space = TwistSpace(A.ell, tuple([-offset] * comb(A.ell, order)))
 
@@ -405,7 +466,7 @@ def validate_subarrangement(A: Arrangement, indices) -> Arrangement:
     )
 
 
-class RelativeEngine:
+class RelativeEngine(_Engine):
     """Constraints in coordinates over a free subarrangement's basis.
 
     Requires a simple essential arrangement and p = 1.  With base modules
@@ -422,64 +483,41 @@ class RelativeEngine:
     """
 
     def __init__(self, A: Arrangement, kind: str, base: FreeBase | None = None):
-        if kind not in ("D", "O"):
-            raise ValueError("kind must be 'D' or 'O'")
+        super().__init__(A, kind, 1)
         if not A.is_simple():
             raise SolverError("relative engine needs a simple arrangement")
         if A.essential_rank != A.ell:
             raise SolverError("relative engine needs an essential arrangement")
-        self.A = A
-        self.kind = kind
-        self.order = 1
         if base is None:
             base = boolean_like_base(A)
         self.base = base
         self.complement = [i for i in range(A.n) if i not in set(base.indices)]
         nc = len(self.complement)
+        # block i of an element is the coefficient of the base element _basis[i]
         if kind == "D":
             self.space = TwistSpace(A.ell, tuple(base.exponents))
+            self._basis = list(base.d_basis)
         else:
             self.space = TwistSpace(A.ell, tuple(-(nc + e) for e in base.exponents))
+            self._basis = [CoeffVector("O", 1, -e, nums) for e, nums in zip(base.exponents, base.omega_numerators)]
         self._carrier_cache = {}
 
     def numerator_degree(self, d: int) -> int:
         return d if self.kind == "D" else d + self.A.n
 
     def _conditions_exact(self, h: int):
-        """Conditions over the host field: [(block i, carrier Poly)]."""
-        key = h
-        cached = self._carrier_cache.get(key)
-        if cached is not None:
-            return cached
-        ell = self.A.ell
-        fld = self.A.field
-        a = self.A.forms[h].coeffs
-        base = self.base
-        if self.kind == "D":
-            terms = []
-            for i in range(ell):
-                w = Poly.zero(fld, ell)
-                for k in range(ell):
-                    if a[k]:
-                        w = w + base.d_basis[i].numerators[k].scale(a[k])
-                if not w.is_zero():
-                    terms.append((i, w))
-            conds = [terms]
-        else:
-            k0 = self.A.forms[h].pivot()
-            conds = []
-            for j in range(ell):
-                if j == k0:
-                    continue
-                terms = []
-                for i in range(ell):
-                    F = base.omega_numerators[i]
-                    w = F[k0].scale(a[j]) - F[j].scale(a[k0])
-                    if not w.is_zero():
-                        terms.append((i, w))
-                if terms:
-                    conds.append(terms)
-        self._carrier_cache[key] = conds
+        """Conditions over the host field: [(block i, carrier Poly)].
+
+        The carriers of a condition are its polynomials (`condition_polys`)
+        on the base elements; zero carriers and conditions without
+        carriers are left out.
+        """
+        conds = self._carrier_cache.get(h)
+        if conds is None:
+            per_base = [condition_polys(cv, self.A.forms[h]) for cv in self._basis]
+            conds = [[(i, w) for i, w in enumerate(ws) if not w.is_zero()] for ws in zip(*per_base)]
+            conds = [c for c in conds if c]
+            self._carrier_cache[h] = conds
         return conds
 
     def build_mod(self, d: int, p: int) -> np.ndarray:
@@ -516,25 +554,15 @@ class RelativeEngine:
 
     def to_coeffvector(self, element, d: int) -> CoeffVector:
         ell = self.A.ell
-        fld = self.A.field
         numerators = []
-        if self.kind == "D":
-            for k in range(ell):
-                P = Poly.zero(fld, ell)
-                for i in range(ell):
-                    src = self.base.d_basis[i].numerators[k]
-                    if element[i] and src:
-                        P = P + element[i] * src
-                numerators.append(P)
-            return CoeffVector("D", 1, d, tuple(numerators))
         for k in range(ell):
-            P = Poly.zero(fld, ell)
+            P = Poly.zero(self.field, ell)
             for i in range(ell):
-                src = self.base.omega_numerators[i][k]
+                src = self._basis[i].numerators[k]
                 if element[i] and src:
                     P = P + element[i] * src
             numerators.append(P)
-        return CoeffVector("O", 1, d, tuple(numerators))
+        return CoeffVector(self.kind, 1, d, tuple(numerators))
 
     def verify(self, element, d: int) -> bool:
         # base-form conditions hold identically; check the complement
@@ -691,90 +719,23 @@ def _reusing(build, built):
     return lambda p: built.pop(p) if p in built else build(p)
 
 
-class ConstraintFamily:
-    """The graded pieces of one engine's module over one field.
-
-    The piece at degree d is the kernel of the engine's divisibility
-    constraints.  Dimensions are remembered per degree, so one family
-    answers repeated questions about the same module without eliminating
-    again.
-    """
-
-    def __init__(self, engine, field):
-        self.engine = engine
-        self.space = engine.space
-        self.field = field
-        self._dims = {}
-
-    def matrix_mod(self, d: int, p: int) -> np.ndarray:
-        return self.engine.build_mod(d, p)
-
-    def verify_element(self, element, d: int) -> bool:
-        return self.engine.verify(element, d)
-
-    def known_rank(self, d: int):
-        """Rank over the field of the matrix at degree d if known without elimination."""
-        return None
-
-    def kernel(self, d: int, certify: bool = True):
-        """Exact kernel basis at degree d: (elements, coords, primes).
-
-        With `certify`, a lifted candidate is verified element by element,
-        and one that fails is replaced by a lift from more primes.
-        """
-        ncols = self.space.dim(d)
-        if ncols == 0:
-            return [], [], ()
-
-        def accept(vectors, primes, exact):
-            elements = [self.space.element_from_coords(self.field, d, v) for v in vectors]
-            if certify and not exact and not all(self.verify_element(el, d) for el in elements):
-                return None
-            return elements, vectors, primes
-
-        return _certified_kernel(lambda p: self.matrix_mod(d, p), ncols, self.field, accept)
-
-    def dimension(self, d: int) -> int:
-        """Exact dimension of the piece at degree d: the size of its certified kernel.
-
-        A matrix of full rank mod the first prime ends the kernel search
-        at once, and an exact kernel is counted without building elements.
-        """
-        n = self._dims.get(d)
-        if n is None:
-            ncols = self.space.dim(d)
-
-            def count(vectors, primes, exact):
-                if exact or all(
-                    self.verify_element(self.space.element_from_coords(self.field, d, v), d) for v in vectors
-                ):
-                    return len(vectors)
-                return None
-
-            n = _certified_kernel(lambda p: self.matrix_mod(d, p), ncols, self.field, count) if ncols else 0
-            self._dims[d] = n
-        return n
-
-
 def graded_basis(
     A: Arrangement,
     kind: str,
     order: int = 1,
     d: int = 0,
     engine: str = "auto",
-    certify: bool = True,
     base=None,
 ) -> GradedBasis:
     """Exact basis of D^p(A, m)_d (kind "D") or Omega^p(A, m)_d (kind "O").
 
     Multiplicities ride along on the arrangement.  Over Q the basis is
-    reconstructed from modular solves and, with certify=True (default),
-    every element is verified against the defining divisibility
-    conditions exactly; dimensions are exact either way because mod-p
-    ranks bound the rank over Q from below.
+    reconstructed from modular solves and every element is verified
+    against the defining divisibility conditions exactly; the dimension
+    is exact because mod-p ranks bound the rank over Q from below.
     """
     eng = pick_engine(A, kind, order, engine, base=base)
-    elements, coords, primes = ConstraintFamily(eng, A.field).kernel(d, certify)
+    elements, coords, primes = eng.kernel(d)
     return GradedBasis(
         arrangement=A,
         kind=kind,
@@ -794,7 +755,7 @@ def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0, engi
     mod-p kernel bounds the rational kernel); a nonzero answer is
     certified by reconstructing and verifying a full basis.
     """
-    return ConstraintFamily(pick_engine(A, kind, order, engine, base=base), A.field).dimension(d)
+    return pick_engine(A, kind, order, engine, base=base).dimension(d)
 
 
 # ---------------------------------------------------------------------------
@@ -889,10 +850,10 @@ class EvalKernelFamily:
         self.field = field
         self.image_dims = image_dims or {}
 
-    def matrix_mod(self, d: int, p: int) -> np.ndarray:
+    def build_mod(self, d: int, p: int) -> np.ndarray:
         return eval_matrix_mod(self.tgt_space, self.gens, d, p)
 
-    def verify_element(self, element, d: int) -> bool:
+    def verify(self, element, d: int) -> bool:
         return combination_is_zero(self.gens, element)
 
     def known_rank(self, d: int):
@@ -927,7 +888,7 @@ def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=(
     At each degree the new generators are the cokernel of the evaluation
     map of the generators found so far.  The dimensions are certified by
     mod-p rank bounds (exact over F_p), and over Q every exhibited
-    representative passes `family.verify_element` exactly.
+    representative passes `family.verify` exactly.
 
     `gens` are (degree, element) generators already known below the
     window; only the generators found inside it are returned.  After each
@@ -963,34 +924,26 @@ def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=(
 def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     """(piece dimension, new generators) at degree d, given the generators below it."""
     # fast path: dim <= n0 (the constraint rank mod p bounds the kernel;
-    # a known rank gives it exactly) and dim >= eval rank mod p (the span
-    # of verified-member multiples); equality pins the dimension with no
-    # kernel.  Over F_p, p0 is the field's prime and both bounds are exact.
+    # a known rank gives it exactly) and dim >= the certified eval rank
+    # (the span of verified-member multiples); equality pins the dimension
+    # with no kernel.  Over F_p, p is the field's prime and n0 is exact.
     field = family.field
     primes = _primes(field)
-    p0 = _eval_prime(gens, primes)
     built = {}
     rank = family.known_rank(d)
     if rank is None:
-        built[p0] = family.matrix_mod(d, p0)
-        rank = rank_mod(built[p0], p0)
+        p = primes[0]
+        built[p] = family.build_mod(d, p)
+        rank = rank_mod(built[p], p)
         if len(primes) > 1:
-            # a kernel taken at p0 alone reuses this matrix; a lift builds
+            # a kernel taken at p alone reuses this matrix; a lift builds
             # one per prime anyway, and holding a large matrix through the
             # eval rank would only raise the peak memory
             built.clear()
     n0 = ncols - rank
     if n0 == 0:
         return 0, []
-    E = eval_matrix_mod(family.space, gens, d, p0) if gens else np.zeros((ncols, 0), dtype=np.int64)
-    r0 = rank_mod(E, p0) if E.shape[1] else 0
-    if r0 == n0:
-        return n0, []
-
-    def eval_build(p):
-        return E if p == p0 else eval_matrix_mod(family.space, gens, d, p)
-
-    rank_eval = _certified_eval_rank(family.space, gens, d, field, eval_build) if E.shape[1] else 0
+    rank_eval, p0, E = _certified_eval_rank(family.space, gens, d, field, n0)
     if rank_eval == n0:
         return n0, []
     if hints_d:
@@ -1006,35 +959,30 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
         n_d = len(vectors)
         if rank_eval == n_d:
             return n_d, []
-        # pick representatives with a prime whose eval rank is the certified
-        # one, as every rank at an exact candidate's prime is
+        # pick representatives at a prime whose eval rank is the certified
+        # one, as every rank at an exact candidate's prime is; the pivots
+        # of [Ep | K] left of Ep's columns are the pivots of Ep
         for p in primes:
             try:
-                Ep = eval_build(p)
-            except ZeroDivisionError:
-                continue
-            if not exact and (rank_mod(Ep, p) if Ep.shape[1] else 0) != rank_eval:
-                continue
-            Kmod = np.zeros((n_d, ncols), dtype=np.int64)
-            try:
+                Ep = E if p == p0 else eval_matrix_mod(family.space, gens, d, p)
+                Kmod = np.zeros((n_d, ncols), dtype=np.int64)
                 for i, v in enumerate(vectors):
                     for j, x in enumerate(v):
                         if x:
                             Kmod[i, j] = _coeff_mod(x, p)
             except ZeroDivisionError:
                 continue
-            aug = np.hstack([Ep, Kmod.T])
-            _, aug_pivots = rref_mod(aug, p, reduced=False)
+            _, aug_pivots = rref_mod(np.hstack([Ep, Kmod.T]), p, reduced=False)
             picked = [vectors[c - Ep.shape[1]] for c in aug_pivots if c >= Ep.shape[1]]
-            if len(picked) != n_d - rank_eval:
+            if len(aug_pivots) - len(picked) != rank_eval or len(picked) != n_d - rank_eval:
                 continue
             new = [normalize_element(family.space.element_from_coords(field, d, v)) for v in picked]
-            if not exact and not all(family.verify_element(el, d) for el in new):
+            if not exact and not all(family.verify(el, d) for el in new):
                 return None
             return rank_eval + len(new), new
         raise SolverError("no ladder prime reproduced the certified eval rank")
 
-    matrix_build = _reusing(lambda p: family.matrix_mod(d, p), built)
+    matrix_build = _reusing(lambda p: family.build_mod(d, p), built)
     return _certified_kernel(matrix_build, ncols, field, select)
 
 
@@ -1051,7 +999,7 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
     cols = []
     valid = []
     for el in hints_d:
-        if not family.verify_element(el, d):
+        if not family.verify(el, d):
             continue
         try:
             cols.append(family.space.flatten_mod(el, d, p0))
@@ -1069,25 +1017,37 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
     return [normalize_element(el) for el in chosen]
 
 
-def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, build=None) -> int:
+def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper):
     """Exact rank over `field` of the evaluation map of `gens` at degree d.
 
-    Certified by exhibiting its kernel: over Q every candidate relation
-    must vanish exactly.  `build(p)`, when given, returns the eval matrix
-    mod p, so a caller hands out the matrices it has already built.
+    Returns (rank, p0, E0): E0 is the eval matrix mod p0, the prime of
+    `_eval_prime`, where the rank is taken first.  That rank bounds the
+    rank over `field` from below, so it is exact when it reaches `upper`
+    (an upper bound the caller knows, or None) or when p0 is the field's
+    own prime.  Otherwise the rank is certified by exhibiting the kernel,
+    lifted from the ladder primes with E0 as the matrix at p0: every
+    candidate relation must vanish exactly.
     """
+    primes = _primes(field)
+    p0 = _eval_prime(gens, primes)
     src = TwistSpace(tgt_space.ell, tuple(e for e, _ in gens))
     ncols = src.dim(d)
     if ncols == 0:
-        return 0
+        return 0, p0, np.zeros((tgt_space.dim(d), 0), dtype=np.int64)
+    E0 = eval_matrix_mod(tgt_space, gens, d, p0)
+    rank = rank_mod(E0, p0)
+    if rank == upper or len(primes) == 1:
+        return rank, p0, E0
 
-    def accept(vectors, primes, exact):
-        if exact or all(combination_is_zero(gens, src.element_from_coords(field, d, v)) for v in vectors):
+    def accept(vectors, *_):
+        if all(combination_is_zero(gens, src.element_from_coords(field, d, v)) for v in vectors):
             return ncols - len(vectors)
         return None
 
-    build = build or (lambda p: eval_matrix_mod(tgt_space, gens, d, p))
-    return _certified_kernel(build, ncols, field, accept)
+    def build(p):
+        return E0 if p == p0 else eval_matrix_mod(tgt_space, gens, d, p)
+
+    return _certified_kernel(build, ncols, field, accept), p0, E0
 
 
 # ---------------------------------------------------------------------------
@@ -1151,7 +1111,7 @@ def minimal_generators(
         for cv in hints:
             hint_map.setdefault(cv.degree, []).append(eng.element_from_cv(cv))
     stop = None if stop_if_exceeds is None else (lambda gens: len(gens) > stop_if_exceeds)
-    res = sweep_minimal_generators(ConstraintFamily(eng, A.field), degree_range, stop=stop, hints=hint_map)
+    res = sweep_minimal_generators(eng, degree_range, stop=stop, hints=hint_map)
     return _generator_set(A, kind, order, eng, res, tuple(degree_range), res.stopped_early)
 
 
@@ -1192,7 +1152,7 @@ def saito_check(A: Arrangement, degree_bound=None, engine: str = "auto", base=No
             constant = _saito_constant(A, [eng.to_coeffvector(el, e) for e, el in gens])
         return constant is not None
 
-    res = sweep_minimal_generators(ConstraintFamily(eng, A.field), (0, hi), stop=stop)
+    res = sweep_minimal_generators(eng, (0, hi), stop=stop)
     rng = (0, max(res.dims)) if res.stopped_early else (0, hi)
     gs = _generator_set(A, "D", 1, eng, res, rng, res.stopped_early and constant is None)
     if constant is not None:

@@ -213,3 +213,36 @@ def test_free_bound_and_generic_cut_seed(tmp_path, capsys):
         return json.loads(payload)["claims"][0]["data"]["coefficients"]
 
     assert sampled(seed3) != sampled(seed0)
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["omega", "@boolean:3", "--degrees", "3"], None),
+        (["omega", "@boolean:3", "--degrees", "a:b"], None),
+        (["generic-cut", "@boolean:3", "--hyperplane", "0,0,0"], None),
+        (["generic-cut", "@boolean:3", "--hyperplane", "1,2"], None),
+        (["lattice"], "field Q\ndim x\n1 0\n"),
+        (["lattice"], "field Q\ndim 2\n1 0 *x\n"),
+        (["lattice"], "field Fp 6\ndim 2\n1 0\n"),
+        (["lattice", "@boolean:3", "--field", "Fp:6"], None),
+        (["lattice", "@boolean:3", "--field", " "], None),
+        (["lattice", "@boolean:x"], None),
+        (["lattice", "@boolean:3", "--max-codim", "-1"], None),
+        (["verify-paper", "--primes", "x"], None),
+    ],
+    ids=[
+        "degrees-one-number", "degrees-not-integers", "hyperplane-zero", "hyperplane-short",
+        "file-dim", "file-multiplicity", "file-field", "field-option", "field-blank", "library-parameter",
+        "max-codim", "primes-option",
+    ],
+)
+def test_malformed_input_is_a_typed_error(args, text, tmp_path, capsys):
+    if text is not None:
+        path = tmp_path / "bad.arr"
+        path.write_text(text)
+        args = args + [str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,18 +1,26 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every function, class and method it defines is referenced somewhere.
 
 No lint tool is a dependency, so this walks the syntax trees itself.  An
 import counts as used when its name is read anywhere in the scope (module
 or function) that holds the import.  `__init__.py` is exempt: its imports
-are the package's re-exports.
+are the package's re-exports.  A definition counts as referenced when its
+name is read, imported, or named in a dotted string (perfbench names its
+trace targets that way) in `src/`, `tests/` or `perfbench/`, outside the
+definition itself; dunder methods are exempt.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "arrlog"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "arrlog"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TREES = ("src", "tests", "perfbench")
 
 
 def _imported_names(node):
@@ -57,3 +65,74 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _references(tree):
+    """Counter of the names a syntax tree reads, imports or names in a dotted string."""
+    docstrings = {
+        id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr) and isinstance(n.value, ast.Constant)
+    }
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)
+        ):
+            names.update(node.value.split("."))
+    return names
+
+
+def unreferenced_definitions(defining, sources):
+    """(file, name) of each non-dunder def or class in `defining` that no
+    tree of `sources` references outside the definition itself.
+
+    Both arguments map a file name to its source text.
+    """
+    total = Counter()
+    for text in sources.values():
+        total += _references(ast.parse(text))
+    out = []
+    for fname, text in defining.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if total[node.name] <= _references(node)[node.name]:
+                out.append((fname, node.name))
+    return sorted(out)
+
+
+def test_checker_finds_unreferenced_definitions():
+    lib = (
+        "class Used:\n"
+        "    def method(self):\n"
+        "        return self.method()\n"
+        "    def traced(self):\n"
+        "        return 1\n"
+        "    def __repr__(self):\n"
+        "        return 'Used'\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def documented():\n"
+        "    \"recursive\"\n"
+    )
+    user = "from lib import Used, documented\nTARGET = 'Used.traced'\n"
+    got = unreferenced_definitions({"lib.py": lib}, {"lib.py": lib, "user.py": user})
+    assert got == [("lib.py", "method"), ("lib.py", "recursive")]
+
+
+def test_no_unreferenced_definitions():
+    sources = {
+        str(p.relative_to(ROOT)): p.read_text() for tree in TREES for p in sorted((ROOT / tree).rglob("*.py"))
+    }
+    defining = {name: text for name, text in sources.items() if name.startswith("src/arrlog/")}
+    assert unreferenced_definitions(defining, sources) == []

@@ -2,18 +2,20 @@ import pytest
 
 from arrlog.arrangement import restrict
 from arrlog.fields import GF, QQ
-from arrlog.library import boolean, grr3, nine4d, ziegler22
+from arrlog.library import boolean, generic, grr3, nine4d, ziegler22
 from arrlog.maps import (
+    certified_image_rank,
     euler_restrict_der,
     preparation_check,
     restrict_form,
     surjectivity_check,
 )
-from arrlog.poly import LinearForm, Poly
+from arrlog.poly import LinearForm, Poly, monomial_basis
 from arrlog.solver import (
     CoeffVector,
     NotLogarithmic,
     graded_basis,
+    graded_dimension,
     is_logarithmic,
     minimal_generators,
     saito_check,
@@ -136,3 +138,67 @@ def test_preparation_check_random_reject():
         (Poly.variable(QQ, 3, 1), Poly.zero(QQ, 3), Poly.zero(QQ, 3)),
     )
     assert not preparation_check(bad, A, 0)
+
+
+# ---------------------------------------------------------------------------
+# certified eval ranks against an exact rank over the field
+# ---------------------------------------------------------------------------
+
+
+def _exact_eval_columns(space, gens, d, field):
+    """Columns (k, mono) of the eval map at degree d: the coordinates of mono * gen_k."""
+    cols = []
+    for e, el in gens:
+        if d - e < 0:
+            continue
+        for mono in monomial_basis(space.ell, d - e):
+            m = Poly(field, space.ell, {mono: field.one})
+            col = []
+            for poly, deg in zip(el, space.block_degrees(d)):
+                if deg >= 0:
+                    terms = (m * poly).terms
+                    col += [terms.get(t, field.zero) for t in monomial_basis(space.ell, deg)]
+            cols.append(col)
+    return cols
+
+
+def _exact_rank(cols, field):
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+
+    if not cols:
+        return 0
+    if field == QQ:
+        K = sympy.QQ
+        rows = [[K(c[i].numerator, c[i].denominator) for c in cols] for i in range(len(cols[0]))]
+    else:
+        K = sympy.GF(field.p)
+        rows = [[K(int(c[i])) for c in cols] for i in range(len(cols[0]))]
+    return DomainMatrix(rows, (len(rows), len(cols)), K).rank()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1009)], ids=["QQ", "F1009"])
+@pytest.mark.parametrize("source", ["boolean3-plus-one", "generic5"])
+def test_certified_image_rank_is_the_exact_rank(field, source):
+    if source == "generic5":
+        A = generic(5, 3, seed=1, field=field)
+    else:
+        A = boolean(3, field=field).add_hyperplane(LinearForm(field, [field.of(c) for c in (1, 2, 3)]))
+    gs = minimal_generators(A, "O", engine="ambient")
+    gens = list(zip(gs.degrees, gs.elements))
+    space = gs.engine.space
+    # all generators reach the piece dimension above their degree; without
+    # one of them the rank stays below it; below every generator degree
+    # the map has no columns
+    cases = {"reaches": (gens, 0), "below": (gens[:-1], 0), "no columns": (gens, min(gs.degrees) - 1)}
+    for case, (sub, d) in cases.items():
+        upper = graded_dimension(A, "O", 1, d, engine="ambient")
+        cols = _exact_eval_columns(space, sub, d, field)
+        rank = certified_image_rank(space, sub, d, field, upper=upper)
+        assert rank == _exact_rank(cols, field), case
+        if case == "reaches":
+            assert rank == upper
+        elif case == "below":
+            assert rank < upper
+        else:
+            assert cols == [] and rank == 0

@@ -283,8 +283,6 @@ def test_fraction_matrix_to_mod():
 
 def _reconstruct_from_scratch(rows_mod, primes):
     """Oracle: CRT over all primes, then lift every entry in row order."""
-    from arrlog.modular import _xgcd
-
     m = 1
     combined = None
     for R, p in zip(rows_mod, primes):
@@ -292,7 +290,7 @@ def _reconstruct_from_scratch(rows_mod, primes):
             combined = R.astype(object)
             m = p
         else:
-            _, x = _xgcd(m, p)
+            x = pow(m, -1, p)
             combined = (combined + (R.astype(object) - combined) * x % p * m) % (m * p)
             m *= p
     out = []

@@ -149,17 +149,17 @@ def _count_constraint_ranks(monkeypatch):
     from arrlog import solver
 
     calls = [0]
-    matrix_mod = solver.EvalKernelFamily.matrix_mod
+    build_mod = solver.EvalKernelFamily.build_mod
     rank_mod = solver.rank_mod
 
     def marked(self, d, p):
-        return matrix_mod(self, d, p).view(_Marked)
+        return build_mod(self, d, p).view(_Marked)
 
     def counting(A, p):
         calls[0] += isinstance(A, _Marked)
         return rank_mod(A, p)
 
-    monkeypatch.setattr(solver.EvalKernelFamily, "matrix_mod", marked)
+    monkeypatch.setattr(solver.EvalKernelFamily, "build_mod", marked)
     monkeypatch.setattr(solver, "rank_mod", counting)
     return calls
 

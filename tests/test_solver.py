@@ -12,7 +12,6 @@ from arrlog.poly import LinearForm, Poly
 from arrlog.solver import (
     AmbientEngine,
     CoeffVector,
-    ConstraintFamily,
     RelativeEngine,
     _certified_kernel,
     condition_polys,
@@ -227,12 +226,12 @@ def test_piece_solver_dimension_matches_graded_dimension(field):
     A = generic(5, 3, seed=2, field=field)
     for engine in ("ambient", "relative"):
         for kind, degrees in (("D", range(-1, 5)), ("O", range(-6, 1))):
-            family = ConstraintFamily(pick_engine(A, kind, 1, engine), A.field)
+            eng = pick_engine(A, kind, 1, engine)
             for d in degrees:
-                assert family.dimension(d) == graded_dimension(A, kind, 1, d, engine=engine), (engine, kind, d)
+                assert eng.dimension(d) == graded_dimension(A, kind, 1, d, engine=engine), (engine, kind, d)
             # remembered: asking again builds no constraint matrix
-            family.engine.build_mod = None
-            assert [family.dimension(d) for d in degrees] == [
+            eng.build_mod = None
+            assert [eng.dimension(d) for d in degrees] == [
                 graded_dimension(A, kind, 1, d, engine=engine) for d in degrees
             ]
 
@@ -337,3 +336,34 @@ def test_saito_exit_no_saito_basis(field, monkeypatch):
     assert gs.dims == {d: free_piece_dimension(3, [1, 2, 3], d) for d in range(7)}
     assert gs.degree_bound_used == (0, 6) and not gs.stopped_early
     assert saito_check(A, degree_bound=4).reason == "not free up to bound"
+
+
+class _Eval(np.ndarray):
+    """An eval matrix of the generators found so far."""
+
+
+def test_fp_degree_step_eliminates_eval_matrix_once(monkeypatch):
+    # over F_p the eval rank at the field's prime is exact: a degree step
+    # ranks its eval matrix and takes no kernel of it
+    from arrlog import solver
+
+    eval_matrix_mod, rank_mod, kernel_mod = solver.eval_matrix_mod, solver.rank_mod, solver.kernel_mod
+    ranks, kernels = [0], [0]
+
+    def counting_rank(M, p):
+        ranks[0] += isinstance(M, _Eval)
+        return rank_mod(M, p)
+
+    def counting_kernel(M, p):
+        kernels[0] += isinstance(M, _Eval)
+        return kernel_mod(M, p)
+
+    monkeypatch.setattr(solver, "eval_matrix_mod", lambda *args: eval_matrix_mod(*args).view(_Eval))
+    monkeypatch.setattr(solver, "rank_mod", counting_rank)
+    monkeypatch.setattr(solver, "kernel_mod", counting_kernel)
+    F = GF(1009)
+    for A in (boolean(3, field=F).add_hyperplane(LinearForm(F, [1, 2, 3])), generic(5, 3, seed=1, field=F)):
+        for kind in ("D", "O"):
+            minimal_generators(A, kind)
+    assert ranks[0] > 0
+    assert kernels[0] == 0
