@@ -20,7 +20,6 @@ from .checks import criticality_check
 from .fields import parse_field
 from .lattice import characteristic_polynomial, intersection_lattice
 from .library import parse_library_ref
-from .modular import ReconstructionFailed
 from .poly import LinearForm
 from .report import Report
 from .resolution import betti_table, spog_detect
@@ -280,7 +279,7 @@ def main(argv=None) -> int:
             rep = cmd_verify_paper(args)
         else:  # pragma: no cover
             ap.error(f"unknown command {args.command}")
-    except (ArrangementError, ReconstructionFailed, OSError) as exc:
+    except (ArrangementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rep.wall_time = time.time() - t0

@@ -3,9 +3,10 @@
 Heavy kernels over Q are computed by reducing an integer matrix modulo a
 deterministic ladder of primes below 2**28, combining the reduced rows by
 CRT and lifting entries with rational reconstruction.  The lift is a
-*candidate*: callers certify it exactly (membership checks plus the mod-p
-rank lower bound) before trusting it, so every published result remains
-exact.
+*candidate*: `kernel_qq_candidates` hands it to the caller's exact
+certificate (membership checks plus the mod-p rank lower bound) and, when
+that rejects it, goes on with more primes in the same search, so every
+published result remains exact.
 
 Elimination (`rref_mod`) is a column-recursive Gauss-Jordan.  The pivots
 found in a column range act on every later column as one transform
@@ -74,8 +75,8 @@ _UPDATE_ROWS = 128
 _UPDATE_COLS = 256
 
 
-class ReconstructionFailed(RuntimeError):
-    """Rational reconstruction did not stabilize within the prime ladder."""
+class ReconstructionFailed(ArrangementError):
+    """No kernel candidate was certified within the prime ladder."""
 
 
 class ModulusTooLarge(ArrangementError):
@@ -351,51 +352,53 @@ def reconstruct_matrix(rows_mod: list[np.ndarray], primes: list[int]):
     return acc.lift()
 
 
-def kernel_qq_candidates(build, ncols: int, min_primes: int = 2, max_primes: int = 48):
-    """Candidate exact kernel basis of an integer matrix given mod p.
+def kernel_qq_candidates(build, ncols: int, accept):
+    """Certified exact kernel of an integer matrix given mod p.
 
     `build(p)` must return the constraint matrix reduced mod p (int64
     2-D array with `ncols` columns; it may differ per prime only by the
-    reduction).  Computes rrefs over an increasing set of ladder primes,
-    keeps the group agreeing on the (max-rank, lex-min) pivot profile and
-    reconstructs the free columns of the reduced matrix entrywise.
+    reduction).  Computes rrefs over the ladder primes in order, keeps
+    the group agreeing on the (max-rank, lex-min) pivot profile and
+    reconstructs the free columns of the reduced matrix entrywise.  Each
+    reconstructed candidate, a list of Fraction lists in unit-free-column
+    form, goes to `accept(vectors, primes, False)`, which returns its
+    result, or None to reject the candidate.  After a failed or rejected
+    lift the search goes on with the next prime, keeping every group,
+    and lifts again only once the best group holds one more prime.
 
-    Returns (vectors, rank, pivots, primes_used) where vectors is a list
-    of Fraction lists in unit-free-column form.  Completeness is exact as
-    soon as the caller verifies membership of each vector: the mod-p rank
-    is a lower bound for the rank over Q, so `ncols - rank` independent
-    verified kernel vectors span the whole kernel.
+    Returns (accept's result, rank, pivots, primes_used), or raises
+    `ReconstructionFailed` when the ladder is used up.  Completeness is
+    exact as soon as `accept` verifies membership of each vector: the
+    mod-p rank is a lower bound for the rank over Q, so `ncols - rank`
+    independent verified kernel vectors span the whole kernel.
     """
-    results = {}  # pivots tuple -> _CRTLift of the free-column blocks
-    used = []
-    for p in PRIMES[:max_primes]:
+    groups = {}  # pivots tuple -> _CRTLift of the free-column blocks
+    need = 1  # primes the best group must hold before its next lift
+    for p in PRIMES:
         A = build(p)
-        if A.shape[0] == 0 or A.shape[1] == 0 or not A.any():
-            # zero constraint matrix: kernel is everything
-            basis = []
-            for j in range(ncols):
-                v = [Fraction(0)] * ncols
-                v[j] = Fraction(1)
-                basis.append(v)
-            return basis, 0, (), (p,)
-        R, pivots = rref_mod(A, p)
-        key = tuple(pivots)
+        if A.any():
+            R, pivots = rref_mod(A, p)
+        else:
+            R, pivots = A[:0], []  # zero mod p: no pivots, nothing to eliminate
         pivot_set = set(pivots)
         free = [j for j in range(ncols) if j not in pivot_set]
-        results.setdefault(key, _CRTLift()).add(p, R[:, free])
-        used.append(p)
-        best = max(results, key=lambda k: (len(k), [-c for c in k]))
-        group = results[best]
-        if len(best) == ncols:
-            return [], ncols, best, tuple(group.primes)
-        if len(group.primes) >= min_primes:
-            lifted = group.lift()
-            if lifted is not None:
-                vectors = _kernel_from_lifted(lifted, list(best), ncols)
-                return vectors, len(best), best, tuple(group.primes)
-            min_primes += 1  # need more primes for this group
+        groups.setdefault(tuple(pivots), _CRTLift()).add(p, R[:, free])
+        best = max(groups, key=lambda k: (len(k), [-c for c in k]))
+        group = groups[best]
+        n = len(group.primes)
+        # a free block with entries waits for a second prime; an empty one
+        # (no pivots, or no free columns) lifts from one
+        if n < need or (n < 2 and 0 < len(best) < ncols):
+            continue
+        lifted = group.lift()
+        if lifted is not None:
+            primes = tuple(group.primes)
+            result = accept(_kernel_from_lifted(lifted, best, ncols), primes, False)
+            if result is not None:
+                return result, len(best), best, primes
+        need = n + 1
     raise ReconstructionFailed(
-        f"no stable kernel after {len(used)} primes (pivot groups: {sorted(len(g.primes) for g in results.values())})"
+        f"no certified kernel after {len(PRIMES)} primes (pivot groups: {sorted(len(g.primes) for g in groups.values())})"
     )
 
 

@@ -43,7 +43,6 @@ from .fields import GF, Rationals
 from .linalg import Matrix, det
 from .modular import (
     PRIMES,
-    ReconstructionFailed,
     kernel_mod,
     kernel_qq_candidates,
     rank_mod,
@@ -693,30 +692,15 @@ def _certified_kernel(build, ncols: int, field, accept):
     gets a candidate basis (coordinate lists) and returns its result, or
     None when the candidate fails exact verification; `exact` says it
     needs none.  Over F_p the kernel mod the field's prime is exact, and
-    so is every rank at that prime.  Over
-    Q a wrong lift of a few primes can still reconstruct, so a rejected
-    candidate is lifted again from more primes, until the ladder is used
-    up (`ReconstructionFailed`).  An accepted first candidate costs one
-    `kernel_qq_candidates` call.
+    so is every rank at that prime.  Over Q a wrong lift of a few primes
+    can still reconstruct, so `kernel_qq_candidates` answers a rejected
+    candidate with one more prime for its group, until the ladder is used
+    up (`ReconstructionFailed`).
     """
     if not isinstance(field, Rationals):
         p = field.p
         return accept(kernel_mod(build(p), p).tolist(), (p,), True)
-    min_primes = 2
-    while True:
-        vectors, _, _, primes = kernel_qq_candidates(build, ncols, min_primes=min_primes)
-        result = accept(vectors, primes, False)
-        if result is not None:
-            return result
-        if len(primes) < min_primes:
-            # a zero matrix mod the first prime: more primes cannot change it
-            raise ReconstructionFailed("kernel candidate failed exact verification")
-        min_primes = len(primes) + 1
-
-
-def _reusing(build, built):
-    """`build`, but handing out (and dropping) the matrices of `built`, prime -> matrix, first."""
-    return lambda p: built.pop(p) if p in built else build(p)
+    return kernel_qq_candidates(build, ncols, accept)[0]
 
 
 def graded_basis(
@@ -929,17 +913,23 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     # with no kernel.  Over F_p, p is the field's prime and n0 is exact.
     field = family.field
     primes = _primes(field)
-    built = {}
+
+    def build(p):
+        return family.build_mod(d, p)
+
+    candidate = None  # an exact kernel candidate, once taken
     rank = family.known_rank(d)
     if rank is None:
         p = primes[0]
-        built[p] = family.build_mod(d, p)
-        rank = rank_mod(built[p], p)
         if len(primes) > 1:
-            # a kernel taken at p alone reuses this matrix; a lift builds
-            # one per prime anyway, and holding a large matrix through the
-            # eval rank would only raise the peak memory
-            built.clear()
+            # a lift builds one matrix per prime anyway, and holding a large
+            # matrix through the eval rank would only raise the peak memory
+            rank = rank_mod(build(p), p)
+        else:
+            # at the field's prime the reduced elimination costs about what
+            # the rank does, and its kernel serves a generator degree too
+            candidate = _certified_kernel(build, ncols, field, lambda *cand: cand)
+            rank = ncols - len(candidate[0])
     n0 = ncols - rank
     if n0 == 0:
         return 0, []
@@ -982,8 +972,9 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
             return rank_eval + len(new), new
         raise SolverError("no ladder prime reproduced the certified eval rank")
 
-    matrix_build = _reusing(lambda p: family.build_mod(d, p), built)
-    return _certified_kernel(matrix_build, ncols, field, select)
+    if candidate is not None:
+        return select(*candidate)
+    return _certified_kernel(build, ncols, field, select)
 
 
 def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):

@@ -116,11 +116,11 @@ def test_reconstruction_failed_exit_code(monkeypatch, capsys):
     from arrlog.modular import ReconstructionFailed
 
     def fail(args, kind):
-        raise ReconstructionFailed("no stable kernel after 48 primes")
+        raise ReconstructionFailed("no certified kernel after 64 primes (pivot groups: [64])")
 
     monkeypatch.setattr(arrlog.cli, "cmd_generators", fail)
     assert main(["omega", "@boolean:3"]) == 2
-    assert capsys.readouterr().err == "error: no stable kernel after 48 primes\n"
+    assert capsys.readouterr().err == "error: no certified kernel after 64 primes (pivot groups: [64])\n"
 
 
 # generic-cut: (input, extra flags) -> (record id, status) in report order

@@ -260,7 +260,7 @@ def test_kernel_qq_candidates_exact():
         def build(p, rows=rows):
             return np.array(rows, dtype=np.int64) % p
 
-        vectors, rk, pivots, primes = kernel_qq_candidates(build, 8)
+        vectors, rk, pivots, primes = kernel_qq_candidates(build, 8, _accept_all)
         exact = kernel_basis(Matrix(QQ, rows))
         assert len(vectors) == len(exact)
         # candidates must annihilate the exact matrix
@@ -305,10 +305,14 @@ def _reconstruct_from_scratch(rows_mod, primes):
     return out
 
 
-def _kernel_qq_from_scratch(build, ncols, min_primes=2, max_primes=48):
+def _accept_all(vectors, primes, exact):
+    return vectors
+
+
+def _kernel_qq_from_scratch(build, ncols, min_primes=2):
     """Oracle: the prime loop with a from-scratch reconstruction per attempt."""
     results = {}
-    for p in PRIMES[:max_primes]:
+    for p in PRIMES:
         A = build(p)
         R, pivots = rref_mod(A, p)
         free = [j for j in range(ncols) if j not in set(pivots)]
@@ -345,12 +349,29 @@ def test_kernel_qq_candidates_matches_from_scratch_reconstruction():
     rng = random.Random(11)
     for m, n, bound in [(3, 7, 10**3), (5, 11, 10**6), (6, 9, 10**9), (4, 7, 50)]:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
-        got = kernel_qq_candidates(_int_build(rows), n)
+        got = kernel_qq_candidates(_int_build(rows), n, _accept_all)
         want = _kernel_qq_from_scratch(_int_build(rows), n)
         assert got == want
         assert len(got[3]) >= 2
         for v in got[0]:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+        # a rejected candidate resumes the search: the answer of a restart
+        # asking for one more prime, built from one more prime only
+        built = []
+
+        def build(p, inner=_int_build(rows)):
+            built.append(p)
+            return inner(p)
+
+        offers = []
+
+        def reject_first(vectors, primes, exact):
+            offers.append(primes)
+            return vectors if len(offers) > 1 else None
+
+        resumed = kernel_qq_candidates(build, n, reject_first)
+        assert resumed == _kernel_qq_from_scratch(_int_build(rows), n, min_primes=len(want[3]) + 1)
+        assert len(built) == PRIMES.index(want[3][-1]) + 2
 
 
 def test_kernel_qq_candidates_bad_first_prime():
@@ -361,7 +382,7 @@ def test_kernel_qq_candidates_bad_first_prime():
     base = [rng.randint(-10**8, 10**8) for _ in range(6)]
     rows = [base, [x + (P if j == 1 else 0) for j, x in enumerate(base)],
             [rng.randint(-10**8, 10**8) for _ in range(6)]]
-    got = kernel_qq_candidates(_int_build(rows), 6)
+    got = kernel_qq_candidates(_int_build(rows), 6, _accept_all)
     assert got == _kernel_qq_from_scratch(_int_build(rows), 6)
     assert P not in got[3] and got[1] == 3
 
@@ -440,7 +461,7 @@ def test_kernel_qq_candidates_sparse_block_matches_from_scratch():
             rows[i][i] = rng.choice([1, 3, P0, 2 * P1])
             for j in rng.sample(range(m, n), 3):
                 rows[i][j] = rng.choice([P0, P1, -P0 * 7, rng.randint(-10**6, 10**6)])
-        got = kernel_qq_candidates(_int_build(rows), n)
+        got = kernel_qq_candidates(_int_build(rows), n, _accept_all)
         want = _kernel_qq_from_scratch(_int_build(rows), n)
         assert got == want
         for v in got[0]:

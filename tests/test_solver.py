@@ -7,7 +7,8 @@ import pytest
 from arrlog.arrangement import validate
 from arrlog.fields import GF, QQ
 from arrlog.library import boolean, braid, generic, grr3, nine4d, ziegler22
-from arrlog.modular import ReconstructionFailed, kernel_qq_candidates
+from arrlog.linalg import Matrix, rank
+from arrlog.modular import PRIMES, ReconstructionFailed, kernel_qq_candidates
 from arrlog.poly import LinearForm, Poly
 from arrlog.solver import (
     AmbientEngine,
@@ -251,24 +252,64 @@ def test_wrong_early_lift_takes_more_primes(engine):
 
 def test_certified_kernel_qq_retry_and_exhaustion():
     rows = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)  # kernel (1, -2, 1)
+    built = []
 
     def build(p):
+        built.append(p)
         return rows % p
 
-    first = kernel_qq_candidates(build, 3)
+    first = kernel_qq_candidates(build, 3, lambda *cand: cand)
+    vectors, primes, exact = first[0]
+    assert (primes, exact) == (first[3], False)
     seen = []
 
     def reject_first(vectors, primes, exact):
         seen.append(primes)
         return vectors if len(seen) > 1 else None
 
-    assert _certified_kernel(build, 3, QQ, lambda *cand: cand) == (first[0], first[3], False)
-    assert _certified_kernel(build, 3, QQ, reject_first) == first[0]
+    assert _certified_kernel(build, 3, QQ, lambda *cand: cand) == first[0]
+    built.clear()
+    assert _certified_kernel(build, 3, QQ, reject_first) == vectors
     assert seen[0] == first[3]
     assert len(seen[1]) == len(first[3]) + 1
+    # the search resumes: the rejected candidate's primes are built once
+    assert len(built) == len(first[3]) + 1
     with pytest.raises(ReconstructionFailed):
         _certified_kernel(build, 3, QQ, lambda *cand: None)
 
+
+def test_certified_kernel_qq_zero_mod_first_prime():
+    # [P, 2P, 3P] vanishes mod P = PRIMES[0]: the identity candidate of the
+    # zero matrix fails, and the next primes give the rational kernel
+    P = PRIMES[0]
+    rows = [[P, 2 * P, 3 * P]]
+
+    def accept(vectors, primes, exact):
+        if all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows for v in vectors):
+            return vectors
+        return None
+
+    vectors = _certified_kernel(lambda p: np.array(rows, dtype=np.int64) % p, 3, QQ, accept)
+    assert len(vectors) == 2
+    assert rank(Matrix(QQ, vectors)) == 2
+
+
+def test_rejected_lift_resumes_from_its_primes(monkeypatch):
+    # a wrong lift that reconstructs (degrees 3 and 4 on the ambient engine)
+    # is answered by one more prime, not by a lift from the first prime again
+    A = generic(5, 3, seed=3, field=QQ).delete(3)
+    build_mod = AmbientEngine.build_mod
+    builds = [0]
+
+    def counting_build(self, d, p):
+        builds[0] += 1
+        return build_mod(self, d, p)
+
+    monkeypatch.setattr(AmbientEngine, "build_mod", counting_build)
+    for d, dim, most in ((3, 14, 13), (4, 25, 20)):
+        builds[0] = 0
+        assert graded_dimension(A, "D", 1, d, engine="ambient") == dim
+        assert builds[0] <= most, (d, builds[0])
 
 
 def test_certified_kernel_fp_is_exact_and_taken_once():
@@ -342,28 +383,56 @@ class _Eval(np.ndarray):
     """An eval matrix of the generators found so far."""
 
 
+class _Constraint(np.ndarray):
+    """A constraint matrix of one engine at one degree."""
+
+
 def test_fp_degree_step_eliminates_eval_matrix_once(monkeypatch):
     # over F_p the eval rank at the field's prime is exact: a degree step
-    # ranks its eval matrix and takes no kernel of it
+    # ranks its eval matrix and takes no kernel of it; and one reduced
+    # elimination of its constraint matrix gives the rank and, at a
+    # generator degree, the kernel the new generators are picked from
     from arrlog import solver
 
     eval_matrix_mod, rank_mod, kernel_mod = solver.eval_matrix_mod, solver.rank_mod, solver.kernel_mod
     ranks, kernels = [0], [0]
+    built, eliminated = {}, {}
+
+    def counting_build(build_mod):
+        def build(self, d, p):
+            M = build_mod(self, d, p).view(_Constraint)
+            M.key = (self, d)
+            built[M.key] = built.get(M.key, 0) + 1
+            return M
+
+        return build
+
+    def count_constraint(M):
+        if isinstance(M, _Constraint):
+            eliminated[M.key] = eliminated.get(M.key, 0) + 1
 
     def counting_rank(M, p):
         ranks[0] += isinstance(M, _Eval)
+        count_constraint(M)
         return rank_mod(M, p)
 
     def counting_kernel(M, p):
         kernels[0] += isinstance(M, _Eval)
+        count_constraint(M)
         return kernel_mod(M, p)
 
+    for cls in (AmbientEngine, RelativeEngine):
+        monkeypatch.setattr(cls, "build_mod", counting_build(cls.build_mod))
     monkeypatch.setattr(solver, "eval_matrix_mod", lambda *args: eval_matrix_mod(*args).view(_Eval))
     monkeypatch.setattr(solver, "rank_mod", counting_rank)
     monkeypatch.setattr(solver, "kernel_mod", counting_kernel)
     F = GF(1009)
+    generator_degrees = 0
     for A in (boolean(3, field=F).add_hyperplane(LinearForm(F, [1, 2, 3])), generic(5, 3, seed=1, field=F)):
         for kind in ("D", "O"):
-            minimal_generators(A, kind)
+            generator_degrees += len(set(minimal_generators(A, kind).degrees))
     assert ranks[0] > 0
     assert kernels[0] == 0
+    assert generator_degrees > 0
+    assert set(built.values()) == {1}
+    assert eliminated.keys() == built.keys() and set(eliminated.values()) == {1}
