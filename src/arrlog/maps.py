@@ -147,9 +147,9 @@ def certified_image_rank(tgt_space: TwistSpace, gens, d: int, field, upper=None)
     """Exact rank at degree d of the eval map of verified target elements.
 
     When `upper` (the ambient piece dimension) is supplied and the rank
-    mod the first usable prime reaches it, the rank is pinned with no
-    kernel: mod-p ranks bound the rational rank from below, membership
-    bounds it above.  Otherwise the exact kernel of the eval map is
+    mod the first usable prime reaches it, or that rank is the number of
+    columns, the rank is pinned with no kernel: mod-p ranks bound the
+    rational rank from below, membership bounds it above.  Otherwise the exact kernel of the eval map is
     exhibited (`solver._certified_eval_rank`).
     """
     return _certified_eval_rank(tgt_space, gens, d, field, upper)[0]

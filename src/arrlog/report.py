@@ -1,13 +1,15 @@
 """Structured run reports: a human table plus deterministic JSON.
 
 The JSON document is the stable interface; it contains no timing data so
-that identical flags reproduce byte-identical output.  Wall time goes to
-the human-readable rendering only.
+that identical flags reproduce byte-identical output.  Wall time, of the
+whole run and of each claim record (the time since the record before it),
+goes to the human-readable rendering only.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 
 
@@ -23,6 +25,8 @@ class ClaimRecord:
     anchor: str
     status: str
     data: dict = field(default_factory=dict)
+    #: wall time since the report's previous record (or its creation)
+    seconds: float | None = field(default=None, compare=False)
 
     def as_dict(self):
         return {
@@ -42,6 +46,7 @@ class Report:
     bounds: dict = field(default_factory=dict)
     claims: list = field(default_factory=list)
     wall_time: float | None = None
+    _last: float = field(default_factory=time.perf_counter, init=False, repr=False, compare=False)
 
     def add(self, claim_id: str, anchor: str, ok, data=None, uncertified=False):
         if ok is None:
@@ -50,7 +55,9 @@ class Report:
             status = UNCERTIFIED
         else:
             status = PASS if ok else FAIL
-        self.claims.append(ClaimRecord(claim_id, anchor, status, _jsonable(data or {})))
+        now = time.perf_counter()
+        self.claims.append(ClaimRecord(claim_id, anchor, status, _jsonable(data or {}), now - self._last))
+        self._last = now
         return self.claims[-1]
 
     @property
@@ -83,16 +90,17 @@ class Report:
         if self.seed is not None:
             lines.append(f"seed:    {self.seed}")
         width = max((len(c.claim_id) for c in self.claims), default=10)
-        lines.append("-" * (width + 14))
+        lines.append("-" * (width + 18))
         for c in self.claims:
             mark = {PASS: "PASS", FAIL: "FAIL", UNCERTIFIED: "UNCERT", SKIP: "skip"}[c.status]
-            lines.append(f"{c.claim_id.ljust(width)}  {mark}")
+            seconds = "" if c.seconds is None else f"{c.seconds:8.2f}s"
+            lines.append(f"{c.claim_id.ljust(width)}  {mark:<6}{seconds}".rstrip())
             if c.status == FAIL and c.data:
                 detail = json.dumps(c.data, sort_keys=True)
                 if len(detail) > 140:
                     detail = detail[:137] + "..."
                 lines.append(f"{' ' * width}  {detail}")
-        lines.append("-" * (width + 14))
+        lines.append("-" * (width + 18))
         npass = sum(1 for c in self.claims if c.status == PASS)
         lines.append(
             f"{npass}/{len(self.claims)} claims pass"

@@ -25,7 +25,11 @@ and is taken once.  Over Q kernels are
 computed mod deterministic ladder primes, lifted by CRT + rational
 reconstruction, and then certified: exhibited elements are verified
 exactly at the polynomial level, and mod-p ranks bound the ranks over Q
-from below, which pins every reported dimension exactly.
+from below, which pins every reported dimension exactly.  A Q degree
+step ranks the eval matrix of the generators below it first and builds
+the constraint matrix only on the columns that image leaves out
+(`build_mod(d, p, cols)`): at most degrees the generators span the
+piece, and a full column rank there certifies it.
 """
 
 from __future__ import annotations
@@ -313,12 +317,13 @@ class AmbientEngine(_Engine):
     def numerator_degree(self, d: int) -> int:
         return d if self.kind == "D" else d + self.A.deg_Q()
 
-    def build_mod(self, d: int, p: int) -> np.ndarray:
+    def build_mod(self, d: int, p: int, cols=None) -> np.ndarray:
         N = self.numerator_degree(d)
-        ncols = self.space.dim(d)
-        if N < 0 or ncols == 0:
-            return np.zeros((0, max(ncols, 0)), dtype=np.int64)
+        ncols = self.space.dim(d) if cols is None else len(cols)
+        if N < 0 or self.space.dim(d) == 0:
+            return np.zeros((0, ncols), dtype=np.int64)
         dimS = dim_homogeneous(self.A.ell, N)
+        block_cols = _block_columns([dimS] * len(self.space.twists), cols)
         blocks = []
         for h in range(self.A.n):
             alpha = _form_mod(self.A.forms[h], p)
@@ -327,12 +332,10 @@ class AmbientEngine(_Engine):
             conds = condition_terms(self.kind, self.order, alpha)
             M = np.zeros((nrows * len(conds), ncols), dtype=np.int64)
             for ci, terms in enumerate(conds):
-                base = ci * nrows
+                rows = slice(ci * nrows, (ci + 1) * nrows)
                 for b, c in terms:
-                    c = int(c) % p
-                    M[base : base + nrows, b * dimS : (b + 1) * dimS] = (
-                        M[base : base + nrows, b * dimS : (b + 1) * dimS] + c * table
-                    ) % p
+                    local, out = block_cols[b]
+                    M[rows, out] = (M[rows, out] + int(c) % p * table[:, local]) % p
             blocks.append(M)
         if not blocks:
             return np.zeros((0, ncols), dtype=np.int64)
@@ -519,19 +522,15 @@ class RelativeEngine(_Engine):
             self._carrier_cache[h] = conds
         return conds
 
-    def build_mod(self, d: int, p: int) -> np.ndarray:
+    def build_mod(self, d: int, p: int, cols=None) -> np.ndarray:
         ell = self.A.ell
         block_degs = self.space.block_degrees(d)
-        ncols = self.space.dim(d)
-        if ncols == 0 or all(bd < 0 for bd in block_degs):
-            return np.zeros((0, max(ncols, 0)), dtype=np.int64)
+        ncols = self.space.dim(d) if cols is None else len(cols)
+        if all(bd < 0 for bd in block_degs):
+            return np.zeros((0, ncols), dtype=np.int64)
         N = self.numerator_degree(d)
+        block_cols = _block_columns([dim_homogeneous(ell, bd) for bd in block_degs], cols)
         blocks = []
-        col_offsets = []
-        pos = 0
-        for bd in block_degs:
-            col_offsets.append(pos)
-            pos += dim_homogeneous(ell, bd)
         for h in self.complement:
             # rows of the table transposed, so that the carrier products
             # gather contiguous rows
@@ -544,8 +543,8 @@ class RelativeEngine(_Engine):
                     bd = block_degs[i]
                     if bd < 0:
                         continue
-                    block = _carrier_product(tableT, carrier, ell, bd, p)
-                    M[ci * nrows : (ci + 1) * nrows, col_offsets[i] : col_offsets[i] + block.shape[0]] = block.T
+                    local, out = block_cols[i]
+                    M[ci * nrows : (ci + 1) * nrows, out] = _carrier_product(tableT, carrier, ell, bd, p, local).T
             blocks.append(M)
         if not blocks:
             return np.zeros((0, ncols), dtype=np.int64)
@@ -573,15 +572,16 @@ class RelativeEngine(_Engine):
 _GATHER_CELLS = 1 << 20
 
 
-def _carrier_product(tableT, carrier: Poly, ell: int, bd: int, p: int) -> np.ndarray:
+def _carrier_product(tableT, carrier: Poly, ell: int, bd: int, p: int, local=slice(None)) -> np.ndarray:
     """Transposed table of g -> carrier * g on S_bd, reduced mod p.
 
     Column r of the table of the product is sum_t c_t * table[:, tab_t[r]]
     over the carrier terms c_t * x^(mu_t), tab_t = shift_table(ell, bd, mu_t).
-    Products are below 2**56, so a sum of up to 127 of them plus an entry
-    below p stays inside int64.
+    Only the columns `local` of S_bd are gathered.  Products are below
+    2**56, so a sum of up to 127 of them plus an entry below p stays
+    inside int64.
     """
-    tabs = np.stack([shift_table(ell, bd, cm) for cm in carrier.terms])
+    tabs = np.stack([shift_table(ell, bd, cm) for cm in carrier.terms])[:, local]
     coeffs = np.array([_coeff_mod(c, p) for c in carrier.terms.values()], dtype=np.int64)
     nterms, dimg = tabs.shape
     out = np.zeros((dimg, tableT.shape[1]), dtype=np.int64)
@@ -591,6 +591,25 @@ def _carrier_product(tableT, carrier: Poly, ell: int, bd: int, p: int) -> np.nda
         gathered *= coeffs[s : s + step, None, None]
         out += gathered.sum(axis=0)
         np.mod(out, p, out=out)
+    return out
+
+
+def _block_columns(sizes, cols):
+    """Per block of widths `sizes`: (its columns kept, where they go in the output).
+
+    `cols` is a sorted array of kept columns of the whole space, or None
+    for all of them.  The kept columns of one block land next to each
+    other, so where they go is a slice.
+    """
+    out = []
+    pos = 0
+    for k in sizes:
+        if cols is None:
+            out.append((slice(None), slice(pos, pos + k)))
+        else:
+            lo, hi = np.searchsorted(cols, (pos, pos + k))
+            out.append((cols[lo:hi] - pos, slice(lo, hi)))
+        pos += k
     return out
 
 
@@ -834,8 +853,9 @@ class EvalKernelFamily:
         self.field = field
         self.image_dims = image_dims or {}
 
-    def build_mod(self, d: int, p: int) -> np.ndarray:
-        return eval_matrix_mod(self.tgt_space, self.gens, d, p)
+    def build_mod(self, d: int, p: int, cols=None) -> np.ndarray:
+        E = eval_matrix_mod(self.tgt_space, self.gens, d, p)
+        return E if cols is None else E[:, cols]
 
     def verify(self, element, d: int) -> bool:
         return combination_is_zero(self.gens, element)
@@ -918,22 +938,29 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
         return family.build_mod(d, p)
 
     candidate = None  # an exact kernel candidate, once taken
+    rows = None  # row pivots P of the eval matrix mod p0, once taken
     rank = family.known_rank(d)
-    if rank is None:
-        p = primes[0]
-        if len(primes) > 1:
-            # a lift builds one matrix per prime anyway, and holding a large
-            # matrix through the eval rank would only raise the peak memory
-            rank = rank_mod(build(p), p)
-        else:
-            # at the field's prime the reduced elimination costs about what
-            # the rank does, and its kernel serves a generator degree too
-            candidate = _certified_kernel(build, ncols, field, lambda *cand: cand)
-            rank = ncols - len(candidate[0])
+    if rank is None and len(primes) > 1:
+        # the eval image C mod p0 projects onto the coordinates P
+        # isomorphically, so V = C + span(e_j, j not in P), and C lies in
+        # the kernel: the constraint matrix needs ranking only on the
+        # other columns, and n0 = |P| + (ncols - |P| - rank) is the
+        # ncols - rank_p0(A) of a full elimination.  n0 == |P| certifies
+        # the degree: dim >= rank_Q(E) >= |P| (the columns of E are
+        # verified members), and full column rank mod p0 on the other
+        # columns makes A injective over Q on their span, so dim <= |P|.
+        p0 = _eval_prime(gens, primes)
+        rows = _eval_row_pivots(family.space, gens, d, p0)
+        rank = rank_mod(family.build_mod(d, p0, np.setdiff1d(np.arange(ncols), rows)), p0)
+    elif rank is None:
+        # at the field's prime the reduced elimination costs about what
+        # the rank does, and its kernel serves a generator degree too
+        candidate = _certified_kernel(build, ncols, field, lambda *cand: cand)
+        rank = ncols - len(candidate[0])
     n0 = ncols - rank
-    if n0 == 0:
-        return 0, []
-    rank_eval, p0, E = _certified_eval_rank(family.space, gens, d, field, n0)
+    if n0 == 0 or rows is not None and n0 == len(rows):
+        return n0, []
+    rank_eval, p0, E = _certified_eval_rank(family.space, gens, d, field, n0, None if rows is None else len(rows))
     if rank_eval == n0:
         return n0, []
     if hints_d:
@@ -1008,16 +1035,29 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
     return [normalize_element(el) for el in chosen]
 
 
-def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper):
+def _eval_row_pivots(tgt_space: TwistSpace, gens, d: int, p: int):
+    """Row pivots of the eval matrix of `gens` at degree d mod p.
+
+    The image mod p projects isomorphically onto these coordinates.  One
+    pivots-only elimination of the transposed matrix gives them, and the
+    matrix is dropped on return.
+    """
+    if not TwistSpace(tgt_space.ell, tuple(e for e, _ in gens)).dim(d):
+        return []
+    return rref_mod(eval_matrix_mod(tgt_space, gens, d, p).T, p, reduced=False)[1]
+
+
+def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, rank=None):
     """Exact rank over `field` of the evaluation map of `gens` at degree d.
 
     Returns (rank, p0, E0): E0 is the eval matrix mod p0, the prime of
-    `_eval_prime`, where the rank is taken first.  That rank bounds the
-    rank over `field` from below, so it is exact when it reaches `upper`
-    (an upper bound the caller knows, or None) or when p0 is the field's
-    own prime.  Otherwise the rank is certified by exhibiting the kernel,
-    lifted from the ladder primes with E0 as the matrix at p0: every
-    candidate relation must vanish exactly.
+    `_eval_prime`, where the rank is taken first (`rank`, when the caller
+    already has it mod p0).  That rank bounds the rank over `field` from
+    below, so it is exact when it reaches `upper` (an upper bound the
+    caller knows, or None) or the number of columns, or when p0 is the
+    field's own prime.  Otherwise the rank is certified by exhibiting the
+    kernel, lifted from the ladder primes with E0 as the matrix at p0:
+    every candidate relation must vanish exactly.
     """
     primes = _primes(field)
     p0 = _eval_prime(gens, primes)
@@ -1026,8 +1066,9 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper):
     if ncols == 0:
         return 0, p0, np.zeros((tgt_space.dim(d), 0), dtype=np.int64)
     E0 = eval_matrix_mod(tgt_space, gens, d, p0)
-    rank = rank_mod(E0, p0)
-    if rank == upper or len(primes) == 1:
+    if rank is None:
+        rank = rank_mod(E0, p0)
+    if rank in (upper, ncols) or len(primes) == 1:
         return rank, p0, E0
 
     def accept(vectors, *_):

@@ -152,8 +152,8 @@ def _count_constraint_ranks(monkeypatch):
     build_mod = solver.EvalKernelFamily.build_mod
     rank_mod = solver.rank_mod
 
-    def marked(self, d, p):
-        return build_mod(self, d, p).view(_Marked)
+    def marked(self, d, p, cols=None):
+        return build_mod(self, d, p, cols).view(_Marked)
 
     def counting(A, p):
         calls[0] += isinstance(A, _Marked)

@@ -436,3 +436,102 @@ def test_fp_degree_step_eliminates_eval_matrix_once(monkeypatch):
     assert generator_degrees > 0
     assert set(built.values()) == {1}
     assert eliminated.keys() == built.keys() and set(eliminated.values()) == {1}
+
+
+class _Tagged(np.ndarray):
+    """A matrix built for one role in a degree step; its transpose keeps the tag."""
+
+    def __array_finalize__(self, obj):
+        self.tag = getattr(obj, "tag", None)
+
+
+def test_qq_degree_step_ranks_constraints_off_the_eval_image(monkeypatch):
+    # over Q a degree step takes the row pivots P of its eval matrix mod p0
+    # and ranks the constraint matrix only on the columns outside P: its n0
+    # is that of the full matrix, a fast-path degree (n0 == |P|) eliminates
+    # no full-width constraint matrix, and no step eliminates its eval
+    # matrix twice
+    from arrlog import modular, solver
+    from arrlog.resolution import betti_table
+
+    degree_step, rref_mod, eval_matrix_mod = solver._degree_step, modular.rref_mod, solver.eval_matrix_mod
+    originals = {cls: cls.build_mod for cls in (AmbientEngine, RelativeEngine, solver.EvalKernelFamily)}
+    steps, current = [], []
+
+    def spy_step(family, gens, d, ncols, hints_d=()):
+        eliminated = []
+        current.append(eliminated)
+        try:
+            result = degree_step(family, gens, d, ncols, hints_d)
+        finally:
+            current.pop()
+        steps.append((family, list(gens), d, ncols, result, eliminated))
+        return result
+
+    def tagged(M, tag):
+        M = M.view(_Tagged)
+        M.tag = tag
+        return M
+
+    def tagging(build_mod):
+        def build(self, d, p, cols=None):
+            return tagged(build_mod(self, d, p, cols), "constraint" if cols is None else "columns")
+
+        return build
+
+    def spy_rref(A, p, reduced=True):
+        R, pivots = rref_mod(A, p, reduced)
+        if current and getattr(A, "tag", None):
+            current[-1].append((A.tag, A.shape, len(pivots)))
+        return R, pivots
+
+    for cls, build_mod in originals.items():
+        monkeypatch.setattr(cls, "build_mod", tagging(build_mod))
+    monkeypatch.setattr(solver, "_degree_step", spy_step)
+    monkeypatch.setattr(solver, "eval_matrix_mod", lambda *args: tagged(eval_matrix_mod(*args), "eval"))
+    monkeypatch.setattr(modular, "rref_mod", spy_rref)
+    monkeypatch.setattr(solver, "rref_mod", spy_rref)
+
+    assert saito_check(ziegler22()).exponents == [1, 5, 7, 9]
+    for engine in ("ambient", "relative"):
+        assert minimal_generators(generic(5, 3, seed=1), "O", engine=engine).degrees == [-1] * 5
+    assert betti_table(generic(5, 3, seed=1), "D").certified_free_tail
+    families, ranked, fast = set(), 0, 0
+    for family, gens, d, ncols, (n_d, _), eliminated in steps:
+        families.add(type(family))
+        eval_ranks = [rank for tag, _, rank in eliminated if tag == "eval"]
+        assert len(eval_ranks) <= 1, (type(family), d)
+        if family.known_rank(d) is not None:
+            continue
+        ranked += 1
+        tag, shape, rank = next(e for e in eliminated if e[0] != "eval")
+        assert tag == "columns"
+        p0 = solver._eval_prime(gens, PRIMES)
+        full = modular.rank_mod(originals[type(family)](family, d, p0), p0)
+        assert rank == full, (type(family), d)  # so n0 = ncols - rank is the full matrix's
+        if eval_ranks and n_d == eval_ranks[0]:
+            fast += 1
+            assert shape[1] == ncols - n_d
+            assert all(tag != "constraint" for tag, _, _ in eliminated)
+    assert families == {AmbientEngine, RelativeEngine, solver.EvalKernelFamily}
+    assert ranked > fast > 0
+
+
+@pytest.mark.parametrize("cls", [AmbientEngine, RelativeEngine])
+@pytest.mark.parametrize("kind, degrees", [("D", (2, 3, 5)), ("O", (-4, -2, 0))])
+def test_build_mod_on_columns_is_the_full_build_sliced(cls, kind, degrees):
+    rng = np.random.default_rng(11)
+    eng = cls(generic(6, 3, seed=2), kind)
+    for d in degrees:
+        ncols = eng.space.dim(d)
+        subsets = (
+            np.zeros(0, dtype=np.int64),
+            np.arange(ncols),
+            np.sort(rng.choice(ncols, ncols // 2, replace=False)),
+            np.sort(rng.choice(ncols, 3, replace=False)),
+        )
+        for p in PRIMES[:2]:
+            full = eng.build_mod(d, p)
+            assert full.shape[0] > 0 and full.any()
+            for cols in subsets:
+                assert np.array_equal(eng.build_mod(d, p, cols), full[:, cols]), (d, p, len(cols))
