@@ -402,9 +402,9 @@ def pole_degree_check(A: Arrangement):
     return holds, rows
 
 
-def no_pole_subspace_dim(A: Arrangement, d: int, i: int, base=None) -> int:
+def no_pole_subspace_dim(A: Arrangement, d: int, i: int) -> int:
     """dim of the degree-d 1-forms of A regular along hyperplane i."""
-    basis = graded_basis(A, "O", 1, d, base=base)
+    basis = graded_basis(A, "O", 1, d)
     if basis.dimension == 0:
         return 0
     alpha = A.forms[i]
@@ -431,7 +431,7 @@ def _reduced_monos(ell, cv, alpha):
     return [m for m in monomial_basis(ell, N) if m[k] == 0]
 
 
-def plus_one_extension_count(A: Arrangement, i: int, base=None) -> int:
+def plus_one_extension_count(A: Arrangement, i: int) -> int:
     """dim of the new (pole) part of the 1-forms in degree -(|A| - |A^H|).
 
     Under surjectivity of the top derivation restriction this count is 1:
@@ -440,6 +440,6 @@ def plus_one_extension_count(A: Arrangement, i: int, base=None) -> int:
     """
     gap = A.n - restrict(A, i).restricted.n
     d = -gap
-    total = graded_dimension(A, "O", 1, d, base=base)
-    regular = no_pole_subspace_dim(A, d, i, base=base)
+    total = graded_dimension(A, "O", 1, d)
+    regular = no_pole_subspace_dim(A, d, i)
     return total - regular

@@ -38,11 +38,11 @@ from .solver import (
 )
 
 
-def surrogate_primes(r: int, count: int = 3):
-    """Smallest odd primes p = 1 (mod r) with p > 2r."""
+def surrogate_primes(r: int):
+    """The three smallest odd primes p = 1 (mod r) with p > 2r."""
     out = []
     p = max(2 * r, 4) + 1
-    while len(out) < count:
+    while len(out) < 3:
         if p % r == 1 and _is_prime(p):
             out.append(p)
         p += 1
@@ -122,8 +122,8 @@ def claim_nine4d(rep: Report):
     )
 
 
-def claim_criticality_family(rep: Report, rs=(3, 4, 5), primes=None):
-    for r in rs:
+def claim_criticality_family(rep: Report, primes=None):
+    for r in (3, 4, 5):
         plist = primes if primes else surrogate_primes(r)
         per_prime = []
         agree = True
@@ -196,13 +196,13 @@ def _sample_generic_hyperplane(A: Arrangement, seed: int, lattice, k: int):
 def _cut_sweep(A1: Arrangement, h: LinearForm, gens_src):
     """(A, restriction, cut generators, surjectivity report) of A = A1 + H.
 
-    The cut's ambient sweep takes the restrictions of the source
-    generators `gens_src` (1-forms of A1) as hints.
+    The cut's sweep takes the restrictions of the source generators
+    `gens_src` (1-forms of A1) as hints, which select the ambient engine.
     """
     A = A1.add_hyperplane(h)
     res = restrict(A, A.n - 1)
     hints = [restrict_form(cv, A1, res=res, checked=True) for cv in gens_src.representatives]
-    tgt_gens = minimal_generators(res.restricted, "O", engine="ambient", hints=hints)
+    tgt_gens = minimal_generators(res.restricted, "O", hints=hints)
     sj = surjectivity_check(
         A, A.n - 1, kind="O", source_generators=gens_src, target_generators=tgt_gens
     )
@@ -220,7 +220,7 @@ def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
         A, res, tgt_gens, sj = _cut_sweep(A1, h, gens_src)
         fb = free_base_from_saito(A, list(range(A1.n)), sr)
         gens_A = minimal_generators(A, "O", base=fb)
-        bt = betti_table(A, "O", generators=gens_A)
+        bt = betti_table(gens_A)
         sp = spog_detect(bt)
         cut_not_free = len(tgt_gens.degrees) > res.restricted.ell
         extra = sorted(gens_A.degrees) == sorted(src_multiset + [-1])
@@ -466,7 +466,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
         gens_src = minimal_generators(A1, "O")
         pd_src = None
         if with_betti:
-            bt_src = betti_table(A1, "O", generators=gens_src)
+            bt_src = betti_table(gens_src)
             pd_src = bt_src.pd if bt_src.certified_free_tail else None
     hypothesis_ok = fully and pd_src is not None and pd_src <= ell - 3
     A, res, tgt_gens, sj = _cut_sweep(A1, hyper, gens_src)
@@ -517,7 +517,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
             },
         )
     if with_betti:
-        bt = betti_table(A, "O", generators=gens_A)
+        bt = betti_table(gens_A)
         sp = spog_detect(bt)
         note = None
         if pd_src is not None and pd_src > ell - 3:

@@ -150,10 +150,12 @@ def _parse_window(spec, default):
     if spec is None:
         return default
     try:
-        a, b = spec.split(":")
-        return (int(a), int(b))
+        a, b = map(int, spec.split(":"))
     except ValueError:
         raise ArrangementError(f"bad degree window {spec!r}: expected a:b with integers a and b") from None
+    if a > b:
+        raise ArrangementError(f"bad degree window {spec!r}: {a} > {b}")
+    return (a, b)
 
 
 def cmd_generators(args, kind: str) -> Report:
@@ -179,7 +181,7 @@ def cmd_generators(args, kind: str) -> Report:
 def cmd_betti(args) -> Report:
     A = load_arrangement(args)
     rep = Report(command=f"betti {args.input}", field_spec=_field_name(A))
-    bt = betti_table(A, args.side)
+    bt = betti_table(minimal_generators(A, args.side))
     sp = spog_detect(bt)
     rep.add(
         "betti",

@@ -179,7 +179,6 @@ def surjectivity_check(
     i: int,
     kind: str = "O",
     order: int = 1,
-    degree_range=None,
     source_generators=None,
     target_generators=None,
 ) -> SurjectivityReport:
@@ -190,9 +189,9 @@ def surjectivity_check(
 
     The image piece at degree d is the degree-d part of the submodule
     generated by the images of the source's minimal generators (the maps
-    are module homomorphisms).  The verdict is module-exact provided the
-    range covers every generator degree of the target, which the default
-    range does.
+    are module homomorphisms).  The ledger runs from the lowest to the
+    highest generator degree of the target, so the verdict is
+    module-exact.
     """
     res = restrict(A, i)
     target = res.restricted
@@ -220,12 +219,7 @@ def surjectivity_check(
         if membership_failures(target, img):
             raise SolverError("restricted generator failed the target membership check")
         mapped.append((d, tuple(img.numerators)))
-    if degree_range is None:
-        if not gen_degrees:
-            degree_range = (0, 0)
-        else:
-            degree_range = (gen_degrees[0], gen_degrees[-1])
-    lo, hi = degree_range
+    lo, hi = (gen_degrees[0], gen_degrees[-1]) if gen_degrees else (0, 0)
     tgt_space = AmbientEngine(target, kind, order).space
     rows = []
     surjective = True
@@ -240,8 +234,6 @@ def surjectivity_check(
             surjective = False
             if witness is None:
                 witness = d
-    if gen_degrees and (lo > gen_degrees[0] or hi < gen_degrees[-1]):
-        surjective = False
     return SurjectivityReport(
         arrangement=A,
         index=i,

@@ -728,7 +728,6 @@ def graded_basis(
     order: int = 1,
     d: int = 0,
     engine: str = "auto",
-    base=None,
 ) -> GradedBasis:
     """Exact basis of D^p(A, m)_d (kind "D") or Omega^p(A, m)_d (kind "O").
 
@@ -737,7 +736,7 @@ def graded_basis(
     against the defining divisibility conditions exactly; the dimension
     is exact because mod-p ranks bound the rank over Q from below.
     """
-    eng = pick_engine(A, kind, order, engine, base=base)
+    eng = pick_engine(A, kind, order, engine)
     elements, coords, primes = eng.kernel(d)
     return GradedBasis(
         arrangement=A,
@@ -751,14 +750,14 @@ def graded_basis(
     )
 
 
-def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0, engine: str = "auto", base=None) -> int:
+def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0, engine: str = "auto") -> int:
     """Exact dimension of a graded piece.
 
     Over F_p this is native.  Over Q a zero answer is already exact (the
     mod-p kernel bounds the rational kernel); a nonzero answer is
     certified by reconstructing and verifying a full basis.
     """
-    return pick_engine(A, kind, order, engine, base=base).dimension(d)
+    return pick_engine(A, kind, order, engine).dimension(d)
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1123,6 @@ def minimal_generators(
     order: int = 1,
     degree_range=None,
     engine: str = "auto",
-    stop_if_exceeds=None,
     base=None,
     hints=None,
 ) -> GeneratorSet:
@@ -1133,18 +1131,21 @@ def minimal_generators(
     Sweeps the degree window (default: [0, deg Q] for D, [-deg Q, 0] for
     Omega) and at each degree quotients the graded piece by the span of
     the monomial multiples of the generators already found.
+
+    `hints` (CoeffVectors tried before reconstruction at their degree)
+    are read by the ambient engine, so with engine "auto" they select it;
+    hints with engine "relative" or a `base` raise SolverError.
     """
     if degree_range is None:
         degree_range = default_degree_range(A, kind)
-    eng = pick_engine(A, kind, order, engine, base=base)
-    hint_map = None
-    if hints:
-        hint_map = {}
-        for cv in hints:
-            hint_map.setdefault(cv.degree, []).append(eng.element_from_cv(cv))
-    stop = None if stop_if_exceeds is None else (lambda gens: len(gens) > stop_if_exceeds)
-    res = sweep_minimal_generators(eng, degree_range, stop=stop, hints=hint_map)
-    return _generator_set(A, kind, order, eng, res, tuple(degree_range), res.stopped_early)
+    if hints and (engine == "relative" or base is not None):
+        raise SolverError("hints need the ambient engine, not engine 'relative' or a base")
+    eng = pick_engine(A, kind, order, "ambient" if hints else engine, base=base)
+    hint_map = {}
+    for cv in hints or ():
+        hint_map.setdefault(cv.degree, []).append(eng.element_from_cv(cv))
+    res = sweep_minimal_generators(eng, degree_range, hints=hint_map)
+    return _generator_set(A, kind, order, eng, res, tuple(degree_range), False)
 
 
 @dataclass
@@ -1159,7 +1160,7 @@ class SaitoResult:
         return self.free
 
 
-def saito_check(A: Arrangement, degree_bound=None, engine: str = "auto", base=None) -> SaitoResult:
+def saito_check(A: Arrangement, degree_bound=None, engine: str = "auto") -> SaitoResult:
     """Freeness certificate via the determinant criterion.
 
     Sweeps minimal generators of the derivation module; once ell
@@ -1173,7 +1174,7 @@ def saito_check(A: Arrangement, degree_bound=None, engine: str = "auto", base=No
     ell = A.ell
     degQ = A.deg_Q()
     hi = degQ if degree_bound is None else degree_bound
-    eng = pick_engine(A, "D", 1, engine, base=base)
+    eng = pick_engine(A, "D", 1, engine)
     constant = None
 
     def stop(gens):

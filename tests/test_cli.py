@@ -220,6 +220,7 @@ def test_free_bound_and_generic_cut_seed(tmp_path, capsys):
     [
         (["omega", "@boolean:3", "--degrees", "3"], None),
         (["omega", "@boolean:3", "--degrees", "a:b"], None),
+        (["omega", "@boolean:3", "--degrees", "0:-3"], None),
         (["generic-cut", "@boolean:3", "--hyperplane", "0,0,0"], None),
         (["generic-cut", "@boolean:3", "--hyperplane", "1,2"], None),
         (["lattice"], "field Q\ndim x\n1 0\n"),
@@ -232,7 +233,7 @@ def test_free_bound_and_generic_cut_seed(tmp_path, capsys):
         (["verify-paper", "--primes", "x"], None),
     ],
     ids=[
-        "degrees-one-number", "degrees-not-integers", "hyperplane-zero", "hyperplane-short",
+        "degrees-one-number", "degrees-not-integers", "degrees-reversed", "hyperplane-zero", "hyperplane-short",
         "file-dim", "file-multiplicity", "file-field", "field-option", "field-blank", "library-parameter",
         "max-codim", "primes-option",
     ],
@@ -246,3 +247,4 @@ def test_malformed_input_is_a_typed_error(args, text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1

@@ -4,10 +4,14 @@ every function, class and method it defines is referenced somewhere.
 No lint tool is a dependency, so this walks the syntax trees itself.  An
 import counts as used when its name is read anywhere in the scope (module
 or function) that holds the import.  `__init__.py` is exempt: its imports
-are the package's re-exports.  A definition counts as referenced when its
+are the package's re-exports; elsewhere a redundant alias
+(`from .m import name as name`) marks an explicit re-export.  A definition counts as referenced when its
 name is read, imported, or named in a dotted string (perfbench names its
 trace targets that way) in `src/`, `tests/` or `perfbench/`, outside the
 definition itself; dunder methods are exempt.
+
+The public functions also have a fixed number of defaulted parameters,
+so a new option is a visible change to a count.
 """
 
 import ast
@@ -28,7 +32,7 @@ def _imported_names(node):
         return []
     if isinstance(node, ast.Import):
         return [a.asname or a.name.split(".")[0] for a in node.names]
-    return [a.asname or a.name for a in node.names]
+    return [a.asname or a.name for a in node.names if a.asname != a.name]
 
 
 def unused_imports(source: str):
@@ -54,12 +58,13 @@ def test_checker_finds_unused_imports():
         "import os\n"
         "import numpy as np\n"
         "from math import comb, gcd\n"
+        "from math import pi as pi, tau as circle\n"
         "def f():\n"
         "    from fractions import Fraction\n"
         "    return gcd(1, 2)\n"
         "x = np.zeros(1)\n"
     )
-    assert unused_imports(source) == [(1, "os"), (3, "comb"), (5, "Fraction")]
+    assert unused_imports(source) == [(1, "os"), (3, "comb"), (4, "circle"), (6, "Fraction")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
@@ -136,3 +141,43 @@ def test_no_unreferenced_definitions():
     }
     defining = {name: text for name, text in sources.items() if name.startswith("src/arrlog/")}
     assert unreferenced_definitions(defining, sources) == []
+
+
+def defaulted_public_parameters(source: str):
+    """(function, parameter) of each defaulted, non-underscore parameter of
+    a public top-level function."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        named = positional[len(positional) - len(a.defaults):]
+        named += [arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+        out += [(node.name, arg.arg) for arg in named if not arg.arg.startswith("_")]
+    return out
+
+
+def test_checker_counts_defaulted_public_parameters():
+    source = (
+        "def f(a, b=1, *, c, d=2, _e=3):\n"
+        "    def inner(x=1):\n"
+        "        return x\n"
+        "def _private(a=1):\n"
+        "    return a\n"
+        "class C:\n"
+        "    def m(self, a=1):\n"
+        "        return a\n"
+    )
+    assert defaulted_public_parameters(source) == [("f", "b"), ("f", "d")]
+
+
+def test_defaulted_public_parameter_count():
+    # `cli.py` parses its own options and `__init__.py` only re-exports
+    options = [
+        (path.name, *option)
+        for path in MODULES
+        if path.name != "cli.py"
+        for option in defaulted_public_parameters(path.read_text())
+    ]
+    assert len(options) == 61, options

@@ -5,11 +5,11 @@ from arrlog.fields import GF, QQ
 from arrlog.library import boolean, grr3, nine4d
 from arrlog.poly import LinearForm
 from arrlog.resolution import betti_table, spog_detect
-from arrlog.solver import free_piece_dimension
+from arrlog.solver import free_piece_dimension, minimal_generators
 
 
 def test_free_module_single_column():
-    bt = betti_table(boolean(3), "O")
+    bt = betti_table(minimal_generators(boolean(3), "O"))
     assert bt.pd == 0
     assert bt.twist_multisets() == [[-1, -1, -1]]
     assert bt.certified_free_tail and bt.hilbert_ok
@@ -20,7 +20,7 @@ def test_boolean_plus_hyperplane_spog():
     # deletion free with exponents (1,1,1): dual strongly-plus-one
     # generated with exponent magnitudes (1,1,1) and level -|A|+|A^H| = -1
     A = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3]))
-    bt = betti_table(A, "O")
+    bt = betti_table(minimal_generators(A, "O"))
     assert bt.pd == 1
     assert bt.twist_multisets() == [[-1, -1, -1, -1], [0]]
     sp = spog_detect(bt)
@@ -35,7 +35,7 @@ def test_grr3_deletion_dual_spog():
     # predicts exponent magnitudes (1,3,3) and a level element in degree
     # d2 + d3 - |A| + |A^H| = -3 (as a form degree)
     G = grr3(3, GF(7))
-    bt = betti_table(G.delete(0), "O")
+    bt = betti_table(minimal_generators(G.delete(0), "O"))
     assert bt.certified_free_tail
     assert bt.pd == 1
     assert bt.twist_multisets() == [[-3, -3, -3, -1], [-2]]
@@ -47,7 +47,7 @@ def test_grr3_deletion_dual_spog():
 
 def test_hilbert_consistency_against_free_formula():
     A = boolean(3)
-    bt = betti_table(A, "D")
+    bt = betti_table(minimal_generators(A, "D"))
     for d, dim in bt.dims.items():
         assert dim == free_piece_dimension(3, [1, 1, 1], d)
 
@@ -60,7 +60,7 @@ def test_nine4d_cut_betti():
     from arrlog.arrangement import restrict
 
     AH = restrict(B, B.n - 1).restricted
-    bt = betti_table(AH, "O")
+    bt = betti_table(minimal_generators(AH, "O"))
     assert bt.certified_free_tail
     assert bt.columns[0].twists and sorted(set(bt.columns[0].twists)) == [-3, -2, -1]
     assert bt.pd >= 1  # five generators on a rank-3 module force relations
@@ -81,52 +81,54 @@ def _no_sweep(*args, **kwargs):
 
 
 def test_betti_table_from_generators_matches_unseeded(monkeypatch):
+    # the summaries are those of the tables that swept column 0 themselves
     from arrlog import resolution
-    from arrlog.solver import free_base_from_saito, minimal_generators, saito_check
+    from arrlog.solver import free_base_from_saito, saito_check
 
     B = boolean(3)
     sr = saito_check(B)
     A = B.add_hyperplane(LinearForm(QQ, [1, 2, 3]))
     fb = free_base_from_saito(A, list(range(B.n)), sr)
     G = grr3(3, GF(7)).delete(0)
+    a_forms = (
+        [[-1, -1, -1, -1], [0]], 1, True, True, 4,
+        {-4: 0, -3: 0, -2: 0, -1: 4, 0: 11, 1: 21, 2: 34, 3: 50, 4: 69},
+    )
     cases = [
-        (A, "O", {}),
-        (A, "O", {"base": fb}),
-        (A, "D", {}),
-        (G, "O", {}),
+        (A, "O", {}, a_forms),
+        (A, "O", {"base": fb}, a_forms),
+        (A, "D", {}, (
+            [[1, 2, 2, 2], [3]], 1, True, True, 7,
+            {0: 0, 1: 1, 2: 6, 3: 14, 4: 25, 5: 39, 6: 56, 7: 76},
+        )),
+        (G, "O", {}, (
+            [[-3, -3, -3, -1], [-2]], 1, True, True, 4,
+            {-8: 0, -7: 0, -6: 0, -5: 0, -4: 0, -3: 3, -2: 8, -1: 16, 0: 27, 1: 41, 2: 58, 3: 78, 4: 101},
+        )),
     ]
-    for X, kind, kw in cases:
-        want = betti_table(X, kind, **kw)
+    for X, kind, kw, want in cases:
         gs = minimal_generators(X, kind, **kw)
         with monkeypatch.context() as mp:
-            mp.setattr(resolution, "minimal_generators", _no_sweep)
-            got = betti_table(X, kind, generators=gs)
-        assert _summary(got) == _summary(want)
+            mp.setattr(resolution, "minimal_generators", _no_sweep, raising=False)
+            got = betti_table(gs)
+        assert _summary(got) == want
         assert got.generator_set is gs
+        assert got.arrangement is X and (got.kind, got.order) == (kind, 1)
 
 
 def test_betti_table_rejects_mismatched_generators():
     from arrlog.resolution import GeneratorSetMismatch
-    from arrlog.solver import minimal_generators
+    from arrlog.solver import saito_check
 
+    # the Saito sweep stops once it has 4 > 3 generators
     A = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3]))
-    gs = minimal_generators(A, "O")
-    other = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 4]))
-    bad = [
-        dict(A=other, kind="O", generators=gs),  # another arrangement
-        dict(A=A, kind="D", generators=gs),  # another kind
-        dict(A=A, kind="O", order=2, generators=gs),  # another order
-        dict(A=A, kind="O", degree_range=(-3, 0), generators=gs),  # another window
-        dict(A=A, kind="O", generators=minimal_generators(A, "O", stop_if_exceeds=1)),
-    ]
-    assert bad[-1]["generators"].stopped_early
-    for kw in bad:
-        with pytest.raises(GeneratorSetMismatch) as err:
-            betti_table(**kw)
-        assert isinstance(err.value, ValueError)
-    # an equal arrangement built separately is accepted
-    same = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3]))
-    assert betti_table(same, "O", generators=gs).pd == 1
+    gs = saito_check(A).generators
+    assert gs.stopped_early and gs.degrees == [1, 2, 2, 2]
+    with pytest.raises(GeneratorSetMismatch) as err:
+        betti_table(gs)
+    assert isinstance(err.value, ValueError)
+    # the completed sweep of the same module is accepted
+    assert betti_table(minimal_generators(A, "D")).pd == 1
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +178,11 @@ def test_relation_sweep_reads_certified_dims(monkeypatch):
     for A, kind in cases:
         with monkeypatch.context() as mp:
             calls = _count_constraint_ranks(mp)
-            got = betti_table(A, kind)
+            got = betti_table(minimal_generators(A, kind))
             assert calls[0] == 0
             # the same table with every constraint rank eliminated mod p
             mp.setattr(solver.EvalKernelFamily, "known_rank", lambda self, d: None)
-            want = betti_table(A, kind)
+            want = betti_table(minimal_generators(A, kind))
             assert calls[0] > 0
         assert got.pd >= 1
         assert _summary(got) == _summary(want)
@@ -211,7 +213,7 @@ def test_relation_sweep_after_generator_beyond_window(monkeypatch):
     for (kind, window), (twists, pd, bound, hilbert, cert, dims, notes) in frozen.items():
         with monkeypatch.context() as mp:
             calls = _count_constraint_ranks(mp)
-            bt = betti_table(A, kind, degree_range=window)
+            bt = betti_table(minimal_generators(A, kind, degree_range=window))
             assert calls[0] > 0
         assert bt.twist_multisets() == twists
         assert (bt.pd, bt.validity_bound, bt.hilbert_ok, bt.certified_free_tail) == (pd, bound, hilbert, cert)

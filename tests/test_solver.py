@@ -222,6 +222,40 @@ def test_hints_keep_generator_degrees_and_dims(field, source):
         assert is_logarithmic(res.restricted, cv)
 
 
+def _nine4d_cut_with_hints():
+    from arrlog.arrangement import restrict
+    from arrlog.maps import restrict_form
+
+    N = nine4d()
+    B = N.add_hyperplane(LinearForm(QQ, [1, 3, 5, 7]))
+    res = restrict(B, B.n - 1)
+    gens = minimal_generators(N, "O")
+    return res.restricted, [restrict_form(cv, N, res=res, checked=True) for cv in gens.representatives]
+
+
+def test_hints_select_the_ambient_engine():
+    # the nine4d cut is simple and essential, so without hints the auto
+    # engine is the relative one, which cannot read hints
+    cut, hints = _nine4d_cut_with_hints()
+    assert isinstance(pick_engine(cut, "O", 1), RelativeEngine)
+    hinted = minimal_generators(cut, "O", hints=hints)
+    assert isinstance(hinted.engine, AmbientEngine)
+    plain = minimal_generators(cut, "O")
+    assert hinted.degrees == plain.degrees
+    assert hinted.dims == plain.dims
+    for cv in hinted.representatives:
+        assert is_logarithmic(cut, cv)
+
+
+def test_hints_with_the_relative_engine_or_a_base_are_rejected():
+    from arrlog.solver import SolverError, boolean_like_base
+
+    cut, hints = _nine4d_cut_with_hints()
+    for kw in ({"engine": "relative"}, {"base": boolean_like_base(cut)}):
+        with pytest.raises(SolverError, match="hints need the ambient engine"):
+            minimal_generators(cut, "O", hints=hints, **kw)
+
+
 @pytest.mark.parametrize("field", [GF(1009), QQ], ids=["F1009", "QQ"])
 def test_piece_solver_dimension_matches_graded_dimension(field):
     A = generic(5, 3, seed=2, field=field)
@@ -495,7 +529,7 @@ def test_qq_degree_step_ranks_constraints_off_the_eval_image(monkeypatch):
     assert saito_check(ziegler22()).exponents == [1, 5, 7, 9]
     for engine in ("ambient", "relative"):
         assert minimal_generators(generic(5, 3, seed=1), "O", engine=engine).degrees == [-1] * 5
-    assert betti_table(generic(5, 3, seed=1), "D").certified_free_tail
+    assert betti_table(minimal_generators(generic(5, 3, seed=1), "D")).certified_free_tail
     families, ranked, fast = set(), 0, 0
     for family, gens, d, ncols, (n_d, _), eliminated in steps:
         families.add(type(family))
