@@ -17,8 +17,8 @@ from .arrangement import Arrangement
 from .poly import dim_homogeneous
 from .solver import EvalKernelFamily, GeneratorSet, SolverError, sweep_minimal_generators
 
-# an explicit re-export: perfbench checks that its tracer wraps this by-name import
-from .solver import minimal_generators as minimal_generators
+# unused here: perfbench checks that its tracer wraps this by-name import
+from .solver import minimal_generators
 
 
 @dataclass

@@ -4,11 +4,11 @@ every function, class and method it defines is referenced somewhere.
 No lint tool is a dependency, so this walks the syntax trees itself.  An
 import counts as used when its name is read anywhere in the scope (module
 or function) that holds the import.  `__init__.py` is exempt: its imports
-are the package's re-exports; elsewhere a redundant alias
-(`from .m import name as name`) marks an explicit re-export.  A definition counts as referenced when its
-name is read, imported, or named in a dotted string (perfbench names its
-trace targets that way) in `src/`, `tests/` or `perfbench/`, outside the
-definition itself; dunder methods are exempt.
+are the package's re-exports; `REEXPORTS` lists each other name a module
+binds only for a reader outside it.  A definition counts as referenced when
+its name is read, imported, or named in a dotted string (perfbench names
+its trace targets that way) in `src/`, `tests/` or `perfbench/`, outside
+the definition itself; dunder methods are exempt.
 
 The public functions also have a fixed number of defaulted parameters,
 so a new option is a visible change to a count.
@@ -32,7 +32,7 @@ def _imported_names(node):
         return []
     if isinstance(node, ast.Import):
         return [a.asname or a.name.split(".")[0] for a in node.names]
-    return [a.asname or a.name for a in node.names if a.asname != a.name]
+    return [a.asname or a.name for a in node.names]
 
 
 def unused_imports(source: str):
@@ -58,18 +58,25 @@ def test_checker_finds_unused_imports():
         "import os\n"
         "import numpy as np\n"
         "from math import comb, gcd\n"
-        "from math import pi as pi, tau as circle\n"
         "def f():\n"
         "    from fractions import Fraction\n"
         "    return gcd(1, 2)\n"
         "x = np.zeros(1)\n"
     )
-    assert unused_imports(source) == [(1, "os"), (3, "comb"), (4, "circle"), (6, "Fraction")]
+    assert unused_imports(source) == [(1, "os"), (3, "comb"), (5, "Fraction")]
+
+
+# (module, name) bound only for a reader outside the package:
+# perfbench/test_perfbench.py reads `arrlog.resolution.minimal_generators`
+# to check that its tracer wraps by-name imports.  The entry goes when that
+# assertion names another module.
+REEXPORTS = {("resolution.py", "minimal_generators")}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    unused = [(line, name) for line, name in unused_imports(path.read_text()) if (path.name, name) not in REEXPORTS]
+    assert unused == []
 
 
 def _references(tree):
