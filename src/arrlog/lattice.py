@@ -4,7 +4,10 @@ and genericity certificates.
 Flats are built level by level: each codim-k flat is intersected with
 every hyperplane not already containing it, and the results are
 deduplicated by the canonical echelon form of the span of their
-defining forms.  This avoids enumerating hyperplane subsets.
+defining forms.  This avoids enumerating hyperplane subsets.  A join
+X v H_i is skipped when i is a member of a join already found from X:
+that join is X v H_i.  The echelon of X is seeded from its key, which
+is already reduced.
 """
 
 from __future__ import annotations
@@ -102,6 +105,14 @@ class _Echelon:
     def key(self):
         return tuple(tuple(r) for r in self.rows)
 
+    @classmethod
+    def from_key(cls, field, key):
+        """The echelon whose `key()` is `key`: its rows are already reduced."""
+        e = cls(field)
+        e.rows = [list(r) for r in key]
+        e.pivots = [next(j for j, x in enumerate(r) if x) for r in key]
+        return e
+
 
 def span_key(field, vectors) -> tuple:
     e = _Echelon(field)
@@ -128,22 +139,18 @@ def intersection_lattice(A: Arrangement, max_codim=None) -> Lattice:
     for k in range(max_codim):
         seen = {}
         for X in levels[k]:
-            base_rows = [list(row) for row in X.key]
+            joined = set(X.members)  # hyperplanes whose join with X is found
             for i in range(A.n):
-                if i in X.members:
+                if i in joined:
                     continue
-                e = _Echelon(field)
-                for row in base_rows:
-                    e.add(row)
+                e = _Echelon.from_key(field, X.key)
                 if not e.add(form_vecs[i]):
                     continue  # hyperplane contains X but was not listed; impossible
                 key = e.key()
-                if key in seen:
-                    continue
-                members = frozenset(
-                    j for j in range(A.n) if e.contains(form_vecs[j])
-                )
-                seen[key] = Flat(codim=k + 1, members=members, key=key)
+                if key not in seen:
+                    members = frozenset(j for j in range(A.n) if e.contains(form_vecs[j]))
+                    seen[key] = Flat(codim=k + 1, members=members, key=key)
+                joined |= seen[key].members
         level = sorted(seen.values(), key=lambda F: sorted(F.members))
         levels.append(level)
     # Mobius: mu(V) = 1 and sum over flats Z >= X of mu(Z) = 0;

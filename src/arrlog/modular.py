@@ -32,6 +32,16 @@ unique vector of its coset that vanishes on the pivot columns, with or
 without back-substitution, so every free row, and with it every pivot
 choice, is bit-identical to the reduced path.
 
+A rank does not change under a permutation of the rows or columns, nor
+under transposition, so `rank_mod` works on the short side: it
+transposes a matrix with more rows than columns and orders rows and
+columns by their nonzero count, sparsest first.  The pivots-only
+elimination then ends once every row is a pivot row, after at most
+min(m, n) pivots, and the sparse lines it starts from cause little fill.
+A matrix whose short side is at most `_BASE_COLS` is ranked as given:
+it is eliminated pivot by pivot in few steps whatever the order, and
+reordering it costs more than it saves.
+
 Every modulus must be below 2**28 (`ModulusTooLarge` otherwise): that
 keeps the split products exact, and the int64 products of the base case
 and of constraint assembly below 2**56.
@@ -235,6 +245,16 @@ def _addmul(C, X, Y, p):
 
 
 def rank_mod(A: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix mod p; a large one is eliminated on its short side."""
+    A = np.asarray(A)
+    if min(A.shape) > _BASE_COLS:
+        if A.shape[0] > A.shape[1]:
+            A = A.T
+        rows = np.argsort(np.count_nonzero(A, axis=1), kind="stable")
+        cols = np.argsort(np.count_nonzero(A, axis=0), kind="stable")
+        # rebinding A frees an argument that only this call holds before
+        # the elimination makes its own copy
+        A = A[np.ix_(rows, cols)]
     return len(rref_mod(A, p, reduced=False)[1])
 
 

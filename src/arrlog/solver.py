@@ -656,7 +656,11 @@ def _invert(M: Matrix) -> Matrix:
 
 
 def pick_engine(A: Arrangement, kind: str, order: int, prefer: str = "auto", base=None):
+    if prefer not in ("auto", "ambient", "relative"):
+        raise SolverError(f"unknown engine {prefer!r}: expected 'auto', 'ambient' or 'relative'")
     if prefer == "ambient":
+        if base is not None:
+            raise SolverError("a base needs the relative engine, not engine 'ambient'")
         return AmbientEngine(A, kind, order)
     if base is not None or prefer == "relative":
         return RelativeEngine(A, kind, base)

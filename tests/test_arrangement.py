@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -94,6 +95,31 @@ def test_lattice_generic_counts():
         assert rank(M) == 2
         pair_keys.add((i, j))
     assert len(pair_keys) == 10
+
+
+def _lattice_listing_digest(L):
+    lines = []
+    for k, level in enumerate(L.levels):
+        for F in level:
+            key = ";".join(",".join(str(x) for x in row) for row in F.key)
+            lines.append(f"{k}|{F.codim}|{sorted(F.members)}|{key}|{F.mu}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "make, sizes, digest",
+    [
+        (ziegler22, [1, 22, 146, 318, 1], "1f1c8fdb1a814ccabb66c61f3328e8f507923ef53f982e01abe74cbf987e49c8"),
+        (nine4d, [1, 9, 24, 15, 1], "5bc5b9ed7a1bd401d8ed7163c02794084d5a8145cab16af4bc7b4ccde81b5af5"),
+    ],
+    ids=["ziegler22", "nine4d"],
+)
+def test_lattice_levels_members_keys_and_mu_are_frozen(make, sizes, digest):
+    # the order of the flats in each level, their members, echelon keys and
+    # Mobius values, as the join-every-hyperplane construction gave them
+    L = intersection_lattice(make())
+    assert [len(level) for level in L.levels] == sizes
+    assert _lattice_listing_digest(L) == digest
 
 
 def test_grr3_restriction_sizes():

@@ -214,6 +214,35 @@ def test_rref_mod_pivots_only_matches_unblocked(m, n, rank_frac, density, p, see
     assert rank_mod(A, p) == len(pivots0)
 
 
+@pytest.mark.parametrize("p", [PRIMES[0], 1009])
+@pytest.mark.parametrize(
+    "m, n, r, density",
+    [
+        (300, 150, 140, 0.05),  # tall: eliminated as 150 x 300
+        (100, 80, 75, 0.1),
+        (300, 150, 150, 1.0),
+        (40, 12, 12, 0.3),
+        (200, 60, 60, 0.02),
+        (12, 40, 9, 1.0),  # wide; a short side of at most 64 is ranked as given
+        (150, 300, 150, 0.05),
+        (30, 30, 30, 0.1),  # square
+        (90, 90, 90, 0.05),
+        (30, 30, 17, 1.0),
+        (10, 8, 0, 1.0),  # zero
+        (0, 7, 0, 1.0),
+        (7, 0, 0, 1.0),
+    ],
+)
+def test_rank_mod_is_the_pivot_count_of_the_untouched_matrix(m, n, r, density, p):
+    # rank_mod reorders and may transpose; the rank must not move
+    rng = np.random.default_rng(m * 1000 + n + r)
+    A = _random_rank(rng, m, n, r, p, density)
+    assert A.shape == (m, n)
+    rank = len(rref_mod(A, p, reduced=False)[1])
+    assert rank == r or density < 1.0
+    assert rank_mod(A, p) == rank
+
+
 def test_modulus_limit():
     A = np.eye(3, dtype=np.int64)
     assert rank_mod(A, PRIMES[0]) == 3

@@ -256,6 +256,26 @@ def test_hints_with_the_relative_engine_or_a_base_are_rejected():
             minimal_generators(cut, "O", hints=hints, **kw)
 
 
+def test_a_base_with_the_ambient_engine_is_rejected():
+    from arrlog.solver import SolverError, boolean_like_base
+
+    A = nine4d()
+    with pytest.raises(SolverError, match="a base needs the relative engine"):
+        minimal_generators(A, "O", engine="ambient", base=boolean_like_base(A))
+
+
+def test_an_unknown_engine_name_is_rejected():
+    from arrlog.solver import SolverError
+
+    for call in (
+        lambda: minimal_generators(boolean(3), "O", engine="amb"),
+        lambda: graded_dimension(boolean(3), "D", 1, 1, engine="Ambient"),
+        lambda: saito_check(boolean(3), engine=""),
+    ):
+        with pytest.raises(SolverError, match="unknown engine"):
+            call()
+
+
 @pytest.mark.parametrize("field", [GF(1009), QQ], ids=["F1009", "QQ"])
 def test_piece_solver_dimension_matches_graded_dimension(field):
     A = generic(5, 3, seed=2, field=field)
@@ -519,12 +539,21 @@ def test_qq_degree_step_ranks_constraints_off_the_eval_image(monkeypatch):
             current[-1].append((A.tag, A.shape, len(pivots)))
         return R, pivots
 
+    # rank_mod hands rref_mod a reordered, untagged copy of its argument,
+    # so its eliminations are read at the argument
+    def spy_rank(A, p):
+        rank = modular.rank_mod(A, p)
+        if current and getattr(A, "tag", None):
+            current[-1].append((A.tag, A.shape, rank))
+        return rank
+
     for cls, build_mod in originals.items():
         monkeypatch.setattr(cls, "build_mod", tagging(build_mod))
     monkeypatch.setattr(solver, "_degree_step", spy_step)
     monkeypatch.setattr(solver, "eval_matrix_mod", lambda *args: tagged(eval_matrix_mod(*args), "eval"))
     monkeypatch.setattr(modular, "rref_mod", spy_rref)
     monkeypatch.setattr(solver, "rref_mod", spy_rref)
+    monkeypatch.setattr(solver, "rank_mod", spy_rank)
 
     assert saito_check(ziegler22()).exponents == [1, 5, 7, 9]
     for engine in ("ambient", "relative"):
