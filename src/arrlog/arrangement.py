@@ -9,11 +9,12 @@ with positive leading entry over Q, leading coefficient 1 over F_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .fields import QQ, Rationals
 from .linalg import Matrix, rank, rref
-from .poly import LinearForm
+from .poly import LinearForm, Pullback
 
 
 class ArrangementError(ValueError):
@@ -203,6 +204,15 @@ class Restriction:
     image_info: list
     ziegler_mult: list
     kappa: object
+
+    @cached_property
+    def pullback(self) -> Pullback:
+        """f -> f(y @ embedding): polynomials of the ambient space to the chart y.
+
+        Built on first use; every polynomial restricted through this
+        Restriction shares its cached monomial images.
+        """
+        return Pullback.linear(self.arrangement.field, self.embedding.transpose().rows)
 
 
 def restrict(A: Arrangement, i: int) -> Restriction:

@@ -194,7 +194,7 @@ def _sample_generic_hyperplane(A: Arrangement, seed: int, lattice, k: int):
 
 
 def _cut_sweep(A1: Arrangement, h: LinearForm, gens_src):
-    """(A, restriction, cut generators, surjectivity report) of A = A1 + H.
+    """(A, the cut A^H, cut generators, surjectivity report) of A = A1 + H.
 
     The cut's sweep takes the restrictions of the source generators
     `gens_src` (1-forms of A1) as hints, which select the ambient engine.
@@ -202,11 +202,13 @@ def _cut_sweep(A1: Arrangement, h: LinearForm, gens_src):
     A = A1.add_hyperplane(h)
     res = restrict(A, A.n - 1)
     hints = [restrict_form(cv, A1, res=res, checked=True) for cv in gens_src.representatives]
-    tgt_gens = minimal_generators(res.restricted, "O", hints=hints)
+    cut = res.restricted
+    del res  # with its cached monomial images, which the sweeps below do not need
+    tgt_gens = minimal_generators(cut, "O", hints=hints)
     sj = surjectivity_check(
         A, A.n - 1, kind="O", source_generators=gens_src, target_generators=tgt_gens
     )
-    return A, res, tgt_gens, sj
+    return A, cut, tgt_gens, sj
 
 
 def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
@@ -217,14 +219,14 @@ def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
     src_multiset = gens_src.degree_multiset()
     for seed in seeds:
         h = _sample_generic_hyperplane(A1, seed, lat, A1.ell - 1)
-        A, res, tgt_gens, sj = _cut_sweep(A1, h, gens_src)
+        A, cut, tgt_gens, sj = _cut_sweep(A1, h, gens_src)
         fb = free_base_from_saito(A, list(range(A1.n)), sr)
         gens_A = minimal_generators(A, "O", base=fb)
         bt = betti_table(gens_A)
         sp = spog_detect(bt)
-        cut_not_free = len(tgt_gens.degrees) > res.restricted.ell
+        cut_not_free = len(tgt_gens.degrees) > cut.ell
         extra = sorted(gens_A.degrees) == sorted(src_multiset + [-1])
-        level_expected = -A.n + res.restricted.n
+        level_expected = -A.n + cut.n
         spog_ok = (
             sp is not None
             and sp.level == level_expected
@@ -469,7 +471,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
             bt_src = betti_table(gens_src)
             pd_src = bt_src.pd if bt_src.certified_free_tail else None
     hypothesis_ok = fully and pd_src is not None and pd_src <= ell - 3
-    A, res, tgt_gens, sj = _cut_sweep(A1, hyper, gens_src)
+    A, cut, tgt_gens, sj = _cut_sweep(A1, hyper, gens_src)
     rep.add(
         "cut:surjectivity",
         "form-restriction-surjectivity",
@@ -482,7 +484,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
         },
     )
     same = tgt_gens.degree_multiset() == gens_src.degree_multiset()
-    cut_not_free = len(tgt_gens.degrees) > res.restricted.ell
+    cut_not_free = len(tgt_gens.degrees) > cut.ell
     rep.add(
         "cut:generators",
         "generator-multiset-comparison",
@@ -504,7 +506,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
         {"full_generators": sorted(gens_A.degrees), "expected_extra_degree": -1},
     )
     if not fully and not cut_not_free:
-        cut_free = saito_check(res.restricted)
+        cut_free = saito_check(cut)
         rep.add(
             "cut:free-non-contradiction",
             "non-generic-cut-freeness-is-consistent",

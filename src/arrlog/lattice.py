@@ -1,21 +1,23 @@
 """Intersection lattice, Mobius function, characteristic polynomial,
 and genericity certificates.
 
-Flats are built level by level: each codim-k flat is intersected with
-every hyperplane not already containing it, and the results are
-deduplicated by the canonical echelon form of the span of their
-defining forms.  This avoids enumerating hyperplane subsets.  A join
-X v H_i is skipped when i is a member of a join already found from X:
-that join is X v H_i.  The echelon of X is seeded from its key, which
-is already reduced.
+Flats are built level by level.  For a codim-k flat X, each form not
+vanishing on X is restricted to X (dot products with an integer basis of
+X); two hyperplanes give the same join X v H exactly when their
+restrictions are proportional, so the joins of X are the classes of the
+restrictions by direction, and each join's members are X's members plus
+its class.  A flat is the intersection of its members, so flats are
+deduplicated by members; the canonical echelon key of each distinct flat
+is computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
+from operator import mul
 
 from .arrangement import Arrangement, ArrangementError
-from .linalg import Matrix, kernel_basis
 
 
 class InLattice(ArrangementError):
@@ -30,17 +32,6 @@ class Flat:
     members: frozenset
     key: tuple  # canonical echelon rows spanning the normal space
     mu: int = 0
-
-    def basis(self, field):
-        """Rows spanning the flat itself (kernel of the defining forms)."""
-        if not self.key:
-            ell = 0
-        else:
-            ell = len(self.key[0])
-        if self.codim == 0:
-            return Matrix.identity(field, ell)
-        vecs = kernel_basis(Matrix(field, [list(r) for r in self.key]))
-        return Matrix(field, vecs)
 
     def __repr__(self):
         return f"Flat(codim={self.codim}, members={sorted(self.members)})"
@@ -78,9 +69,6 @@ class _Echelon:
                 c = v[p]
                 v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
         return v
-
-    def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
 
     def add(self, vec) -> bool:
         f = self.field
@@ -121,6 +109,41 @@ def span_key(field, vectors) -> tuple:
     return e.key()
 
 
+def _int_vector(field, vec) -> list:
+    """vec as ints, up to a nonzero factor: residues over F_p, cleared denominators over Q."""
+    if field.char:
+        return [int(c) for c in vec]
+    den = lcm(*(c.denominator for c in vec))
+    return [int(c * den) for c in vec]
+
+
+def _direction(field, vec) -> tuple:
+    """The same representative for every nonzero multiple of an int vector."""
+    p = field.char
+    if p:
+        inv = pow(next(c for c in vec if c % p), -1, p)
+        return tuple(c * inv % p for c in vec)
+    g = gcd(*vec)
+    if next(c for c in vec if c) < 0:
+        g = -g
+    return tuple(c // g for c in vec)
+
+
+def _flat_basis(field, key, ell) -> list:
+    """Int vectors spanning the flat {v : key . v = 0}, one per non-pivot column of `key`."""
+    pivots = [next(j for j, x in enumerate(r) if x) for r in key]
+    out = []
+    for c in range(ell):
+        if c in pivots:
+            continue
+        v = [field.zero] * ell
+        v[c] = field.one
+        for p, row in zip(pivots, key):
+            v[p] = field.neg(row[c])
+        out.append(_int_vector(field, v))
+    return out
+
+
 def intersection_lattice(A: Arrangement, max_codim=None) -> Lattice:
     """All flats of codimension <= max_codim, with Mobius values.
 
@@ -136,21 +159,22 @@ def intersection_lattice(A: Arrangement, max_codim=None) -> Lattice:
     top = Flat(codim=0, members=frozenset(), key=(), mu=1)
     levels = [[top]]
     form_vecs = [list(f.coeffs) for f in A.forms]
+    form_ints = [_int_vector(field, v) for v in form_vecs]
     for k in range(max_codim):
-        seen = {}
+        seen = {}  # members -> flat
         for X in levels[k]:
-            joined = set(X.members)  # hyperplanes whose join with X is found
-            for i in range(A.n):
-                if i in joined:
-                    continue
-                e = _Echelon.from_key(field, X.key)
-                if not e.add(form_vecs[i]):
-                    continue  # hyperplane contains X but was not listed; impossible
-                key = e.key()
-                if key not in seen:
-                    members = frozenset(j for j in range(A.n) if e.contains(form_vecs[j]))
-                    seen[key] = Flat(codim=k + 1, members=members, key=key)
-                joined |= seen[key].members
+            basis = _flat_basis(field, X.key, A.ell)
+            joins = {}  # direction of the restriction to X -> hyperplanes
+            for j, f in enumerate(form_ints):
+                if j not in X.members:
+                    g = [sum(map(mul, f, v)) for v in basis]
+                    joins.setdefault(_direction(field, g), []).append(j)
+            for js in joins.values():
+                members = X.members.union(js)
+                if members not in seen:
+                    e = _Echelon.from_key(field, X.key)
+                    e.add(form_vecs[js[0]])
+                    seen[members] = Flat(codim=k + 1, members=members, key=e.key())
         level = sorted(seen.values(), key=lambda F: sorted(F.members))
         levels.append(level)
     # Mobius: mu(V) = 1 and sum over flats Z >= X of mu(Z) = 0;
@@ -211,19 +235,15 @@ def is_k_generic(X_forms, A: Arrangement, k: int, lattice: Lattice | None = None
     """
     field = A.field
     X_forms = list(X_forms)
-    base = _Echelon(field)
-    for f in X_forms:
-        base.add(list(f.coeffs))
-    codim_x = len(base.pivots)
+    x_key = span_key(field, [list(f.coeffs) for f in X_forms])
+    codim_x = len(x_key)
     if lattice is None or lattice.max_codim < min(k, A.essential_rank):
         lattice = intersection_lattice(A, max_codim=min(k, A.essential_rank))
     if flat_of_subspace(A, X_forms, lattice) is not None:
         raise InLattice("subspace is a flat of the arrangement")
     for kk in range(1, min(k, lattice.max_codim) + 1):
         for Y in lattice.flats(kk):
-            e = _Echelon(field)
-            for f in X_forms:
-                e.add(list(f.coeffs))
+            e = _Echelon.from_key(field, x_key)
             for row in Y.key:
                 e.add(list(row))
             if len(e.pivots) != codim_x + Y.codim:
@@ -233,9 +253,5 @@ def is_k_generic(X_forms, A: Arrangement, k: int, lattice: Lattice | None = None
 
 def is_generic(X_forms, A: Arrangement, lattice: Lattice | None = None):
     """Fully generic: k-generic for k = ell - codim(X)."""
-    field = A.field
-    base = _Echelon(field)
-    for f in X_forms:
-        base.add(list(f.coeffs))
-    k = A.ell - len(base.pivots)
+    k = A.ell - len(span_key(A.field, [list(f.coeffs) for f in X_forms]))
     return is_k_generic(X_forms, A, k, lattice=lattice)

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .arrangement import Arrangement, Restriction, restrict
 from .linalg import Matrix, det
-from .poly import LinearForm, Poly, divide_by_linear
+from .poly import LinearForm, Poly, Pullback, divide_by_linear
 from .solver import (
     AmbientEngine,
     CoeffVector,
@@ -29,24 +29,6 @@ from .solver import (
     minimal_generators,
     subsets,
 )
-
-
-def _substitution_images(B: Matrix):
-    """images[k] = the restriction of x_k to the hyperplane, in chart coords."""
-    f = B.field
-    tgt_ell = B.nrows
-    return [
-        Poly(
-            f,
-            tgt_ell,
-            {
-                tuple(1 if t == s else 0 for s in range(tgt_ell)): B.rows[t][k]
-                for t in range(tgt_ell)
-                if B.rows[t][k]
-            },
-        )
-        for k in range(B.ncols)
-    ]
 
 
 def euler_restrict_der(
@@ -69,20 +51,20 @@ def euler_restrict_der(
         res = restrict(A, i)
     ell = A.ell
     p = theta.order
-    images = _substitution_images(res.embedding)
     lam = res.lift  # ell x (ell-1); columns lift the chart coordinates
     src_subs = subsets(ell, p)
     out = []
     for T in combinations(range(ell - 1), p):
-        acc = Poly.zero(A.field, ell - 1)
+        # the pullback is a ring map: combine in the source ring, map once
+        acc = Poly.zero(A.field, ell)
         for idx, I in enumerate(src_subs):
             poly = theta.numerators[idx]
             if poly.is_zero():
                 continue
             c = det(lam.field, [[lam.rows[i][j] for j in T] for i in I])
             if c:
-                acc = acc + poly.substitute(images).scale(c)
-        out.append(acc)
+                acc = acc + poly.scale(c)
+        out.append(res.pullback(acc))
     return CoeffVector("D", p, theta.degree, tuple(out))
 
 
@@ -115,22 +97,22 @@ def restrict_form(
     ell = A.ell
     p = omega.order
     target = res.restricted
-    images = _substitution_images(res.embedding)
     B = res.embedding
     src_subs = subsets(ell, p)
     out = []
     inv_kappa = field.inv(res.kappa)
     for T in combinations(range(ell - 1), p):
-        acc = Poly.zero(field, ell - 1)
+        # the pullback is a ring map: combine in the source ring, map once
+        acc = Poly.zero(field, ell)
         for idx, I in enumerate(src_subs):
             poly = omega.numerators[idx]
             if poly.is_zero():
                 continue
             c = det(B.field, [[B.rows[t][i] for i in I] for t in T])
             if c:
-                acc = acc + poly.substitute(images).scale(c)
+                acc = acc + poly.scale(c)
         # Q(A')(y B) = kappa * prod(target forms ^ ziegler multiplicity)
-        g = acc.scale(inv_kappa)
+        g = res.pullback(acc.scale(inv_kappa))
         for form, zm in zip(target.forms, res.ziegler_mult):
             for _ in range(zm - 1):
                 q, r = divide_by_linear(g, form)
@@ -268,29 +250,19 @@ def preparation_check(omega: CoeffVector, A: Arrangement, i: int) -> bool:
             rows.append([field.one if s == t else field.zero for s in range(ell)])
     T = Matrix(field, rows)
     Tinv = _invert(T)
-    images = [
-        Poly(
-            field,
-            ell,
-            {
-                tuple(1 if s == t else 0 for s in range(ell)): Tinv.rows[kk][t]
-                for t in range(ell)
-                if Tinv.rows[kk][t]
-            },
-        )
-        for kk in range(ell)
-    ]
+    pull = Pullback.linear(field, Tinv.rows)  # x = Tinv y
     G1 = Poly.zero(field, ell)
     for kk in range(ell):
         c = Tinv.rows[kk][0]
         if c and not omega.numerators[kk].is_zero():
-            G1 = G1 + omega.numerators[kk].substitute(images).scale(c)
+            G1 = G1 + omega.numerators[kk].scale(c)
+    G1 = pull(G1)
     # reduce mod y_1 by dropping terms with positive first exponent
     g = Poly(field, ell, {m: c for m, c in G1.terms.items() if m[0] == 0})
     res = restrict(A, i)
     for cls in range(res.restricted.n):
         rep = next(j for j in range(A.n) if j != i and res.image_info[j][0] == cls)
-        bar = A.forms[rep].as_poly().substitute(images)
+        bar = pull(A.forms[rep].as_poly())
         bar = Poly(field, ell, {m: c for m, c in bar.terms.items() if m[0] == 0})
         coeffs = [field.zero] * ell
         for m, c in bar.terms.items():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .fields import check_same_field
 
@@ -47,7 +48,13 @@ def dim_homogeneous(ell: int, d: int) -> int:
 
 
 def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+def _reduced(field, acc: dict) -> dict:
+    """Terms summed with plain `+` and `*`, brought back into the field."""
+    p = field.char
+    return {m: c % p for m, c in acc.items()} if p else acc
 
 
 class Poly:
@@ -204,31 +211,66 @@ class Poly:
         basis = monomial_basis(ell, d)
         return cls(field, ell, {m: field.of(c) for m, c in zip(basis, v) if c})
 
-    # -- substitution ---------------------------------------------------
-    def substitute(self, images: list["Poly"]) -> "Poly":
-        """Substitute x_i -> images[i]; images live in a common target ring."""
-        if len(images) != self.ell:
-            raise ValueError("need one image per variable")
+
+class Pullback:
+    """The ring map x_k -> images[k], with the image of each monomial cached.
+
+    The image of a monomial m is built once and kept as long as the
+    Pullback, so every polynomial mapped through one Pullback shares the
+    images of its monomials.  With i the variable of m whose image has
+    the most terms, image(m) = image(m without x_i) * image(x_i^m_i), and
+    image(x_i^e) = image(x_i^(e-1)) * images[i]: a restriction chart maps
+    one variable to a linear form and every other to a single variable,
+    so all but the powers of that form are cheap products by one term.
+    """
+
+    __slots__ = ("field", "ell", "tgt_ell", "_images", "_order", "_cache")
+
+    def __init__(self, images: list[Poly]):
         if not images:
             raise ValueError("empty substitution")
-        f = self.field
-        tgt_ell = images[0].ell
-        out = Poly.zero(f, tgt_ell)
-        pow_cache = [{0: Poly.const(f, tgt_ell, 1)} for _ in range(self.ell)]
+        self.field = images[0].field
+        self.ell = len(images)
+        self.tgt_ell = images[0].ell
+        for q in images:
+            check_same_field(self.field, q.field)
+            if q.ell != self.tgt_ell:
+                raise ValueError("images in different rings")
+        self._images = images
+        self._order = sorted(range(self.ell), key=lambda i: -len(images[i].terms))
+        self._cache = {(0,) * self.ell: Poly.const(self.field, self.tgt_ell, 1)}
 
-        def power(i, e):
-            cache = pow_cache[i]
-            if e not in cache:
-                cache[e] = power(i, e - 1) * images[i]
-            return cache[e]
+    @classmethod
+    def linear(cls, field, rows) -> "Pullback":
+        """f -> f(M y) for the matrix M with these rows: x_k -> sum_t M[k][t] y_t."""
+        n = len(rows[0]) if rows else 0
+        units = [tuple(1 if s == t else 0 for s in range(n)) for t in range(n)]
+        return cls([Poly(field, n, {units[t]: c for t, c in enumerate(r) if c}) for r in rows])
 
-        for m, c in self.terms.items():
-            term = Poly.const(f, tgt_ell, c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+    def _monomial(self, m) -> Poly:
+        """The image of the monomial m."""
+        img = self._cache.get(m)
+        if img is None:
+            img = self._cache[m] = self._build(m)
+        return img
+
+    def _build(self, m) -> Poly:
+        i = next(i for i in self._order if m[i])
+        power = (0,) * i + (m[i],) + (0,) * (self.ell - i - 1)
+        if m == power:
+            return self._monomial(m[:i] + (m[i] - 1,) + m[i + 1 :]) * self._images[i]
+        return self._monomial(m[:i] + (0,) + m[i + 1 :]) * self._monomial(power)
+
+    def __call__(self, f: Poly) -> Poly:
+        check_same_field(self.field, f.field)
+        if f.ell != self.ell:
+            raise ValueError("polynomial outside the source ring")
+        acc = {}
+        get = acc.get
+        for m, c in f.terms.items():
+            for tm, tc in self._monomial(m).terms.items():
+                acc[tm] = get(tm, 0) + c * tc
+        return Poly(self.field, self.tgt_ell, _reduced(self.field, acc))
 
 
 class LinearForm:
@@ -299,12 +341,7 @@ def substitute_linear(f: Poly, T) -> Poly:
         raise ValueError("substitution matrix must be square of matching size")
     if rank(T) != T.nrows:
         raise ValueError("singular substitution matrix")
-    images = [
-        Poly(f.field, f.ell, {tuple(1 if j == k else 0 for k in range(f.ell)): c
-                              for j, c in enumerate(T.rows[i]) if c})
-        for i in range(f.ell)
-    ]
-    return f.substitute(images)
+    return Pullback.linear(f.field, T.rows)(f)
 
 
 def divide_by_linear(f: Poly, alpha: LinearForm):
@@ -448,6 +485,18 @@ def wedge_numerators(f, alpha: LinearForm):
         for j in range(i + 1, ell):
             out[(i, j)] = f[i].scale(a[j]) - f[j].scale(a[i])
     return out
+
+
+def sum_of_products(field, ell, pairs) -> Poly:
+    """The sum of a * b over the (Poly a, Poly b) pairs, built in one term dict."""
+    acc = {}
+    get = acc.get
+    for a, b in pairs:
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                m = _mono_mul(m1, m2)
+                acc[m] = get(m, 0) + c1 * c2
+    return Poly(field, ell, _reduced(field, acc))
 
 
 def product(polys, field=None, ell=None):

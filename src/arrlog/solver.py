@@ -61,6 +61,7 @@ from .poly import (
     monomial_basis,
     monomial_index,
     product,
+    sum_of_products,
 )
 
 
@@ -552,15 +553,11 @@ class RelativeEngine(_Engine):
 
     def to_coeffvector(self, element, d: int) -> CoeffVector:
         ell = self.A.ell
-        numerators = []
-        for k in range(ell):
-            P = Poly.zero(self.field, ell)
-            for i in range(ell):
-                src = self._basis[i].numerators[k]
-                if element[i] and src:
-                    P = P + element[i] * src
-            numerators.append(P)
-        return CoeffVector(self.kind, 1, d, tuple(numerators))
+        numerators = tuple(
+            sum_of_products(self.field, ell, ((element[i], b.numerators[k]) for i, b in enumerate(self._basis)))
+            for k in range(ell)
+        )
+        return CoeffVector(self.kind, 1, d, numerators)
 
     def verify(self, element, d: int) -> bool:
         # base-form conditions hold identically; check the complement

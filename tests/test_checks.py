@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from arrlog.checks import (
@@ -92,6 +95,59 @@ def test_claim_euler_ledgers_sweeps_each_module_once(monkeypatch):
     # deletion (4 + 5 + 6 + 7 + 8 hyperplanes, twice)
     assert len(sweeps) == 70
     assert sum(1 for _, kind in sweeps if kind == "D") == 10
+
+
+# sha256 of the claim JSON, of every ledger row and of every restricted
+# generator (numerator reprs, in call order) that `claim_euler_ledgers`
+# computes over F_1009, frozen from the restriction maps that substituted
+# each numerator term by term
+EULER_LEDGER_DIGESTS = {
+    1: (
+        "9a2c664c86fd82bc5765f1d61d849d63a87a08f3da22a266ac8e35ef87d4c5d2",
+        "a4c1f7b6134f93e1996a0fe3667cdf3c987c45fc72af7e5f2d49a9ddb2c74aad",
+        "61055de0a24c2a3c844b19534d380d7b87ab6d5175a184d1a1caa48391c3a7f3",
+    ),
+    2: (
+        "2382fc59f25961a1598d36c93c0f5f478221ff2df765568655bdba4d64764ae2",
+        "a4c1f7b6134f93e1996a0fe3667cdf3c987c45fc72af7e5f2d49a9ddb2c74aad",
+        "ba2554b41d2a00f039394bba00ead74f08426fd0655d025ce201a1882c071a88",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EULER_LEDGER_DIGESTS))
+def test_claim_euler_ledgers_outputs_are_frozen(monkeypatch, seed):
+    from arrlog import checks, claims
+
+    ledgers = []
+    images = hashlib.sha256()
+
+    def recording_ledgers(*args, **kwargs):
+        out = original_ledgers(*args, **kwargs)
+        ledgers.append([(led.kind, led.index, led.rows, led.exact) for led in out])
+        return out
+
+    def recording(restriction_map):
+        def wrapped(*args, **kwargs):
+            out = restriction_map(*args, **kwargs)
+            images.update(repr(out.numerators).encode())
+            return out
+
+        return wrapped
+
+    original_ledgers = claims.euler_ledgers
+    monkeypatch.setattr(claims, "euler_ledgers", recording_ledgers)
+    monkeypatch.setattr(checks, "euler_restrict_der", recording(checks.euler_restrict_der))
+    monkeypatch.setattr(checks, "restrict_form", recording(checks.restrict_form))
+    rep = Report(command="test", field_spec="F1009", seed=seed)
+    claims.claim_euler_ledgers(rep, seed)
+    assert [c.status for c in rep.claims] == [PASS]
+    got = (
+        hashlib.sha256(rep.to_json().encode()).hexdigest(),
+        hashlib.sha256(json.dumps(ledgers).encode()).hexdigest(),
+        images.hexdigest(),
+    )
+    assert got == EULER_LEDGER_DIGESTS[seed]
 
 
 def test_addition_deletion_boolean_chain():

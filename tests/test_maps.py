@@ -1,8 +1,14 @@
+from collections import Counter
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 
 from arrlog.arrangement import restrict
+from arrlog.checks import euler_exactness_check
 from arrlog.fields import GF, QQ
-from arrlog.library import boolean, generic, grr3, nine4d, ziegler22
+from arrlog.library import boolean, braid, generic, grr3, nine4d, ziegler22
+from arrlog.linalg import Matrix, det
 from arrlog.maps import (
     certified_image_rank,
     euler_restrict_der,
@@ -10,16 +16,20 @@ from arrlog.maps import (
     restrict_form,
     surjectivity_check,
 )
-from arrlog.poly import LinearForm, Poly, monomial_basis
+from arrlog.poly import LinearForm, Poly, Pullback, divide_by_linear, monomial_basis, product
 from arrlog.solver import (
     CoeffVector,
     NotLogarithmic,
+    _invert,
+    free_base_from_saito,
     graded_basis,
     graded_dimension,
     is_logarithmic,
     minimal_generators,
     saito_check,
+    subsets,
 )
+from test_poly import substitute_per_term
 
 
 def euler_field(A):
@@ -202,3 +212,176 @@ def test_certified_image_rank_is_the_exact_rank(field, source):
             assert rank < upper
         else:
             assert cols == [] and rank == 0
+
+
+# ---------------------------------------------------------------------------
+# restriction maps against the per-(T, I) formula, every numerator
+# substituted on its own by the per-term reference substitution
+# ---------------------------------------------------------------------------
+
+
+def _linear_images(field, rows):
+    """x_k -> sum_t rows[k][t] y_t, as polynomials in y."""
+    n = len(rows[0])
+    return [Poly(field, n, {tuple(int(s == t) for s in range(n)): c for t, c in enumerate(r) if c}) for r in rows]
+
+
+def _per_TI(cv, res, coefficient):
+    """acc_T = sum over I of coefficient(T, I) * (numerator_I restricted to the chart)."""
+    field = res.arrangement.field
+    images = _linear_images(field, res.embedding.transpose().rows)
+    ell = len(images)
+    pulled = [substitute_per_term(f, images) for f in cv.numerators]
+    out = []
+    for T in combinations(range(ell - 1), cv.order):
+        acc = Poly.zero(field, ell - 1)
+        for I, g in zip(subsets(ell, cv.order), pulled):
+            acc = acc + g.scale(coefficient(T, I))
+        out.append(acc)
+    return out
+
+
+def euler_restrict_der_per_TI(theta, res):
+    lam = res.lift
+    return tuple(_per_TI(theta, res, lambda T, I: det(lam.field, [[lam.rows[i][j] for j in T] for i in I])))
+
+
+def restrict_form_per_TI(omega, res):
+    B = res.embedding
+    out = []
+    for acc in _per_TI(omega, res, lambda T, I: det(B.field, [[B.rows[t][i] for i in I] for t in T])):
+        g = acc.scale(B.field.inv(res.kappa))
+        for form, zm in zip(res.restricted.forms, res.ziegler_mult):
+            for _ in range(zm - 1):
+                g, r = divide_by_linear(g, form)
+                assert r.is_zero()
+        out.append(g)
+    return tuple(out)
+
+
+def preparation_check_per_term(omega, A, i):
+    """`preparation_check` with each numerator and trace form substituted on its own."""
+    field = A.field
+    k = A.forms[i].pivot()
+    rows = [list(A.forms[i].coeffs)] + [[int(s == t) for s in range(A.ell)] for t in range(A.ell) if t != k]
+    Tinv = _invert(Matrix(field, rows))
+    images = _linear_images(field, Tinv.rows)
+    G1 = Poly.zero(field, A.ell)
+    for kk, num in enumerate(omega.numerators):
+        G1 = G1 + substitute_per_term(num, images).scale(Tinv.rows[kk][0])
+    g = Poly(field, A.ell, {m: c for m, c in G1.terms.items() if m[0] == 0})
+    res = restrict(A, i)
+    for cls in range(res.restricted.n):
+        rep = next(j for j in range(A.n) if j != i and res.image_info[j][0] == cls)
+        bar = substitute_per_term(A.forms[rep].as_poly(), images)
+        coeffs = [field.zero] * A.ell
+        for m, c in bar.terms.items():
+            if m[0] == 0:
+                coeffs[m.index(1)] = c
+        g, r = divide_by_linear(g, LinearForm(field, coeffs))
+        if not r.is_zero():
+            return False
+    return True
+
+
+def _dlog(A, j):
+    """d(alpha_j) / alpha_j as a logarithmic 1-form on the simple arrangement A."""
+    rest = product([f.as_poly() for t, f in enumerate(A.forms) if t != j])
+    return CoeffVector("O", 1, -1, tuple(rest.scale(c) for c in A.forms[j].coeffs))
+
+
+@pytest.fixture(scope="module", params=["braid4", "ziegler22"])
+def restriction_inputs(request):
+    """(A, D(A) elements, Omega(A) elements, i -> Omega(A - H_i) elements)."""
+    if request.param == "braid4":
+        A = braid(4)
+        der = minimal_generators(A, "D").representatives + minimal_generators(A, "D", 2).representatives
+        forms = minimal_generators(A, "O").representatives
+
+        def deletion(i):
+            A_del = A.delete(i)
+            return minimal_generators(A_del, "O").representatives + minimal_generators(A_del, "O", 2).representatives
+
+    else:
+        A = ziegler22()
+        saito = saito_check(A)
+        der = saito.generators.representatives
+        fb = free_base_from_saito(A, list(range(A.n)), saito)
+        forms = [CoeffVector("O", 1, -e, nums) for e, nums in zip(fb.exponents, fb.omega_numerators)]
+
+        def deletion(i):
+            A_del = A.delete(i)
+            return [_dlog(A_del, j % A_del.n) for j in (i, i + 5)]
+
+    return A, der, forms, deletion
+
+
+def test_euler_restrict_der_is_the_per_TI_formula(restriction_inputs):
+    A, der, _, _ = restriction_inputs
+    nonzero = 0
+    for i in range(A.n):
+        res = restrict(A, i)
+        for theta in der:
+            got = euler_restrict_der(theta, A, i, res, checked=True)
+            assert got.numerators == euler_restrict_der_per_TI(theta, res), (i, theta.order, theta.degree)
+            nonzero += not got.is_zero()
+    assert nonzero
+
+
+def test_restrict_form_is_the_per_TI_formula(restriction_inputs):
+    A, _, _, deletion = restriction_inputs
+    nonzero = 0
+    for i in range(A.n):
+        res = restrict(A, i)
+        A_del = A.delete(i)
+        for omega in deletion(i):
+            got = restrict_form(omega, A_del, res=res, checked=True)
+            assert got.numerators == restrict_form_per_TI(omega, res), (i, omega.order, omega.degree)
+            nonzero += not got.is_zero()
+    assert nonzero
+
+
+def _perturbed(omega):
+    """omega with x_0^e added to its first numerator: not logarithmic in general."""
+    num = omega.numerators
+    e = omega.numerator_degree()
+    x0e = Poly(num[0].field, num[0].ell, {(e,) + (0,) * (num[0].ell - 1): num[0].field.one})
+    return CoeffVector("O", 1, omega.degree, (num[0] + x0e,) + num[1:])
+
+
+def test_preparation_check_is_the_per_term_check(restriction_inputs):
+    # the log forms pass on every hyperplane; perturbed ones fail on some
+    A, _, forms, _ = restriction_inputs
+    verdicts = Counter()
+    for i in range(A.n):
+        for omega in forms + [_perturbed(w) for w in forms[:2]]:
+            got = preparation_check(omega, A, i)
+            assert got == preparation_check_per_term(omega, A, i), i
+            verdicts[got] += 1
+    assert verdicts[True] >= len(forms) * A.n and verdicts[False]
+
+
+def test_one_restriction_builds_each_monomial_image_once(monkeypatch):
+    # every generator of a hyperplane's ledger goes through one Restriction,
+    # whose pullback builds the image of each monomial at most once
+    built = Counter()
+    build = Pullback._build
+
+    def counting(self, m):
+        built[id(self), m] += 1
+        return build(self, m)
+
+    monkeypatch.setattr(Pullback, "_build", counting)
+    A = braid(4)
+    res = restrict(A, 2)
+    for theta in minimal_generators(A, "D").representatives:
+        euler_restrict_der(theta, A, 2, res, checked=True)
+    A_del = A.delete(2)
+    for omega in minimal_generators(A_del, "O").representatives:
+        restrict_form(omega, A_del, res=res, checked=True)
+    assert built and max(built.values()) == 1
+    assert {pull for pull, _ in built} == {id(res.pullback)}
+    assert res == replace(res)  # the cached pullback takes no part in equality
+    built.clear()
+    euler_exactness_check(generic(5, 3, seed=3, field=GF(1009)), 1, "O")
+    assert built and max(built.values()) == 1

@@ -8,6 +8,7 @@ from arrlog.linalg import Matrix, kernel_basis
 from arrlog.poly import (
     LinearForm,
     Poly,
+    Pullback,
     divide_by_linear,
     divisibility_constraints,
     divisible_by_linear_power,
@@ -15,6 +16,7 @@ from arrlog.poly import (
     poly_det,
     product,
     substitute_linear,
+    sum_of_products,
     wedge_numerators,
 )
 
@@ -100,6 +102,120 @@ def test_substitute_roundtrip():
 def test_substitute_singular_raises():
     with pytest.raises(ValueError):
         substitute_linear(P({(1, 0): 1}), Matrix(QQ, [[1, 1], [1, 1]]))
+
+
+def substitute_per_term(f, images):
+    """Reference substitution x_i -> images[i]: every term a chain of Poly products."""
+    tgt_ell = images[0].ell
+    out = Poly.zero(f.field, tgt_ell)
+    for m, c in f.terms.items():
+        term = Poly.const(f.field, tgt_ell, c)
+        for image, e in zip(images, m):
+            term = term * image**e
+        out = out + term
+    return out
+
+
+def _random_coeff(rng, field):
+    if field == QQ:
+        return QQ.of(rng.randint(-6, 6)) / rng.randint(1, 4)
+    return field.of(rng.randrange(field.p))
+
+
+def _random_poly(rng, field, ell, degrees, nterms):
+    terms = {}
+    for _ in range(nterms):
+        d = rng.choice(degrees)
+        cuts = sorted(rng.randint(0, d) for _ in range(ell - 1))
+        terms[tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))] = _random_coeff(rng, field)
+    return Poly(field, ell, terms)
+
+
+def _restriction_images(rng, field, ell):
+    """x_t -> y_t' for t != k and x_k -> a linear form: the shape of a hyperplane chart."""
+    k = rng.randrange(ell)
+    images, t_out = [], 0
+    for t in range(ell):
+        if t == k:
+            images.append(_random_poly(rng, field, ell - 1, [1], ell - 1))
+        else:
+            images.append(Poly.variable(field, ell - 1, t_out))
+            t_out += 1
+    return images
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(1009)], ids=["QQ", "F1009"])
+
+
+@FIELDS
+def test_pullback_matches_per_term_substitution(field):
+    rng = random.Random(13)
+    for ell in range(2, 6):
+        shapes = {
+            "dense": [_random_poly(rng, field, ell, [1], 2 * ell) for _ in range(ell)],
+            "sparse": [_random_poly(rng, field, ell - 1, [1], 2) for _ in range(ell)],
+            "restriction": _restriction_images(rng, field, ell),
+            "quadratic": [_random_poly(rng, field, 3, [0, 1, 2], 3) for _ in range(ell)],
+        }
+        for name, images in shapes.items():
+            top = 4 if name == "quadratic" else 8
+            for d in range(top + 1):
+                f = _random_poly(rng, field, ell, [d], 6)
+                assert Pullback(images)(f) == substitute_per_term(f, images), (ell, name, d)
+            mixed = _random_poly(rng, field, ell, list(range(top + 1)), 10)
+            assert Pullback(images)(mixed) == substitute_per_term(mixed, images), (ell, name)
+
+
+@FIELDS
+def test_one_pullback_serves_polynomials_of_every_degree(field):
+    rng = random.Random(29)
+    for ell in range(2, 6):
+        images = _restriction_images(rng, field, ell)
+        pull = Pullback(images)
+        polys = [_random_poly(rng, field, ell, [d], 5) for d in (8, 0, 3, 8, 1, 5, 2)]
+        polys.append(_random_poly(rng, field, ell, list(range(9)), 12))
+        for f in polys + polys[:2]:  # the first two again, from a warm cache
+            assert pull(f) == substitute_per_term(f, images)
+
+
+def test_pullback_of_zero_and_constants():
+    images = [Poly.variable(QQ, 2, 1), Poly.zero(QQ, 2), Poly.variable(QQ, 2, 0)]
+    pull = Pullback(images)
+    assert pull(Poly.zero(QQ, 3)).is_zero()
+    assert pull(Poly.const(QQ, 3, 5)) == Poly.const(QQ, 2, 5)
+    assert pull(P({(1, 1, 0): 1, (2, 0, 1): 3}, ell=3)) == P({(1, 2): 3})
+    with pytest.raises(ValueError):
+        pull(Poly.variable(QQ, 2, 0))
+    with pytest.raises(ValueError):
+        Pullback([])
+
+
+def test_substitute_linear_matches_per_term_substitution():
+    rng = random.Random(31)
+    for field in (QQ, GF(1009)):
+        for ell in range(2, 5):
+            rows = [[_random_coeff(rng, field) for _ in range(ell)] for _ in range(ell)]
+            f = _random_poly(rng, field, ell, list(range(6)), 8)
+            images = [Poly(field, ell, {tuple(int(s == t) for s in range(ell)): c for t, c in enumerate(r) if c}) for r in rows]
+            try:
+                got = substitute_linear(f, rows)
+            except ValueError:  # a singular draw
+                continue
+            assert got == substitute_per_term(f, images)
+
+
+@FIELDS
+def test_sum_of_products_matches_poly_arithmetic(field):
+    rng = random.Random(37)
+    pairs = [(_random_poly(rng, field, 3, [d], 4), _random_poly(rng, field, 3, [4 - d], 4)) for d in range(5)]
+    pairs.append((Poly.zero(field, 3), _random_poly(rng, field, 3, [4], 4)))
+    expected = Poly.zero(field, 3)
+    for a, b in pairs:
+        expected = expected + a * b
+    assert sum_of_products(field, 3, pairs) == expected
+    assert sum_of_products(field, 3, []).is_zero()
+    a = _random_poly(rng, field, 3, [2], 4)
+    assert sum_of_products(field, 3, [(a, Poly.const(field, 3, 1)), (a, Poly.const(field, 3, -1))]).is_zero()
 
 
 def test_divide_by_linear():
