@@ -15,7 +15,6 @@ from .arrangement import (
     ArrangementError,
     DuplicateHyperplane,
     ZeroForm,
-    delete,
     parse_arrangement,
     restrict,
     validate,

@@ -181,10 +181,6 @@ def validate(field, vectors, mult=None, ell=None) -> Arrangement:
     return Arrangement(field, ell, forms, mult)
 
 
-def delete(A: Arrangement, i: int) -> Arrangement:
-    return A.delete(i)
-
-
 @dataclass
 class Restriction:
     """Simple restriction of an arrangement to one of its hyperplanes.

@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 from .arrangement import Arrangement, restrict, validate
 from .fields import QQ
-from .linalg import Matrix, rank as mat_rank
-from .maps import certified_image_rank, euler_restrict_der, restrict_form
+from .maps import certified_image_rank, restrict_generators
 from .poly import divide_by_linear
 from .solver import (
     AmbientEngine,
@@ -49,10 +48,9 @@ def criticality_check(A: Arrangement, k: int) -> CriticalityReport:
     expectation would be that some hyperplane achieves gap = k, recorded
     as conjecture86_holds.
     """
-    engine = pick_engine(A, "O", 1)
-    elements = engine.kernel(-k)[0]
-    dim_full = len(elements)
-    witness = engine.to_coeffvector(elements[0], -k) if elements else None
+    basis = graded_basis(A, "O", 1, -k)
+    dim_full = basis.dimension
+    witness = basis.vectors[0] if basis.vectors else None
     deletion_dims = []
     for i in range(A.n):
         deletion_dims.append(graded_dimension(A.delete(i), "O", 1, -k))
@@ -176,23 +174,15 @@ def euler_exactness_check(
     A_del = A.delete(i)
     if kind == "D":
         src_gens = sweep_A
-        mapped = [
-            (d, tuple(euler_restrict_der(cv, A, i, res, checked=True).numerators))
-            for d, cv in zip(src_gens.degrees, src_gens.representatives)
-        ]
         big, small = engine_A, pick_engine(A_del, kind, order)
         if degree_range is None:
             degree_range = (0, A.deg_Q())
     else:
         src_gens = minimal_generators(A_del, "O", order)
-        mapped = [
-            (d, tuple(restrict_form(cv, A_del, res=res, checked=True).numerators))
-            for d, cv in zip(src_gens.degrees, src_gens.representatives)
-        ]
         big, small = src_gens.engine, engine_A
         if degree_range is None:
             degree_range = (-A_del.deg_Q(), 0)
-    mapped = [(d, el) for d, el in mapped if any(not p.is_zero() for p in el)]
+    mapped = [(img.degree, tuple(img.numerators)) for img in restrict_generators(src_gens, res)]
     tgt_space = AmbientEngine(res.restricted, kind, order).space
     rows = []
     exact = True
@@ -402,35 +392,6 @@ def pole_degree_check(A: Arrangement):
     return holds, rows
 
 
-def no_pole_subspace_dim(A: Arrangement, d: int, i: int) -> int:
-    """dim of the degree-d 1-forms of A regular along hyperplane i."""
-    basis = graded_basis(A, "O", 1, d)
-    if basis.dimension == 0:
-        return 0
-    alpha = A.forms[i]
-    field = A.field
-    rows = []
-    for cv in basis.vectors:
-        row = []
-        for f in cv.numerators:
-            _, r = divide_by_linear(f, alpha)
-            # collect remainder coefficients (reduced monomials only)
-            row.extend(r.terms.get(m, field.zero) for m in _reduced_monos(A.ell, cv, alpha))
-        rows.append(row)
-    M = Matrix(field, rows).transpose()
-    return basis.dimension - mat_rank(M)
-
-
-def _reduced_monos(ell, cv, alpha):
-    from .poly import monomial_basis
-
-    N = cv.numerator_degree()
-    if N is None:
-        N = 0
-    k = alpha.pivot()
-    return [m for m in monomial_basis(ell, N) if m[k] == 0]
-
-
 def plus_one_extension_count(A: Arrangement, i: int) -> int:
     """dim of the new (pole) part of the 1-forms in degree -(|A| - |A^H|).
 
@@ -438,8 +399,11 @@ def plus_one_extension_count(A: Arrangement, i: int) -> int:
     the module of the full arrangement is the deletion part plus a single
     new generator in that degree.
     """
-    gap = A.n - restrict(A, i).restricted.n
-    d = -gap
-    total = graded_dimension(A, "O", 1, d)
-    regular = no_pole_subspace_dim(A, d, i)
-    return total - regular
+    d = restrict(A, i).restricted.n - A.n
+    # the forms without a pole along H are those of A with H's
+    # multiplicity lowered by one; at multiplicity 1, H is deleted
+    if A.mult[i] == 1:
+        regular = A.delete(i)
+    else:
+        regular = A.with_multiplicities([m - (j == i) for j, m in enumerate(A.mult)])
+    return graded_dimension(A, "O", 1, d) - graded_dimension(regular, "O", 1, d)

@@ -24,7 +24,7 @@ from .checks import (
 from .fields import GF, QQ, Rationals, _is_prime
 from .lattice import InLattice, intersection_lattice, is_k_generic
 from .library import boolean, braid, generic, grr3, nine4d, ziegler22
-from .maps import preparation_check, restrict_form, surjectivity_check
+from .maps import preparation_check, surjectivity_check
 from .poly import LinearForm
 from .report import Report
 from .resolution import betti_table, spog_detect
@@ -104,7 +104,8 @@ def claim_nine4d(rep: Report):
     )
     h = LinearForm(QQ, [1, 3, 5, 7])
     ok_gen, _ = is_k_generic([h], A, 3)
-    _, _, tgt_gens, sj = _cut_sweep(A, h, gens)
+    sj = surjectivity_check(A.add_hyperplane(h), A.n, kind="O", source_generators=gens)
+    tgt_gens = sj.target_generators
     rep.add(
         "generators:nine4d-cut",
         "nine4d-restriction-generator-degrees--1--2--3",
@@ -193,24 +194,6 @@ def _sample_generic_hyperplane(A: Arrangement, seed: int, lattice, k: int):
     raise NoGenericHyperplane(f"no generic hyperplane found for seed {seed}")
 
 
-def _cut_sweep(A1: Arrangement, h: LinearForm, gens_src):
-    """(A, the cut A^H, cut generators, surjectivity report) of A = A1 + H.
-
-    The cut's sweep takes the restrictions of the source generators
-    `gens_src` (1-forms of A1) as hints, which select the ambient engine.
-    """
-    A = A1.add_hyperplane(h)
-    res = restrict(A, A.n - 1)
-    hints = [restrict_form(cv, A1, res=res, checked=True) for cv in gens_src.representatives]
-    cut = res.restricted
-    del res  # with its cached monomial images, which the sweeps below do not need
-    tgt_gens = minimal_generators(cut, "O", hints=hints)
-    sj = surjectivity_check(
-        A, A.n - 1, kind="O", source_generators=gens_src, target_generators=tgt_gens
-    )
-    return A, cut, tgt_gens, sj
-
-
 def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
     A1 = ziegler22()
     sr = saito_check(A1)
@@ -219,7 +202,10 @@ def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
     src_multiset = gens_src.degree_multiset()
     for seed in seeds:
         h = _sample_generic_hyperplane(A1, seed, lat, A1.ell - 1)
-        A, cut, tgt_gens, sj = _cut_sweep(A1, h, gens_src)
+        A = A1.add_hyperplane(h)
+        sj = surjectivity_check(A, A.n - 1, kind="O", source_generators=gens_src)
+        tgt_gens = sj.target_generators
+        cut = tgt_gens.arrangement
         fb = free_base_from_saito(A, list(range(A1.n)), sr)
         gens_A = minimal_generators(A, "O", base=fb)
         bt = betti_table(gens_A)
@@ -471,7 +457,10 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
             bt_src = betti_table(gens_src)
             pd_src = bt_src.pd if bt_src.certified_free_tail else None
     hypothesis_ok = fully and pd_src is not None and pd_src <= ell - 3
-    A, cut, tgt_gens, sj = _cut_sweep(A1, hyper, gens_src)
+    A = A1.add_hyperplane(hyper)
+    sj = surjectivity_check(A, A.n - 1, kind="O", source_generators=gens_src)
+    tgt_gens = sj.target_generators
+    cut = tgt_gens.arrangement
     rep.add(
         "cut:surjectivity",
         "form-restriction-surjectivity",

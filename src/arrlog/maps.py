@@ -5,7 +5,9 @@ member hyperplane; the form restriction literally restricts the rational
 form of the deletion to the hyperplane.  Both are degree preserving and
 S-linear over the coordinate-ring surjection, so the image of a module is
 the submodule generated by the images of its minimal generators; all the
-degreewise image computations below exploit that.
+degreewise image computations below exploit that.  `restrict_generators`
+maps a generator set once, and `surjectivity_check` seeds the target's
+sweep with those images as hints.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from .poly import LinearForm, Poly, Pullback, divide_by_linear
 from .solver import (
     AmbientEngine,
     CoeffVector,
+    GeneratorSet,
     NotLogarithmic,
     SolverError,
     TwistSpace,
     _certified_eval_rank,
     _invert,
-    graded_basis,
+    graded_dimension,
     membership_failures,
     minimal_generators,
     subsets,
@@ -49,23 +52,11 @@ def euler_restrict_der(
         raise NotLogarithmic("input is not logarithmic on the arrangement")
     if res is None:
         res = restrict(A, i)
-    ell = A.ell
-    p = theta.order
     lam = res.lift  # ell x (ell-1); columns lift the chart coordinates
-    src_subs = subsets(ell, p)
-    out = []
-    for T in combinations(range(ell - 1), p):
-        # the pullback is a ring map: combine in the source ring, map once
-        acc = Poly.zero(A.field, ell)
-        for idx, I in enumerate(src_subs):
-            poly = theta.numerators[idx]
-            if poly.is_zero():
-                continue
-            c = det(lam.field, [[lam.rows[i][j] for j in T] for i in I])
-            if c:
-                acc = acc + poly.scale(c)
-        out.append(res.pullback(acc))
-    return CoeffVector("D", p, theta.degree, tuple(out))
+    out = _pulled_back_combinations(
+        theta, res, lambda I, T: det(lam.field, [[lam.rows[r][t] for t in T] for r in I])
+    )
+    return CoeffVector("D", theta.order, theta.degree, tuple(out))
 
 
 def restrict_form(
@@ -92,28 +83,17 @@ def restrict_form(
             raise ValueError("need the new hyperplane or a Restriction")
         A = A_prime.add_hyperplane(h)
         res = restrict(A, A.n - 1)
-    A = res.arrangement
-    field = A.field
-    ell = A.ell
-    p = omega.order
-    target = res.restricted
+    field = res.arrangement.field
     B = res.embedding
-    src_subs = subsets(ell, p)
-    out = []
+    # Q(A')(y B) = kappa * prod(target forms ^ ziegler multiplicity)
     inv_kappa = field.inv(res.kappa)
-    for T in combinations(range(ell - 1), p):
-        # the pullback is a ring map: combine in the source ring, map once
-        acc = Poly.zero(field, ell)
-        for idx, I in enumerate(src_subs):
-            poly = omega.numerators[idx]
-            if poly.is_zero():
-                continue
-            c = det(B.field, [[B.rows[t][i] for i in I] for t in T])
-            if c:
-                acc = acc + poly.scale(c)
-        # Q(A')(y B) = kappa * prod(target forms ^ ziegler multiplicity)
-        g = res.pullback(acc.scale(inv_kappa))
-        for form, zm in zip(target.forms, res.ziegler_mult):
+
+    def minor(I, T):
+        return field.mul(inv_kappa, det(field, [[B.rows[t][i] for i in I] for t in T]))
+
+    out = []
+    for g in _pulled_back_combinations(omega, res, minor):
+        for form, zm in zip(res.restricted.forms, res.ziegler_mult):
             for _ in range(zm - 1):
                 q, r = divide_by_linear(g, form)
                 if not r.is_zero():
@@ -122,7 +102,46 @@ def restrict_form(
                     )
                 g = q
         out.append(g)
-    return CoeffVector("O", p, omega.degree, tuple(out))
+    return CoeffVector("O", omega.order, omega.degree, tuple(out))
+
+
+def _pulled_back_combinations(cv: CoeffVector, res: Restriction, minor) -> list:
+    """For each chart subset T, the pullback of sum_I minor(I, T) * numerator_I.
+
+    The pullback is a ring map: the numerators are combined in the
+    source ring and each output coordinate is mapped once.
+    """
+    A = res.arrangement
+    src_subs = subsets(A.ell, cv.order)
+    out = []
+    for T in combinations(range(A.ell - 1), cv.order):
+        acc = Poly.zero(A.field, A.ell)
+        for I, poly in zip(src_subs, cv.numerators):
+            if poly.is_zero():
+                continue
+            c = minor(I, T)
+            if c:
+                acc = acc + poly.scale(c)
+        out.append(res.pullback(acc))
+    return out
+
+
+def restrict_generators(gens: GeneratorSet, res: Restriction) -> list:
+    """The nonzero images of a generator set's representatives through `res`.
+
+    Kind "D" generators of D^p(A) go through the Euler restriction, kind
+    "O" generators of Omega^p(A - H) through the form restriction; A and
+    H are `res.arrangement` and its hyperplane `res.index`.  Every image
+    shares the pullback cache of `res`.
+    """
+    A, i = res.arrangement, res.index
+    images = [
+        euler_restrict_der(cv, A, i, res, checked=True)
+        if gens.kind == "D"
+        else restrict_form(cv, gens.arrangement, res=res, checked=True)
+        for cv in gens.representatives
+    ]
+    return [img for img in images if not img.is_zero()]
 
 
 def certified_image_rank(tgt_space: TwistSpace, gens, d: int, field, upper=None) -> int:
@@ -145,7 +164,7 @@ class SurjectivityReport:
     order: int
     degree_range: tuple
     rows: list  # (degree, dim target piece, dim image piece)
-    target_generator_degrees: list
+    target_generators: GeneratorSet
     surjective: bool
     witness_degree: int | None
     mapped_generator_degrees: list
@@ -171,36 +190,30 @@ def surjectivity_check(
 
     The image piece at degree d is the degree-d part of the submodule
     generated by the images of the source's minimal generators (the maps
-    are module homomorphisms).  The ledger runs from the lowest to the
-    highest generator degree of the target, so the verdict is
+    are module homomorphisms).  Without `target_generators` the target is
+    swept with those images as hints.  The ledger runs from the lowest to
+    the highest generator degree of the target, so the verdict is
     module-exact.
     """
     res = restrict(A, i)
     target = res.restricted
-    source_arr = A if kind == "D" else A.delete(i)
-    tgt_gens = (
-        target_generators
-        if target_generators is not None
-        else minimal_generators(target, kind, order)
-    )
-    gen_degrees = sorted(tgt_gens.degrees)
     src_gens = (
         source_generators
         if source_generators is not None
-        else minimal_generators(source_arr, kind, order)
+        else minimal_generators(A if kind == "D" else A.delete(i), kind, order)
     )
-    mapped = []
-    for d, cv in zip(src_gens.degrees, src_gens.representatives):
-        img = (
-            euler_restrict_der(cv, A, i, res, checked=True)
-            if kind == "D"
-            else restrict_form(cv, source_arr, res=res, checked=True)
-        )
-        if img.is_zero():
-            continue
+    images = restrict_generators(src_gens, res)
+    del res  # with its cached monomial images, which the target sweep does not need
+    for img in images:
         if membership_failures(target, img):
             raise SolverError("restricted generator failed the target membership check")
-        mapped.append((d, tuple(img.numerators)))
+    tgt_gens = (
+        target_generators
+        if target_generators is not None
+        else minimal_generators(target, kind, order, hints=images)
+    )
+    gen_degrees = sorted(tgt_gens.degrees)
+    mapped = [(img.degree, tuple(img.numerators)) for img in images]
     lo, hi = (gen_degrees[0], gen_degrees[-1]) if gen_degrees else (0, 0)
     tgt_space = AmbientEngine(target, kind, order).space
     rows = []
@@ -209,7 +222,7 @@ def surjectivity_check(
     for d in range(lo, hi + 1):
         tdim = tgt_gens.dims.get(d)
         if tdim is None:
-            tdim = graded_basis(target, kind, order, d).dimension
+            tdim = graded_dimension(target, kind, order, d)
         idim = certified_image_rank(tgt_space, mapped, d, A.field, upper=tdim)
         rows.append((d, tdim, idim))
         if idim < tdim:
@@ -223,7 +236,7 @@ def surjectivity_check(
         order=order,
         degree_range=(lo, hi),
         rows=rows,
-        target_generator_degrees=gen_degrees,
+        target_generators=tgt_gens,
         surjective=surjective,
         witness_degree=witness,
         mapped_generator_degrees=[d for d, _ in mapped],

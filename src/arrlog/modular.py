@@ -381,7 +381,7 @@ def kernel_qq_candidates(build, ncols: int, accept):
     the group agreeing on the (max-rank, lex-min) pivot profile and
     reconstructs the free columns of the reduced matrix entrywise.  Each
     reconstructed candidate, a list of Fraction lists in unit-free-column
-    form, goes to `accept(vectors, primes, False)`, which returns its
+    form, goes to `accept(vectors, False)`, which returns its
     result, or None to reject the candidate.  After a failed or rejected
     lift the search goes on with the next prime, keeping every group,
     and lifts again only once the best group holds one more prime.
@@ -413,7 +413,7 @@ def kernel_qq_candidates(build, ncols: int, accept):
         lifted = group.lift()
         if lifted is not None:
             primes = tuple(group.primes)
-            result = accept(_kernel_from_lifted(lifted, best, ncols), primes, False)
+            result = accept(_kernel_from_lifted(lifted, best, ncols), False)
             if result is not None:
                 return result, len(best), best, primes
         need = n + 1

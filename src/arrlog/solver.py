@@ -268,20 +268,20 @@ class _Engine:
         return None
 
     def kernel(self, d: int):
-        """Exact kernel basis at degree d: (elements, coords, primes).
+        """The elements of an exact kernel basis at degree d.
 
         A lifted candidate is verified element by element, and one that
         fails is replaced by a lift from more primes.
         """
         ncols = self.space.dim(d)
         if ncols == 0:
-            return [], [], ()
+            return []
 
-        def accept(vectors, primes, exact):
+        def accept(vectors, exact):
             elements = [self.space.element_from_coords(self.field, d, v) for v in vectors]
             if not exact and not all(self.verify(el, d) for el in elements):
                 return None
-            return elements, vectors, primes
+            return elements
 
         return _certified_kernel(lambda p: self.build_mod(d, p), ncols, self.field, accept)
 
@@ -295,7 +295,7 @@ class _Engine:
         if n is None:
             ncols = self.space.dim(d)
 
-            def count(vectors, primes, exact):
+            def count(vectors, exact):
                 if exact or all(self.verify(self.space.element_from_coords(self.field, d, v), d) for v in vectors):
                     return len(vectors)
                 return None
@@ -681,14 +681,7 @@ def pick_engine(A: Arrangement, kind: str, order: int, prefer: str = "auto", bas
 class GradedBasis:
     """Exact basis of one graded piece."""
 
-    arrangement: Arrangement
-    kind: str
-    order: int
-    degree: int
     vectors: list  # of CoeffVector
-    elements: list  # engine-internal block tuples
-    engine: object
-    primes: tuple
 
     @property
     def dimension(self):
@@ -708,7 +701,7 @@ def _primes(field):
 def _certified_kernel(build, ncols: int, field, accept):
     """The result of the first kernel candidate that `accept` certifies.
 
-    `build(p)` returns the matrix mod p.  `accept(vectors, primes, exact)`
+    `build(p)` returns the matrix mod p.  `accept(vectors, exact)`
     gets a candidate basis (coordinate lists) and returns its result, or
     None when the candidate fails exact verification; `exact` says it
     needs none.  Over F_p the kernel mod the field's prime is exact, and
@@ -719,7 +712,7 @@ def _certified_kernel(build, ncols: int, field, accept):
     """
     if not isinstance(field, Rationals):
         p = field.p
-        return accept(kernel_mod(build(p), p).tolist(), (p,), True)
+        return accept(kernel_mod(build(p), p).tolist(), True)
     return kernel_qq_candidates(build, ncols, accept)[0]
 
 
@@ -738,17 +731,7 @@ def graded_basis(
     is exact because mod-p ranks bound the rank over Q from below.
     """
     eng = pick_engine(A, kind, order, engine)
-    elements, coords, primes = eng.kernel(d)
-    return GradedBasis(
-        arrangement=A,
-        kind=kind,
-        order=order,
-        degree=d,
-        vectors=[eng.to_coeffvector(el, d) for el in elements],
-        elements=elements,
-        engine=eng,
-        primes=primes,
-    )
+    return GradedBasis([eng.to_coeffvector(el, d) for el in eng.kernel(d)])
 
 
 def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0, engine: str = "auto") -> int:
@@ -972,7 +955,7 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     # their number, both sides certified (mod-p ranks bound the rational
     # ranks from below, and the representatives are exhibited members)
 
-    def select(vectors, _, exact):
+    def select(vectors, exact):
         n_d = len(vectors)
         if rank_eval == n_d:
             return n_d, []

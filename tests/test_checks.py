@@ -17,8 +17,10 @@ from arrlog.checks import (
 from arrlog.fields import GF, QQ
 from arrlog.arrangement import validate
 from arrlog.library import boolean, braid, generic, grr3, nine4d, ziegler22
-from arrlog.poly import LinearForm
+from arrlog.linalg import Matrix, rank
+from arrlog.poly import LinearForm, divide_by_linear
 from arrlog.report import PASS, Report
+from arrlog.solver import graded_basis, graded_dimension
 
 
 def test_criticality_grr3():
@@ -117,7 +119,7 @@ EULER_LEDGER_DIGESTS = {
 
 @pytest.mark.parametrize("seed", sorted(EULER_LEDGER_DIGESTS))
 def test_claim_euler_ledgers_outputs_are_frozen(monkeypatch, seed):
-    from arrlog import checks, claims
+    from arrlog import claims, maps
 
     ledgers = []
     images = hashlib.sha256()
@@ -137,8 +139,8 @@ def test_claim_euler_ledgers_outputs_are_frozen(monkeypatch, seed):
 
     original_ledgers = claims.euler_ledgers
     monkeypatch.setattr(claims, "euler_ledgers", recording_ledgers)
-    monkeypatch.setattr(checks, "euler_restrict_der", recording(checks.euler_restrict_der))
-    monkeypatch.setattr(checks, "restrict_form", recording(checks.restrict_form))
+    monkeypatch.setattr(maps, "euler_restrict_der", recording(maps.euler_restrict_der))
+    monkeypatch.setattr(maps, "restrict_form", recording(maps.restrict_form))
     rep = Report(command="test", field_spec="F1009", seed=seed)
     claims.claim_euler_ledgers(rep, seed)
     assert [c.status for c in rep.claims] == [PASS]
@@ -180,3 +182,43 @@ def test_pole_degree_bound():
 def test_plus_one_extension_boolean():
     A = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3]))
     assert plus_one_extension_count(A, A.n - 1) == 1
+
+
+def _regular_dimension(A, i, d):
+    """Oracle: dim of the degree-d 1-forms of A whose numerators A.forms[i] divides."""
+    vectors = graded_basis(A, "O", 1, d).vectors
+    remainders = [[divide_by_linear(f, A.forms[i])[1] for f in cv.numerators] for cv in vectors]
+    columns = sorted({(k, m) for rem in remainders for k, r in enumerate(rem) for m in r.terms})
+    if not columns:
+        return len(vectors)
+    rows = [[rem[k].coeff(m) for k, m in columns] for rem in remainders]
+    return len(vectors) - rank(Matrix(A.field, rows))
+
+
+PLUS_ONE_INPUTS = {
+    "boolean3-plus-one": lambda: boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3])),
+    "grr3-3-F7": lambda: grr3(3, GF(7)),
+    "generic5-seed1-F1009": lambda: generic(5, 3, seed=1, field=GF(1009)),
+    "generic6-seed2-QQ": lambda: generic(6, 3, seed=2),
+    "boolean3-plus-one-mult1212": lambda: boolean(3)
+    .add_hyperplane(LinearForm(QQ, [1, 1, 1]))
+    .with_multiplicities([1, 2, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLUS_ONE_INPUTS))
+def test_regular_forms_are_the_forms_of_the_lowered_multiplicity(name):
+    # the forms of A without a pole along H are those of A with H's
+    # multiplicity lowered by one (H deleted at multiplicity 1), in every
+    # degree of the window; the plus-one count subtracts their dimension
+    A = PLUS_ONE_INPUTS[name]()
+    for i in range(A.n):
+        if A.mult[i] == 1:
+            lowered = A.delete(i)
+        else:
+            lowered = A.with_multiplicities([m - (j == i) for j, m in enumerate(A.mult)])
+        for d in range(-A.deg_Q(), 1):
+            assert graded_dimension(lowered, "O", 1, d) == _regular_dimension(A, i, d), (i, d)
+        d = A.restrict(i).restricted.n - A.n
+        expected = graded_dimension(A, "O", 1, d) - _regular_dimension(A, i, d)
+        assert plus_one_extension_count(A, i) == expected, i

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
@@ -18,6 +19,7 @@ from arrlog.maps import (
 )
 from arrlog.poly import LinearForm, Poly, Pullback, divide_by_linear, monomial_basis, product
 from arrlog.solver import (
+    AmbientEngine,
     CoeffVector,
     NotLogarithmic,
     _invert,
@@ -129,7 +131,51 @@ def test_surjectivity_nine4d_not_surjective():
     rep = surjectivity_check(B, B.n - 1, kind="O")
     assert not rep.surjective
     assert rep.witness_degree == -3
-    assert rep.target_generator_degrees == [-3, -2, -2, -2, -1]
+    assert sorted(rep.target_generators.degrees) == [-3, -2, -2, -2, -1]
+
+
+@pytest.mark.parametrize("case", ["nine4d-cut", "grr3-3-H0", "grr3-3-H4"])
+def test_surjectivity_sweeps_the_target_with_the_images(case):
+    # without target generators the target is swept with the images of
+    # the source generators as hints; the ledger is that of an unhinted
+    # sweep of the target
+    if case == "nine4d-cut":
+        N = nine4d()
+        A, i = N.add_hyperplane(LinearForm(QQ, [1, 3, 5, 7])), N.n
+    else:
+        A, i = grr3(3, GF(7)), int(case[-1])
+    src = minimal_generators(A.delete(i), "O")
+    hinted = surjectivity_check(A, i, kind="O", source_generators=src)
+    plain = surjectivity_check(
+        A, i, kind="O", source_generators=src,
+        target_generators=minimal_generators(restrict(A, i).restricted, "O"),
+    )
+    assert isinstance(hinted.target_generators.engine, AmbientEngine)  # the hints were read
+    assert hinted.rows == plain.rows
+    assert (hinted.surjective, hinted.witness_degree) == (plain.surjective, plain.witness_degree)
+    assert sorted(hinted.target_generators.degrees) == sorted(plain.target_generators.degrees)
+
+
+def test_generic_cut_restricts_each_source_generator_once(monkeypatch):
+    # the cut's target sweep and its surjectivity ledger share one set of
+    # images, so each source generator goes through the form restriction once
+    from arrlog import claims, maps
+    from arrlog.report import Report
+
+    calls = []
+    original = maps.restrict_form
+
+    def spy(omega, *args, **kwargs):
+        calls.append(omega)
+        return original(omega, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "arrlog" and getattr(module, "restrict_form", None) is original:
+            monkeypatch.setattr(module, "restrict_form", spy)
+    rep = Report(command="test", field_spec="F1009")
+    claims.generic_cut_analysis(rep, generic(5, 3, seed=1, field=GF(1009)), None, seed=1, with_betti=False)
+    source = next(c for c in rep.claims if c.claim_id == "cut:generators").data["source"]
+    assert len(calls) == len(source) > 0
 
 
 def test_preparation_check_on_log_basis():

@@ -334,7 +334,7 @@ def _reconstruct_from_scratch(rows_mod, primes):
     return out
 
 
-def _accept_all(vectors, primes, exact):
+def _accept_all(vectors, exact):
     return vectors
 
 
@@ -394,8 +394,8 @@ def test_kernel_qq_candidates_matches_from_scratch_reconstruction():
 
         offers = []
 
-        def reject_first(vectors, primes, exact):
-            offers.append(primes)
+        def reject_first(vectors, exact):
+            offers.append(vectors)
             return vectors if len(offers) > 1 else None
 
         resumed = kernel_qq_candidates(build, n, reject_first)

@@ -313,20 +313,20 @@ def test_certified_kernel_qq_retry_and_exhaustion():
         return rows % p
 
     first = kernel_qq_candidates(build, 3, lambda *cand: cand)
-    vectors, primes, exact = first[0]
-    assert (primes, exact) == (first[3], False)
+    vectors, exact = first[0]
+    assert not exact
     seen = []
 
-    def reject_first(vectors, primes, exact):
-        seen.append(primes)
+    def reject_first(vectors, exact):
+        seen.append(len(built))  # primes built when the candidate is offered
         return vectors if len(seen) > 1 else None
 
     assert _certified_kernel(build, 3, QQ, lambda *cand: cand) == first[0]
     built.clear()
     assert _certified_kernel(build, 3, QQ, reject_first) == vectors
-    assert seen[0] == first[3]
-    assert len(seen[1]) == len(first[3]) + 1
-    # the search resumes: the rejected candidate's primes are built once
+    # the search resumes with one more prime: the rejected candidate's
+    # primes are built once
+    assert seen == [len(first[3]), len(first[3]) + 1]
     assert len(built) == len(first[3]) + 1
     with pytest.raises(ReconstructionFailed):
         _certified_kernel(build, 3, QQ, lambda *cand: None)
@@ -338,7 +338,7 @@ def test_certified_kernel_qq_zero_mod_first_prime():
     P = PRIMES[0]
     rows = [[P, 2 * P, 3 * P]]
 
-    def accept(vectors, primes, exact):
+    def accept(vectors, exact):
         if all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows for v in vectors):
             return vectors
         return None
@@ -374,8 +374,8 @@ def test_certified_kernel_fp_is_exact_and_taken_once():
         built.append(p)
         return rows % p
 
-    vectors, primes, exact = _certified_kernel(build, 3, GF(7), lambda *cand: cand)
-    assert (vectors, primes, exact, built) == ([[1, 5, 1]], (7,), True, [7])  # (1, -2, 1) mod 7
+    vectors, exact = _certified_kernel(build, 3, GF(7), lambda *cand: cand)
+    assert (vectors, exact, built) == ([[1, 5, 1]], True, [7])  # (1, -2, 1) mod 7
 
 
 # each exit of saito_check: its reason and the sweep it reports
