@@ -1,14 +1,12 @@
 """arrlog: exact logarithmic derivation/form modules of hyperplane arrangements."""
 
 from .fields import GF, QQ, FieldMismatch, PrimeField, Rationals, parse_field
-from .linalg import Matrix, in_span, kernel_basis, rank, rref
+from .linalg import Matrix, kernel_basis, rank, rref
 from .poly import (
     LinearForm,
     Poly,
     divisibility_constraints,
     monomial_basis,
-    substitute_linear,
-    wedge_numerators,
 )
 from .arrangement import (
     Arrangement,
@@ -31,7 +29,6 @@ from .library import example_library, parse_library_ref
 from .solver import (
     CoeffVector,
     GeneratorSet,
-    GradedBasis,
     NotLogarithmic,
     SaitoResult,
     SolverError,

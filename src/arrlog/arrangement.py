@@ -119,35 +119,15 @@ class Arrangement:
         matrix C) where row t of C is the coordinate form expressing the
         new variable y_t in terms of x.
         """
-        M = Matrix(self.field, [f.coeffs for f in self.forms])
-        R, pivots, r = rref(M)
-        basis_rows = [R.rows[t] for t in range(r)]
-        new_forms = []
-        B = Matrix(self.field, basis_rows)
-        for f in self.forms:
-            coeffs = _express_in_rowspace(B, f.coeffs, pivots)
-            new_forms.append(LinearForm(self.field, coeffs))
-        ess = validate(self.field, [fm.coeffs for fm in new_forms], self.mult, ell=r)
-        return ess, Matrix(self.field, basis_rows)
+        R, pivots, r = rref(Matrix(self.field, [f.coeffs for f in self.forms]))
+        # R's pivot columns are unit vectors, so each form f is sum_t f[pivots[t]] * R.rows[t]
+        new_forms = [[f.coeffs[c] for c in pivots] for f in self.forms]
+        ess = validate(self.field, new_forms, self.mult, ell=r)
+        return ess, Matrix(self.field, R.rows[:r])
 
     def __repr__(self):
         mult = "" if self.is_simple() else f", mult={list(self.mult)}"
         return f"Arrangement({self.field!r}, ell={self.ell}, n={self.n}{mult})"
-
-
-def _express_in_rowspace(B: Matrix, v, pivots):
-    """Coefficients c with sum c_t * row_t = v, for rref rows B."""
-    f = B.field
-    w = [f.of(x) for x in v]
-    coeffs = []
-    for t, c in enumerate(pivots):
-        coeffs.append(w[c])
-        if w[c]:
-            factor = w[c]
-            w = [f.sub(a, f.mul(factor, b)) for a, b in zip(w, B.rows[t])]
-    if any(w):
-        raise ArrangementError("vector not in the span of the forms")
-    return coeffs
 
 
 def validate(field, vectors, mult=None, ell=None) -> Arrangement:

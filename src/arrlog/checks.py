@@ -49,8 +49,8 @@ def criticality_check(A: Arrangement, k: int) -> CriticalityReport:
     as conjecture86_holds.
     """
     basis = graded_basis(A, "O", 1, -k)
-    dim_full = basis.dimension
-    witness = basis.vectors[0] if basis.vectors else None
+    dim_full = len(basis)
+    witness = basis[0] if basis else None
     deletion_dims = []
     for i in range(A.n):
         deletion_dims.append(graded_dimension(A.delete(i), "O", 1, -k))

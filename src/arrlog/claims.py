@@ -198,7 +198,9 @@ def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
     A1 = ziegler22()
     sr = saito_check(A1)
     lat = intersection_lattice(A1, max_codim=3)
-    gens_src = omega_generators_from_free(A1, sr)
+    # A = A1 + H keeps A1's indices, so A1's free base is A's base
+    fb = free_base_from_saito(A1, range(A1.n), sr)
+    gens_src = omega_generators_from_free(A1, fb)
     src_multiset = gens_src.degree_multiset()
     for seed in seeds:
         h = _sample_generic_hyperplane(A1, seed, lat, A1.ell - 1)
@@ -206,7 +208,6 @@ def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
         sj = surjectivity_check(A, A.n - 1, kind="O", source_generators=gens_src)
         tgt_gens = sj.target_generators
         cut = tgt_gens.arrangement
-        fb = free_base_from_saito(A, list(range(A1.n)), sr)
         gens_A = minimal_generators(A, "O", base=fb)
         bt = betti_table(gens_A)
         sp = spog_detect(bt)
@@ -327,8 +328,7 @@ def claim_preparation(rep: Report, seed: int):
     checked = 0
     A = grr3(3, GF(7))
     for d in (-4, -3, -2, -1):
-        basis = graded_basis(A, "O", 1, d)
-        for cv in basis.vectors:
+        for cv in graded_basis(A, "O", 1, d):
             for i in range(A.n):
                 checked += 1
                 if not preparation_check(cv, A, i):
@@ -336,8 +336,7 @@ def claim_preparation(rep: Report, seed: int):
     F = GF(1009)
     for t in range(3):
         B = generic(5, 3, seed=seed * 11 + t, field=F)
-        basis = graded_basis(B, "O", 1, -2)
-        for cv in basis.vectors:
+        for cv in graded_basis(B, "O", 1, -2):
             for i in range(B.n):
                 checked += 1
                 if not preparation_check(cv, B, i):
@@ -447,9 +446,11 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
         {"levels": {str(k): v for k, v in genericity.items()}, "fully_generic": fully},
     )
     sr = saito_check(A1)
+    fb = None
     if sr.free:
         pd_src = 0
-        gens_src = omega_generators_from_free(A1, sr)
+        fb = free_base_from_saito(A1, range(A1.n), sr)
+        gens_src = omega_generators_from_free(A1, fb)
     else:
         gens_src = minimal_generators(A1, "O")
         pd_src = None
@@ -485,7 +486,6 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
             "cut_not_free": cut_not_free,
         },
     )
-    fb = free_base_from_saito(A, list(range(A1.n)), sr) if sr.free else None
     gens_A = minimal_generators(A, "O", base=fb)
     extra_ok = sorted(gens_A.degrees) == sorted(gens_src.degree_multiset() + [-1])
     rep.add(

@@ -18,6 +18,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .arrangement import Arrangement, ArrangementError
+from .linalg import Echelon
 
 
 class InLattice(ArrangementError):
@@ -53,59 +54,11 @@ class Lattice:
             yield from level
 
 
-class _Echelon:
-    """Incremental echelon form for span membership tests."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = []  # normalized rows with distinct pivots, sorted
-        self.pivots = []
-
-    def reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for p, row in zip(self.pivots, self.rows):
-            if v[p]:
-                c = v[p]
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        f = self.field
-        v = self.reduce(vec)
-        for p, x in enumerate(v):
-            if x:
-                inv = f.inv(x)
-                v = [f.mul(inv, y) for y in v]
-                # back-eliminate into existing rows
-                for i, row in enumerate(self.rows):
-                    if row[p]:
-                        c = row[p]
-                        self.rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, v)]
-                idx = 0
-                while idx < len(self.pivots) and self.pivots[idx] < p:
-                    idx += 1
-                self.pivots.insert(idx, p)
-                self.rows.insert(idx, v)
-                return True
-        return False
-
-    def key(self):
-        return tuple(tuple(r) for r in self.rows)
-
-    @classmethod
-    def from_key(cls, field, key):
-        """The echelon whose `key()` is `key`: its rows are already reduced."""
-        e = cls(field)
-        e.rows = [list(r) for r in key]
-        e.pivots = [next(j for j, x in enumerate(r) if x) for r in key]
-        return e
-
-
-def span_key(field, vectors) -> tuple:
-    e = _Echelon(field)
-    for v in vectors:
-        e.add(v)
+def span_key(A: Arrangement, forms) -> tuple:
+    """The echelon key of the span of linear forms on A's space."""
+    e = Echelon(A.field, A.ell)
+    for f in forms:
+        e.add(f.coeffs)
     return e.key()
 
 
@@ -129,21 +82,6 @@ def _direction(field, vec) -> tuple:
     return tuple(c // g for c in vec)
 
 
-def _flat_basis(field, key, ell) -> list:
-    """Int vectors spanning the flat {v : key . v = 0}, one per non-pivot column of `key`."""
-    pivots = [next(j for j, x in enumerate(r) if x) for r in key]
-    out = []
-    for c in range(ell):
-        if c in pivots:
-            continue
-        v = [field.zero] * ell
-        v[c] = field.one
-        for p, row in zip(pivots, key):
-            v[p] = field.neg(row[c])
-        out.append(_int_vector(field, v))
-    return out
-
-
 def intersection_lattice(A: Arrangement, max_codim=None) -> Lattice:
     """All flats of codimension <= max_codim, with Mobius values.
 
@@ -163,7 +101,7 @@ def intersection_lattice(A: Arrangement, max_codim=None) -> Lattice:
     for k in range(max_codim):
         seen = {}  # members -> flat
         for X in levels[k]:
-            basis = _flat_basis(field, X.key, A.ell)
+            basis = [_int_vector(field, v) for v in Echelon.from_key(field, A.ell, X.key).kernel()]
             joins = {}  # direction of the restriction to X -> hyperplanes
             for j, f in enumerate(form_ints):
                 if j not in X.members:
@@ -172,7 +110,7 @@ def intersection_lattice(A: Arrangement, max_codim=None) -> Lattice:
             for js in joins.values():
                 members = X.members.union(js)
                 if members not in seen:
-                    e = _Echelon.from_key(field, X.key)
+                    e = Echelon.from_key(field, A.ell, X.key)
                     e.add(form_vecs[js[0]])
                     seen[members] = Flat(codim=k + 1, members=members, key=e.key())
         level = sorted(seen.values(), key=lambda F: sorted(F.members))
@@ -213,8 +151,7 @@ def poly_eval_int(coeffs, t: int) -> int:
 
 def flat_of_subspace(A: Arrangement, X_forms, lattice: Lattice | None = None):
     """The flat equal to the subspace cut out by X_forms, or None."""
-    field = A.field
-    key = span_key(field, [list(f.coeffs) for f in X_forms])
+    key = span_key(A, X_forms)
     codim = len(key)
     if lattice is None:
         lattice = intersection_lattice(A, max_codim=codim)
@@ -235,7 +172,7 @@ def is_k_generic(X_forms, A: Arrangement, k: int, lattice: Lattice | None = None
     """
     field = A.field
     X_forms = list(X_forms)
-    x_key = span_key(field, [list(f.coeffs) for f in X_forms])
+    x_key = span_key(A, X_forms)
     codim_x = len(x_key)
     if lattice is None or lattice.max_codim < min(k, A.essential_rank):
         lattice = intersection_lattice(A, max_codim=min(k, A.essential_rank))
@@ -243,9 +180,9 @@ def is_k_generic(X_forms, A: Arrangement, k: int, lattice: Lattice | None = None
         raise InLattice("subspace is a flat of the arrangement")
     for kk in range(1, min(k, lattice.max_codim) + 1):
         for Y in lattice.flats(kk):
-            e = _Echelon.from_key(field, x_key)
+            e = Echelon.from_key(field, A.ell, x_key)
             for row in Y.key:
-                e.add(list(row))
+                e.add(row)
             if len(e.pivots) != codim_x + Y.codim:
                 return False, Y
     return True, None
@@ -253,5 +190,5 @@ def is_k_generic(X_forms, A: Arrangement, k: int, lattice: Lattice | None = None
 
 def is_generic(X_forms, A: Arrangement, lattice: Lattice | None = None):
     """Fully generic: k-generic for k = ell - codim(X)."""
-    k = A.ell - len(span_key(A.field, [list(f.coeffs) for f in X_forms]))
+    k = A.ell - len(span_key(A, X_forms))
     return is_k_generic(X_forms, A, k, lattice=lattice)

@@ -1,18 +1,19 @@
 """Dense exact linear algebra over Q and F_p.
 
-Plain Gauss-Jordan elimination on Python lists of exact scalars.  Over Q,
-rows are renormalized to primitive integer content after every update to
-keep numerators and denominators small.  This is the reference kernel used
-by the small- and medium-sized solves and by the test oracles; the heavy
-degreewise solves go through the modular accelerator in `modular`.
+One incremental echelon form, `Echelon`, is the only row reduction over
+a field: it keeps its rows reduced (a leading one at each pivot, zeros
+above and below it) as rows are added one at a time, so over Q its
+entries are the reduced echelon form's own and need no renormalization.
+`rref`, `rank`, `kernel_basis` and `inverse` are built on it, and so are
+the lattice's flat keys, `essentialize` and the free bases of `solver`.
+This is the reference kernel for small exact solves and for the test
+oracles; the heavy degreewise solves go through the modular accelerator
+in `modular`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-from .fields import QQ, check_same_field
+from bisect import bisect_left
 
 
 class Matrix:
@@ -30,14 +31,6 @@ class Matrix:
                 raise ValueError("ragged rows")
         self.rows = [[field.of(x) for x in r] for r in rows]
 
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field, m, n):
-        return cls(field, [[field.zero] * n for _ in range(m)])
-
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
@@ -54,14 +47,6 @@ class Matrix:
             out.append(s)
         return out
 
-    def matmul(self, other: "Matrix") -> "Matrix":
-        check_same_field(self.field, other.field)
-        if self.ncols != other.nrows:
-            raise ValueError("dimension mismatch")
-        f = self.field
-        ot = other.transpose()
-        return Matrix(f, [[_dot(f, r, c) for c in ot.rows] for r in self.rows])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -74,78 +59,124 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})\n{body}"
 
 
-def _dot(f, u, v):
-    s = f.zero
-    for a, b in zip(u, v):
-        if a and b:
-            s = f.add(s, f.mul(a, b))
-    return s
+def _sub_multiple(f, v, c, row):
+    """v - c * row, skipping the zero entries of row."""
+    return [f.sub(a, f.mul(c, b)) if b else a for a, b in zip(v, row)]
 
 
-def _normalize_row_q(row):
-    """Scale a rational row to primitive integer form, leading entry > 0."""
-    num_gcd = 0
-    den_lcm = 1
-    for x in row:
-        if x:
-            num_gcd = gcd(num_gcd, x.numerator)
-            den_lcm = den_lcm // gcd(den_lcm, x.denominator) * x.denominator
-    if num_gcd == 0:
-        return row
-    scale = Fraction(den_lcm, num_gcd)
-    row = [x * scale for x in row]
-    for x in row:
-        if x:
-            if x < 0:
-                row = [-y for y in row]
+class Echelon:
+    """Reduced row echelon form of the span of the rows added so far.
+
+    `rows` have distinct pivots, sorted; each row has a one at its pivot,
+    and every other row is zero in that column.  The reduced form of a
+    row space is unique, so `key()` identifies the span.
+    """
+
+    def __init__(self, field, ncols):
+        self.field = field
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, vec):
+        """vec minus its combination of the rows: zero iff vec is in the span."""
+        f = self.field
+        v = list(vec)
+        for p, row in zip(self.pivots, self.rows):
+            if v[p]:
+                v = _sub_multiple(f, v, v[p], row)
+        return v
+
+    def add(self, vec) -> bool:
+        """Add vec to the span; False when it was already in it."""
+        f = self.field
+        v = self.reduce(vec)
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        inv = f.inv(v[p])
+        v = [f.mul(inv, x) for x in v]
+        for i, row in enumerate(self.rows):
+            if row[p]:
+                self.rows[i] = _sub_multiple(f, row, row[p], v)
+        idx = bisect_left(self.pivots, p)
+        self.pivots.insert(idx, p)
+        self.rows.insert(idx, v)
+        return True
+
+    def key(self):
+        return tuple(tuple(r) for r in self.rows)
+
+    @classmethod
+    def from_key(cls, field, ncols, key):
+        """The echelon whose `key()` is `key`: its rows are already reduced."""
+        e = cls(field, ncols)
+        e.rows = [list(r) for r in key]
+        e.pivots = [next(j for j, x in enumerate(r) if x) for r in key]
+        return e
+
+    def kernel(self):
+        """Basis of {v : row . v = 0 for every row}, one vector per free column.
+
+        Vectors come out in free-column order; the vector of free column j
+        has a one in position j and zeros in the other free columns.
+        """
+        f = self.field
+        pivots = set(self.pivots)
+        out = []
+        for j in range(self.ncols):
+            if j in pivots:
+                continue
+            v = [f.zero] * self.ncols
+            v[j] = f.one
+            for p, row in zip(self.pivots, self.rows):
+                v[p] = f.neg(row[j])
+            out.append(v)
+        return out
+
+
+def _row_echelon(M: Matrix) -> Echelon:
+    e = Echelon(M.field, M.ncols)
+    for row in M.rows:
+        if len(e.rows) == M.ncols:
             break
-    return row
+        e.add(row)
+    return e
 
 
 def rref(M: Matrix):
     """Reduced row echelon form.
 
     Returns (R, pivots, rank) where R has leading ones in the pivot
-    columns and zeros elsewhere in those columns.
+    columns, zeros elsewhere in those columns, and its zero rows last.
     """
-    f = M.field
-    rows = [list(r) for r in M.rows]
-    m, n = M.nrows, M.ncols
-    rational = f == QQ
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = None
-        for i in range(r, m):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
-                if rational:
-                    rows[i] = _normalize_row_q(rows[i])
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if rational:
-        # final pass back to leading ones
-        for i, c in enumerate(pivots):
-            lead = rows[i][c]
-            if lead != 1:
-                rows[i] = [x / lead for x in rows[i]]
-    return Matrix(f, rows), pivots, len(pivots)
+    e = _row_echelon(M)
+    r = len(e.rows)
+    zero = [M.field.zero] * M.ncols
+    return Matrix(M.field, e.rows + [zero] * (M.nrows - r)), e.pivots, r
 
 
 def rank(M: Matrix) -> int:
     return rref(M)[2]
+
+
+def kernel_basis(M: Matrix):
+    """Basis of the right kernel {v : M v = 0}, as `Echelon.kernel` orders it."""
+    return _row_echelon(M).kernel()
+
+
+def inverse(M: Matrix) -> Matrix:
+    """The inverse of a square matrix; ValueError when M is singular."""
+    f = M.field
+    n = M.nrows
+    if M.ncols != n:
+        raise ValueError("inverse needs a square matrix")
+    e = Echelon(f, 2 * n)
+    for i, row in enumerate(M.rows):
+        e.add(row + [f.one if j == i else f.zero for j in range(n)])
+    if e.pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return Matrix(f, [r[n:] for r in e.rows])
 
 
 def det(field, entries):
@@ -163,58 +194,3 @@ def det(field, entries):
         term = field.mul(entries[0][j], det(field, minor))
         acc = field.add(acc, term) if j % 2 == 0 else field.sub(acc, term)
     return acc
-
-
-def kernel_basis(M: Matrix):
-    """Basis of the right kernel {v : M v = 0}, one vector per free column.
-
-    Vectors come out in free-column order; vector for free column j has a
-    one in position j, so they are visibly independent.
-    """
-    f = M.field
-    R, pivots, _ = rref(M)
-    n = M.ncols
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [f.zero] * n
-        v[j] = f.one
-        for i, c in enumerate(pivots):
-            v[c] = f.neg(R.rows[i][j])
-        basis.append(v)
-    return basis
-
-
-def in_span(v, basis, field=None) -> bool:
-    """True iff v is a linear combination of the given vectors."""
-    if not basis:
-        return all(not x for x in v)
-    if field is None:
-        field = QQ
-    n = len(v)
-    for b in basis:
-        if len(b) != n:
-            raise ValueError("length mismatch")
-    M = Matrix(field, list(basis))
-    R, pivots, rk = rref(M)
-    w = [field.of(x) for x in v]
-    for i, c in enumerate(pivots):
-        if w[c]:
-            factor = w[c]
-            w = [field.sub(a, field.mul(factor, b)) for a, b in zip(w, R.rows[i])]
-    return all(not x for x in w)
-
-
-def solve(M: Matrix, b):
-    """One solution of M x = b, or None if inconsistent."""
-    f = M.field
-    aug = Matrix(f, [row + [f.of(bb)] for row, bb in zip(M.rows, b)])
-    R, pivots, rk = rref(aug)
-    n = M.ncols
-    if n in pivots:
-        return None
-    x = [f.zero] * n
-    for i, c in enumerate(pivots):
-        x[c] = R.rows[i][n]
-    return x

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arrangement import Arrangement, Restriction, restrict
-from .linalg import Matrix, det
+from .linalg import Matrix, det, inverse
 from .poly import LinearForm, Poly, Pullback, divide_by_linear
 from .solver import (
     AmbientEngine,
@@ -26,7 +26,6 @@ from .solver import (
     SolverError,
     TwistSpace,
     _certified_eval_rank,
-    _invert,
     graded_dimension,
     membership_failures,
     minimal_generators,
@@ -262,7 +261,7 @@ def preparation_check(omega: CoeffVector, A: Arrangement, i: int) -> bool:
         if t != k:
             rows.append([field.one if s == t else field.zero for s in range(ell)])
     T = Matrix(field, rows)
-    Tinv = _invert(T)
+    Tinv = inverse(T)
     pull = Pullback.linear(field, Tinv.rows)  # x = Tinv y
     G1 = Poly.zero(field, ell)
     for kk in range(ell):

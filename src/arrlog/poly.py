@@ -331,19 +331,6 @@ class LinearForm:
         return "(" + ", ".join(self.field.format(c) for c in self.coeffs) + ")"
 
 
-def substitute_linear(f: Poly, T) -> Poly:
-    """f(T x) for an invertible square matrix T over the same field."""
-    from .linalg import Matrix, rank
-
-    if not isinstance(T, Matrix):
-        T = Matrix(f.field, T)
-    if T.nrows != T.ncols or T.nrows != f.ell:
-        raise ValueError("substitution matrix must be square of matching size")
-    if rank(T) != T.nrows:
-        raise ValueError("singular substitution matrix")
-    return Pullback.linear(f.field, T.rows)(f)
-
-
 def divide_by_linear(f: Poly, alpha: LinearForm):
     """Exact division with remainder by a linear form.
 
@@ -463,28 +450,6 @@ def _divides_linear_rational(f: Poly, alpha: LinearForm) -> bool:
             else:
                 acc.pop(key, None)
     return not acc
-
-
-def wedge_numerators(f, alpha: LinearForm):
-    """Numerators of (sum_i f_i dx_i) wedge d(alpha), indexed by pairs i<j.
-
-    Returns {(i, j): f_i a_j - f_j a_i}.  A 1-form with these numerators
-    over the defining product satisfies the logarithmic condition at
-    ker(alpha) iff alpha divides every returned polynomial.
-    """
-    f = tuple(f)
-    ell = alpha.ell
-    if len(f) != ell:
-        raise ValueError("need one numerator per variable")
-    degs = {p.homogeneous_degree() for p in f if not p.is_zero()}
-    if len(degs) > 1:
-        raise ValueError("numerators must be homogeneous of equal degree")
-    a = alpha.coeffs
-    out = {}
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            out[(i, j)] = f[i].scale(a[j]) - f[j].scale(a[i])
-    return out
 
 
 def sum_of_products(field, ell, pairs) -> Poly:

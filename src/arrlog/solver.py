@@ -44,7 +44,7 @@ import numpy as np
 
 from .arrangement import Arrangement, ArrangementError
 from .fields import GF, Rationals
-from .linalg import Matrix, det
+from .linalg import Echelon, Matrix, det, inverse
 from .modular import (
     PRIMES,
     kernel_mod,
@@ -378,21 +378,19 @@ def boolean_like_base(A: Arrangement) -> FreeBase:
     With u_i the chosen forms (rows of T), the base derivations are
     u_i d/du_i and the base 1-forms du_i / u_i.
     """
-    from .lattice import _Echelon
-
     ell = A.ell
     fld = A.field
     idxs = []
-    ech = _Echelon(fld)
+    ech = Echelon(fld, ell)
     for i, f in enumerate(A.forms):
-        if ech.add(list(f.coeffs)):
+        if ech.add(f.coeffs):
             idxs.append(i)
         if len(idxs) == ell:
             break
     if len(idxs) < ell:
         raise SolverError("arrangement not essential")
     T = Matrix(fld, [A.forms[i].coeffs for i in idxs])
-    Tinv = _invert(T)
+    Tinv = inverse(T)
     u = [A.forms[i].as_poly() for i in idxs]
     d_basis = []
     for i in range(ell):
@@ -637,21 +635,6 @@ def _form_mod(form: LinearForm, p: int) -> LinearForm:
     return LinearForm(GF(p), [_coeff_mod(c, p) for c in form.coeffs])
 
 
-def _invert(M: Matrix) -> Matrix:
-    from .linalg import rref
-
-    f = M.field
-    n = M.nrows
-    aug = Matrix(
-        f,
-        [list(M.rows[i]) + [f.one if j == i else f.zero for j in range(n)] for i in range(n)],
-    )
-    R, pivots, rk = rref(aug)
-    if rk != n or pivots != list(range(n)):
-        raise SolverError("matrix not invertible")
-    return Matrix(f, [R.rows[i][n:] for i in range(n)])
-
-
 def pick_engine(A: Arrangement, kind: str, order: int, prefer: str = "auto", base=None):
     if prefer not in ("auto", "ambient", "relative"):
         raise SolverError(f"unknown engine {prefer!r}: expected 'auto', 'ambient' or 'relative'")
@@ -675,17 +658,6 @@ def pick_engine(A: Arrangement, kind: str, order: int, prefer: str = "auto", bas
 # ---------------------------------------------------------------------------
 # certified graded pieces
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class GradedBasis:
-    """Exact basis of one graded piece."""
-
-    vectors: list  # of CoeffVector
-
-    @property
-    def dimension(self):
-        return len(self.vectors)
 
 
 def _primes(field):
@@ -722,16 +694,16 @@ def graded_basis(
     order: int = 1,
     d: int = 0,
     engine: str = "auto",
-) -> GradedBasis:
+) -> list:
     """Exact basis of D^p(A, m)_d (kind "D") or Omega^p(A, m)_d (kind "O").
 
-    Multiplicities ride along on the arrangement.  Over Q the basis is
+    Returns a list of CoeffVectors.  Multiplicities ride along on the arrangement.  Over Q the basis is
     reconstructed from modular solves and every element is verified
     against the defining divisibility conditions exactly; the dimension
     is exact because mod-p ranks bound the rank over Q from below.
     """
     eng = pick_engine(A, kind, order, engine)
-    return GradedBasis([eng.to_coeffvector(el, d) for el in eng.kernel(d)])
+    return [eng.to_coeffvector(el, d) for el in eng.kernel(d)]
 
 
 def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0, engine: str = "auto") -> int:
@@ -1223,16 +1195,17 @@ def free_piece_dimension(ell: int, exponents, d: int) -> int:
     return sum(dim_homogeneous(ell, d - e) for e in exponents)
 
 
-def omega_generators_from_free(A: Arrangement, saito_result: SaitoResult) -> GeneratorSet:
-    """Minimal 1-form generators of a Saito-certified free arrangement.
+def omega_generators_from_free(A: Arrangement, base: FreeBase) -> GeneratorSet:
+    """Minimal 1-form generators of a free arrangement, from its FreeBase.
 
-    The dual basis of the derivation basis generates the forms freely
-    (its numerator determinant is a nonzero multiple of Q^{ell-1}), so no
-    sweep is required; the dimension table is the free Hilbert function.
+    `base` must cover every hyperplane of A (`free_base_from_saito(A,
+    range(A.n), ...)`).  The dual basis of the derivation basis generates
+    the forms freely (its numerator determinant is a nonzero multiple of
+    Q^{ell-1}), so no sweep is required; the dimension table is the free
+    Hilbert function.
     """
-    if not saito_result.free:
-        raise SolverError("needs a Saito-certified free arrangement")
-    base = free_base_from_saito(A, list(range(A.n)), saito_result)
+    if base.indices != list(range(A.n)):
+        raise SolverError("the free base does not cover every hyperplane of the arrangement")
     degrees = [-e for e in base.exponents]
     reps = [
         CoeffVector("O", 1, -e, base.omega_numerators[i])

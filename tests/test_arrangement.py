@@ -250,6 +250,17 @@ def test_essentialize():
     assert A.essential_rank == 2
     E, C = A.essentialize()
     assert E.ell == 2 and E.n == 3 and E.is_essential()
+    F = GF(7)
+    forms = [[1, 0, 2, 3], [0, 1, 1, 5], [1, 1, 3, 1], [2, 1, 5, 4], [0, 0, 1, 1]]
+    rank_three = validate(F, forms, [1, 2, 3, 1, 2])  # in 4 variables
+    for A in (braid(4), rank_three):
+        E, C = A.essentialize()
+        assert E.ell == A.essential_rank == C.nrows and E.is_essential()
+        assert E.mult == A.mult
+        for form, e in zip(A.forms, E.forms):
+            # e in the new variables y = C x is a multiple of the form in x
+            pulled = C.transpose().mul_vec(list(e.coeffs))
+            assert LinearForm(A.field, pulled).proportional_to(form)
 
 
 def test_file_roundtrip():

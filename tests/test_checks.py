@@ -186,7 +186,7 @@ def test_plus_one_extension_boolean():
 
 def _regular_dimension(A, i, d):
     """Oracle: dim of the degree-d 1-forms of A whose numerators A.forms[i] divides."""
-    vectors = graded_basis(A, "O", 1, d).vectors
+    vectors = graded_basis(A, "O", 1, d)
     remainders = [[divide_by_linear(f, A.forms[i])[1] for f in cv.numerators] for cv in vectors]
     columns = sorted({(k, m) for rem in remainders for k, r in enumerate(rem) for m in r.terms})
     if not columns:

@@ -187,4 +187,4 @@ def test_defaulted_public_parameter_count():
         if path.name != "cli.py"
         for option in defaulted_public_parameters(path.read_text())
     ]
-    assert len(options) == 61, options
+    assert len(options) == 60, options

@@ -9,7 +9,7 @@ from arrlog.arrangement import restrict
 from arrlog.checks import euler_exactness_check
 from arrlog.fields import GF, QQ
 from arrlog.library import boolean, braid, generic, grr3, nine4d, ziegler22
-from arrlog.linalg import Matrix, det
+from arrlog.linalg import Matrix, det, inverse
 from arrlog.maps import (
     certified_image_rank,
     euler_restrict_der,
@@ -22,7 +22,6 @@ from arrlog.solver import (
     AmbientEngine,
     CoeffVector,
     NotLogarithmic,
-    _invert,
     free_base_from_saito,
     graded_basis,
     graded_dimension,
@@ -87,8 +86,8 @@ def test_restrict_form_kernel_is_multiple():
     h = LinearForm(QQ, [1, 1, 1])
     A = A_prime.add_hyperplane(h)
     basis = graded_basis(A, "O", 1, -1)
-    assert basis.dimension >= 1
-    omega = basis.vectors[0]
+    assert len(basis) >= 1
+    omega = basis[0]
     lifted = CoeffVector("O", 1, omega.degree + 1, omega.numerators)
     assert is_logarithmic(A_prime, lifted)
     out = restrict_form(lifted, A_prime, h=h)
@@ -180,8 +179,7 @@ def test_generic_cut_restricts_each_source_generator_once(monkeypatch):
 
 def test_preparation_check_on_log_basis():
     A = grr3(3, GF(7))
-    basis = graded_basis(A, "O", 1, -4)
-    for cv in basis.vectors:
+    for cv in graded_basis(A, "O", 1, -4):
         for i in range(A.n):
             assert preparation_check(cv, A, i)
 
@@ -310,7 +308,7 @@ def preparation_check_per_term(omega, A, i):
     field = A.field
     k = A.forms[i].pivot()
     rows = [list(A.forms[i].coeffs)] + [[int(s == t) for s in range(A.ell)] for t in range(A.ell) if t != k]
-    Tinv = _invert(Matrix(field, rows))
+    Tinv = inverse(Matrix(field, rows))
     images = _linear_images(field, Tinv.rows)
     G1 = Poly.zero(field, A.ell)
     for kk, num in enumerate(omega.numerators):

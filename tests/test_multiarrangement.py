@@ -1,8 +1,12 @@
+import pytest
+
 from arrlog.checks import duality_dimension_check
 from arrlog.fields import GF, QQ
 from arrlog.library import boolean, grr3
 from arrlog.solver import (
     CoeffVector,
+    SolverError,
+    boolean_like_base,
     free_base_from_saito,
     graded_dimension,
     is_logarithmic,
@@ -52,10 +56,12 @@ def test_free_base_from_saito_members():
 def test_omega_generators_from_free():
     A = grr3(3, GF(7))
     sr = saito_check(A)
-    gens = omega_generators_from_free(A, sr)
+    gens = omega_generators_from_free(A, free_base_from_saito(A, range(A.n), sr))
     assert gens.degree_multiset() == [-4, -4, -1]
     for cv in gens.representatives:
         assert is_logarithmic(A, cv)
     # dimension table agrees with a direct solve at a few degrees
     for d in (-4, -2, 0):
         assert gens.dims[d] == graded_dimension(A, "O", 1, d)
+    with pytest.raises(SolverError):  # a base on ell of the n hyperplanes
+        omega_generators_from_free(A, boolean_like_base(A))

@@ -15,9 +15,7 @@ from arrlog.poly import (
     monomial_basis,
     poly_det,
     product,
-    substitute_linear,
     sum_of_products,
-    wedge_numerators,
 )
 
 
@@ -52,10 +50,10 @@ def test_poly_arithmetic_roundtrip():
 
 def test_substitute_linear_identity_and_swap():
     f = Poly.variable(QQ, 2, 0)
-    assert substitute_linear(f, Matrix.identity(QQ, 2)) == f
+    assert Pullback.linear(QQ, Matrix(QQ, [[1, 0], [0, 1]]).rows)(f) == f
     swap = Matrix(QQ, [[0, 1], [1, 0]])
     x1sq = P({(2, 0): 1})
-    assert substitute_linear(x1sq, swap) == P({(0, 2): 1})
+    assert Pullback.linear(QQ, swap.rows)(x1sq) == P({(0, 2): 1})
 
 
 def test_substitute_linear_vs_sympy():
@@ -75,7 +73,7 @@ def test_substitute_linear_vs_sympy():
         if rank(M) != 3:
             continue
         f = Poly(QQ, 3, {m: QQ.of(c) for m, c in terms.items() if c})
-        got = substitute_linear(f, M)
+        got = Pullback.linear(QQ, M.rows)(f)
         sf = sum(
             c * x0**m[0] * x1**m[1] * x2**m[2] for m, c in terms.items()
         )
@@ -96,12 +94,7 @@ def test_substitute_roundtrip():
     T = Matrix(QQ, [[1, 1], [0, 1]])
     Tinv = Matrix(QQ, [[1, -1], [0, 1]])
     f = P({(3, 0): 2, (1, 2): -5})
-    assert substitute_linear(substitute_linear(f, T), Tinv) == f
-
-
-def test_substitute_singular_raises():
-    with pytest.raises(ValueError):
-        substitute_linear(P({(1, 0): 1}), Matrix(QQ, [[1, 1], [1, 1]]))
+    assert Pullback.linear(QQ, Tinv.rows)(Pullback.linear(QQ, T.rows)(f)) == f
 
 
 def substitute_per_term(f, images):
@@ -197,11 +190,7 @@ def test_substitute_linear_matches_per_term_substitution():
             rows = [[_random_coeff(rng, field) for _ in range(ell)] for _ in range(ell)]
             f = _random_poly(rng, field, ell, list(range(6)), 8)
             images = [Poly(field, ell, {tuple(int(s == t) for s in range(ell)): c for t, c in enumerate(r) if c}) for r in rows]
-            try:
-                got = substitute_linear(f, rows)
-            except ValueError:  # a singular draw
-                continue
-            assert got == substitute_per_term(f, images)
+            assert Pullback.linear(field, rows)(f) == substitute_per_term(f, images)
 
 
 @FIELDS
@@ -268,43 +257,6 @@ def test_divisibility_kernel_dimension_random():
         for v in ker:
             f = Poly.from_vector(F, ell, d, v)
             assert divisible_by_linear_power(f, alpha, m)
-
-
-def test_wedge_numerators():
-    # f proportional to alpha's coefficients: all wedges vanish
-    alpha = LinearForm(QQ, [2, 3])
-    f = (P({(1, 0): 2}), P({(1, 0): 3}))
-    g = wedge_numerators(f, alpha)
-    assert all(p.is_zero() for p in g.values())
-
-    x2 = P({(0, 1): 1})
-    zero = Poly.zero(QQ, 2)
-    alpha = LinearForm(QQ, [1, 0])
-    assert wedge_numerators((x2, zero), alpha)[(0, 1)].is_zero()
-    g = wedge_numerators((zero, x2), alpha)[(0, 1)]
-    assert g == P({(0, 1): -1})
-    assert not divisible_by_linear_power(g, alpha, 1)
-
-
-def test_wedge_bilinearity():
-    rng = random.Random(5)
-    F = GF(101)
-    for _ in range(5):
-        ell = 3
-        f = tuple(
-            Poly(F, ell, {tuple(m): rng.randrange(101) for m in monomial_basis(ell, 2)})
-            for _ in range(ell)
-        )
-        g = tuple(
-            Poly(F, ell, {tuple(m): rng.randrange(101) for m in monomial_basis(ell, 2)})
-            for _ in range(ell)
-        )
-        a = LinearForm(F, [1, rng.randrange(101), rng.randrange(101)])
-        w_f = wedge_numerators(f, a)
-        w_g = wedge_numerators(g, a)
-        w_sum = wedge_numerators(tuple(p + q for p, q in zip(f, g)), a)
-        for key in w_sum:
-            assert w_sum[key] == w_f[key] + w_g[key]
 
 
 def test_poly_det_and_product():
