@@ -424,7 +424,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
     resolution record cites the hypothesis failure.
     """
     if A1.essential_rank != A1.ell:
-        raise ValueError("generic-cut needs an essential arrangement")
+        raise ArrangementError("generic-cut needs an essential arrangement")
     ell = A1.ell
     lat = intersection_lattice(A1, max_codim=ell - 1)
     if hyper is None:

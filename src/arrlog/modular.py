@@ -6,7 +6,10 @@ CRT and lifting entries with rational reconstruction.  The lift is a
 *candidate*: `kernel_qq_candidates` hands it to the caller's exact
 certificate (membership checks plus the mod-p rank lower bound) and, when
 that rejects it, goes on with more primes in the same search, so every
-published result remains exact.
+published result remains exact.  A caller that needs only some kernel
+vectors names them mod p at the first prime of the lift (`pick`), and
+only their free columns of the reduced form are combined and lifted: the
+number of primes a lift takes is set by the height of what is lifted.
 
 Elimination (`rref_mod`) is a column-recursive Gauss-Jordan.  The pivots
 found in a column range act on every later column as one transform
@@ -261,11 +264,18 @@ def rank_mod(A: np.ndarray, p: int) -> int:
 def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel mod p, one row per free column."""
     R, pivots = rref_mod(A, p)
-    n = A.shape[1]
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    K = np.zeros((free.size, n), dtype=np.int64)
+    return _kernel_rows(R, pivots, _free_columns(pivots, A.shape[1]), p)
+
+
+def _free_columns(pivots, ncols: int) -> np.ndarray:
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[list(pivots)] = False
+    return np.flatnonzero(is_free)
+
+
+def _kernel_rows(R, pivots, free, p: int) -> np.ndarray:
+    """The kernel basis read off a reduced form R: row i is 1 at free[i] and -R[:, free[i]] on the pivots."""
+    K = np.zeros((free.size, R.shape[1]), dtype=np.int64)
     K[np.arange(free.size), free] = 1
     K[:, pivots] = -R[:, free].T % p
     return K
@@ -294,6 +304,8 @@ def rational_reconstruct(r: int, m: int):
 class _CRTLift:
     """Residue matrices of one shape under growing primes, lifted to Q on demand.
 
+    `keep(cols)` narrows the lift to some columns of the matrices, those
+    added before it included; it must come before the first `lift`.
     Only the union of the nonzero positions seen so far is kept: a position
     that is zero mod every prime added has combined residue 0, and one that
     turns nonzero under a later prime joins with combined residue 0 for the
@@ -307,8 +319,9 @@ class _CRTLift:
 
     def __init__(self):
         self.primes = []
+        self.cols = None  # the columns lifted; None lifts them all
         self._shape = None
-        self._pending = []  # (p, flat nonzero positions, their residues) not yet folded in
+        self._pending = []  # (p, residue matrix) not yet folded in
         self._pos = np.zeros(0, dtype=np.int64)  # sorted union of the nonzero positions
         self._combined = np.zeros(0, dtype=object)  # residues at _pos mod self._modulus
         self._modulus = 1
@@ -316,17 +329,21 @@ class _CRTLift:
 
     def add(self, p: int, R: np.ndarray):
         self.primes.append(p)
+        self._pending.append((p, R if self.cols is None else R[:, self.cols]))
+
+    def keep(self, cols):
+        self.cols = cols
+        self._pending = [(p, R[:, cols]) for p, R in self._pending]
+
+    def _fold(self, p, R):
         self._shape = R.shape
         flat = R.ravel()
         nz = np.flatnonzero(flat)
-        self._pending.append((p, nz, flat[nz]))
-
-    def _fold(self, p, nz, vals):
         pos = np.union1d(self._pos, nz)
         combined = np.zeros(pos.size, dtype=object)
         combined[np.searchsorted(pos, self._pos)] = self._combined
         r = np.zeros(pos.size, dtype=object)
-        r[np.searchsorted(pos, nz)] = vals.astype(object)
+        r[np.searchsorted(pos, nz)] = flat[nz].astype(object)
         m = self._modulus
         x = pow(m, -1, p)
         self._combined = (combined + (r - combined) * x % p * m) % (m * p)
@@ -335,8 +352,8 @@ class _CRTLift:
 
     def lift(self):
         """Fraction rows reconstructed from all primes added, or None."""
-        for p, nz, vals in self._pending:
-            self._fold(p, nz, vals)
+        for p, R in self._pending:
+            self._fold(p, R)
         self._pending = []
         m = self._modulus
         residues = self._combined.tolist()
@@ -372,7 +389,7 @@ def reconstruct_matrix(rows_mod: list[np.ndarray], primes: list[int]):
     return acc.lift()
 
 
-def kernel_qq_candidates(build, ncols: int, accept):
+def kernel_qq_candidates(build, ncols: int, accept, pick):
     """Certified exact kernel of an integer matrix given mod p.
 
     `build(p)` must return the constraint matrix reduced mod p (int64
@@ -385,6 +402,15 @@ def kernel_qq_candidates(build, ncols: int, accept):
     result, or None to reject the candidate.  After a failed or rejected
     lift the search goes on with the next prime, keeping every group,
     and lifts again only once the best group holds one more prime.
+
+    With `pick` None the candidate is the whole kernel, and a free block
+    with entries waits for a second prime before its first lift.
+    Otherwise the caller chooses the vectors before any lift:
+    `pick(p, K)` gets the kernel mod p of the best group's prime p (one
+    row per free column, as `kernel_mod` gives it) and returns the rows
+    to keep, or None to be asked again at the group's next prime.  Only
+    the kept free columns are lifted, from the group's first prime on,
+    and the candidate holds their vectors alone.
 
     Returns (accept's result, rank, pivots, primes_used), or raises
     `ReconstructionFailed` when the ladder is used up.  Completeness is
@@ -400,36 +426,43 @@ def kernel_qq_candidates(build, ncols: int, accept):
             R, pivots = rref_mod(A, p)
         else:
             R, pivots = A[:0], []  # zero mod p: no pivots, nothing to eliminate
-        pivot_set = set(pivots)
-        free = [j for j in range(ncols) if j not in pivot_set]
+        free = _free_columns(pivots, ncols)
         groups.setdefault(tuple(pivots), _CRTLift()).add(p, R[:, free])
+        # the key ignores the primes, so a group is best from its first
+        # prime on and `pick` sees each of its primes in order
         best = max(groups, key=lambda k: (len(k), [-c for c in k]))
         group = groups[best]
+        if pick is not None and group.cols is None:
+            kept = pick(p, _kernel_rows(R, pivots, free, p)) if best == tuple(pivots) else None
+            if kept is None:
+                continue
+            group.keep(kept)
         n = len(group.primes)
-        # a free block with entries waits for a second prime; an empty one
-        # (no pivots, or no free columns) lifts from one
-        if n < need or (n < 2 and 0 < len(best) < ncols):
+        # a whole free block with entries waits for a second prime; an
+        # empty one (no pivots, or no free columns) or a pick lifts from one
+        if n < need or (pick is None and n < 2 and 0 < len(best) < ncols):
             continue
         lifted = group.lift()
         if lifted is not None:
-            primes = tuple(group.primes)
-            result = accept(_kernel_from_lifted(lifted, best, ncols), False)
+            cols = _free_columns(best, ncols)
+            if group.cols is not None:
+                cols = cols[group.cols]
+            result = accept(_kernel_from_lifted(lifted, best, cols, ncols), False)
             if result is not None:
-                return result, len(best), best, primes
+                return result, len(best), best, tuple(group.primes)
         need = n + 1
     raise ReconstructionFailed(
         f"no certified kernel after {len(PRIMES)} primes (pivot groups: {sorted(len(g.primes) for g in groups.values())})"
     )
 
 
-def _kernel_from_lifted(free_block, pivots, ncols):
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
+def _kernel_from_lifted(block, pivots, cols, ncols):
+    """The kernel vectors of the free columns `cols` from their lifted block of the reduced form."""
     basis = []
-    for fj, j in enumerate(free):
+    for fj, j in enumerate(cols.tolist()):
         v = [Fraction(0)] * ncols
         v[j] = Fraction(1)
         for i, c in enumerate(pivots):
-            v[c] = -free_block[i][fj]
+            v[c] = -block[i][fj]
         basis.append(v)
     return basis

@@ -17,11 +17,13 @@ its module's pieces: `space`, `field`, `build_mod`, `verify` and
 relation pieces of a list of generators (`EvalKernelFamily`) read the
 same protocol, so one degree step of `sweep_minimal_generators` serves
 every family on both fields, and one routine, `_certified_eval_rank`,
-certifies the rank of every evaluation map.  Every kernel goes through
-`_certified_kernel`; the field is looked at only there and where the
-primes are chosen (`_primes`).  Over F_p the modular elimination is the
-field arithmetic, so every rank and kernel mod the field's prime is exact
-and is taken once.  Over Q kernels are
+certifies the rank of every evaluation map.  The whole kernels of
+`kernel(d)`, `dimension(d)` and the eval ranks go through
+`_certified_kernel`, where the field is looked at, as it is where the
+primes are chosen (`_primes`); a degree step takes its own kernel, with
+the rank over F_p and through a `pick` over Q.  Over F_p
+the modular elimination is the field arithmetic, so every rank and
+kernel mod the field's prime is exact and is taken once.  Over Q kernels are
 computed mod deterministic ladder primes, lifted by CRT + rational
 reconstruction, and then certified: exhibited elements are verified
 exactly at the polynomial level, and mod-p ranks bound the ranks over Q
@@ -29,7 +31,12 @@ from below, which pins every reported dimension exactly.  A Q degree
 step ranks the eval matrix of the generators below it first and builds
 the constraint matrix only on the columns that image leaves out
 (`build_mod(d, p, cols)`): at most degrees the generators span the
-piece, and a full column rank there certifies it.
+piece, and a full column rank there certifies it.  At a generator
+degree the new generators are picked mod p, from the kernel at the
+first prime of the lift, before anything is lifted: only their kernel
+vectors are reconstructed and verified (`kernel_qq_candidates` with a
+`pick`), so a step keeping one vector of a kernel of hundreds lifts
+that vector alone, from as few primes as its own height needs.
 """
 
 from __future__ import annotations
@@ -685,7 +692,7 @@ def _certified_kernel(build, ncols: int, field, accept):
     if not isinstance(field, Rationals):
         p = field.p
         return accept(kernel_mod(build(p), p).tolist(), True)
-    return kernel_qq_candidates(build, ncols, accept)[0]
+    return kernel_qq_candidates(build, ncols, accept, None)[0]
 
 
 def graded_basis(
@@ -892,7 +899,7 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     def build(p):
         return family.build_mod(d, p)
 
-    candidate = None  # an exact kernel candidate, once taken
+    K = None  # the exact kernel mod the field's prime, once taken
     rows = None  # row pivots P of the eval matrix mod p0, once taken
     rank = family.known_rank(d)
     if rank is None and len(primes) > 1:
@@ -910,8 +917,8 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     elif rank is None:
         # at the field's prime the reduced elimination costs about what
         # the rank does, and its kernel serves a generator degree too
-        candidate = _certified_kernel(build, ncols, field, lambda *cand: cand)
-        rank = ncols - len(candidate[0])
+        K = kernel_mod(build(primes[0]), primes[0])
+        rank = ncols - len(K)
     n0 = ncols - rank
     if n0 == 0 or rows is not None and n0 == len(rows):
         return n0, []
@@ -922,41 +929,44 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
         chosen = _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0)
         if chosen is not None:
             return n0, chosen
-    # apparent generator degree: take a kernel candidate and select new
-    # generators from it; the piece dimension is then the eval rank plus
-    # their number, both sides certified (mod-p ranks bound the rational
-    # ranks from below, and the representatives are exhibited members)
+    # apparent generator degree: pick the new generators from the kernel
+    # mod p, then lift and verify only them; the piece dimension is the
+    # eval rank plus their number, both sides certified (the kernel mod p
+    # bounds it from above; the eval columns and the picks are exhibited
+    # members, and a lifted pick reduces mod p to its row of the kernel,
+    # so they are independent mod p and so over Q)
 
-    def select(vectors, exact):
-        n_d = len(vectors)
-        if rank_eval == n_d:
-            return n_d, []
-        # pick representatives at a prime whose eval rank is the certified
-        # one, as every rank at an exact candidate's prime is; the pivots
-        # of [Ep | K] left of Ep's columns are the pivots of Ep
-        for p in primes:
-            try:
-                Ep = E if p == p0 else eval_matrix_mod(family.space, gens, d, p)
-                Kmod = np.zeros((n_d, ncols), dtype=np.int64)
-                for i, v in enumerate(vectors):
-                    for j, x in enumerate(v):
-                        if x:
-                            Kmod[i, j] = _coeff_mod(x, p)
-            except ZeroDivisionError:
-                continue
-            _, aug_pivots = rref_mod(np.hstack([Ep, Kmod.T]), p, reduced=False)
-            picked = [vectors[c - Ep.shape[1]] for c in aug_pivots if c >= Ep.shape[1]]
-            if len(aug_pivots) - len(picked) != rank_eval or len(picked) != n_d - rank_eval:
-                continue
-            new = [normalize_element(family.space.element_from_coords(field, d, v)) for v in picked]
-            if not exact and not all(family.verify(el, d) for el in new):
-                return None
-            return rank_eval + len(new), new
-        raise SolverError("no ladder prime reproduced the certified eval rank")
+    def pick(p, Kp):
+        # the rows of Kp that are pivots of [Ep | Kp^T] complete the eval
+        # image; p must reproduce the certified eval rank, as the field's
+        # own prime does
+        if rank_eval == len(Kp):
+            return []
+        try:
+            Ep = E if p == p0 else eval_matrix_mod(family.space, gens, d, p)
+        except ZeroDivisionError:
+            return None
+        _, aug_pivots = rref_mod(np.hstack([Ep, Kp.T]), p, reduced=False)
+        picked = [c - Ep.shape[1] for c in aug_pivots if c >= Ep.shape[1]]
+        if len(aug_pivots) - len(picked) != rank_eval or len(picked) != len(Kp) - rank_eval:
+            return None
+        return picked
 
-    if candidate is not None:
-        return select(*candidate)
-    return _certified_kernel(build, ncols, field, select)
+    def accept(vectors, exact):
+        new = [normalize_element(family.space.element_from_coords(field, d, v)) for v in vectors]
+        if not exact and not all(family.verify(el, d) for el in new):
+            return None
+        return rank_eval + len(new), new
+
+    if len(primes) > 1:
+        return kernel_qq_candidates(build, ncols, accept, pick)[0]
+    p = primes[0]
+    if K is None:
+        K = kernel_mod(build(p), p)
+    picked = pick(p, K)
+    if picked is None:
+        raise SolverError("the field's prime did not reproduce the certified eval rank")
+    return accept(K[picked].tolist(), True)
 
 
 def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):

@@ -231,11 +231,12 @@ def test_free_bound_and_generic_cut_seed(tmp_path, capsys):
         (["lattice", "@boolean:x"], None),
         (["lattice", "@boolean:3", "--max-codim", "-1"], None),
         (["verify-paper", "--primes", "x"], None),
+        (["generic-cut", "@braid:n=4"], None),
     ],
     ids=[
         "degrees-one-number", "degrees-not-integers", "degrees-reversed", "hyperplane-zero", "hyperplane-short",
         "file-dim", "file-multiplicity", "file-field", "field-option", "field-blank", "library-parameter",
-        "max-codim", "primes-option",
+        "max-codim", "primes-option", "generic-cut-nonessential",
     ],
 )
 def test_malformed_input_is_a_typed_error(args, text, tmp_path, capsys):
@@ -248,3 +249,22 @@ def test_malformed_input_is_a_typed_error(args, text, tmp_path, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+SMOKE_COMMANDS = [["lattice"], ["free"], ["omega"], ["dmodule"], ["betti"], ["critical", "--k", "1"], ["generic-cut"]]
+SMOKE_INPUTS = [["@boolean:3"], ["@braid:n=4"], ["@generic:n=5,ell=3,seed=1", "--field", "Fp:1009"]]
+
+
+def test_every_subcommand_ends_in_a_report_or_a_typed_error(capsys):
+    # every subcommand but verify-paper, on a free, a non-essential and an
+    # F_p input: a report with exit 0 or 1, or one error line with exit 2
+    for command in SMOKE_COMMANDS:
+        for ref in SMOKE_INPUTS:
+            code = main([command[0], *ref, *command[1:]])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (command, ref)
+            assert "Traceback" not in err
+            if code == 2:
+                assert err.startswith("error: ") and len(err.splitlines()) == 1, (command, ref, err)
+            else:
+                assert out and not err, (command, ref)

@@ -155,6 +155,23 @@ def test_surjectivity_sweeps_the_target_with_the_images(case):
     assert sorted(hinted.target_generators.degrees) == sorted(plain.target_generators.degrees)
 
 
+def test_unhinted_ziegler22_cut_over_q_matches_the_hinted_sweep():
+    # the seed-101 cut of ziegler22: unhinted over Q, its kernel at degree -1
+    # needs more than the whole ladder, while the one vector kept needs a few
+    # primes; the hinted sweep is the one the generic-cut claim makes
+    from arrlog.claims import _sample_generic_hyperplane
+    from arrlog.lattice import intersection_lattice
+    from arrlog.solver import omega_generators_from_free
+
+    A1 = ziegler22()
+    A = A1.add_hyperplane(_sample_generic_hyperplane(A1, 101, intersection_lattice(A1, max_codim=3), A1.ell - 1))
+    unhinted = minimal_generators(restrict(A, A.n - 1).restricted, "O", engine="ambient")
+    assert sorted(unhinted.degrees) == [-9, -7, -5, -1]
+    source = omega_generators_from_free(A1, free_base_from_saito(A1, range(A1.n), saito_check(A1)))
+    hinted = surjectivity_check(A, A.n - 1, kind="O", source_generators=source).target_generators
+    assert unhinted.dims == hinted.dims
+
+
 def test_generic_cut_restricts_each_source_generator_once(monkeypatch):
     # the cut's target sweep and its surjectivity ledger share one set of
     # images, so each source generator goes through the form restriction once

@@ -289,7 +289,7 @@ def test_kernel_qq_candidates_exact():
         def build(p, rows=rows):
             return np.array(rows, dtype=np.int64) % p
 
-        vectors, rk, pivots, primes = kernel_qq_candidates(build, 8, _accept_all)
+        vectors, rk, pivots, primes = kernel_qq_candidates(build, 8, _accept_all, None)
         exact = kernel_basis(Matrix(QQ, rows))
         assert len(vectors) == len(exact)
         # candidates must annihilate the exact matrix
@@ -378,7 +378,7 @@ def test_kernel_qq_candidates_matches_from_scratch_reconstruction():
     rng = random.Random(11)
     for m, n, bound in [(3, 7, 10**3), (5, 11, 10**6), (6, 9, 10**9), (4, 7, 50)]:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
-        got = kernel_qq_candidates(_int_build(rows), n, _accept_all)
+        got = kernel_qq_candidates(_int_build(rows), n, _accept_all, None)
         want = _kernel_qq_from_scratch(_int_build(rows), n)
         assert got == want
         assert len(got[3]) >= 2
@@ -398,7 +398,7 @@ def test_kernel_qq_candidates_matches_from_scratch_reconstruction():
             offers.append(vectors)
             return vectors if len(offers) > 1 else None
 
-        resumed = kernel_qq_candidates(build, n, reject_first)
+        resumed = kernel_qq_candidates(build, n, reject_first, None)
         assert resumed == _kernel_qq_from_scratch(_int_build(rows), n, min_primes=len(want[3]) + 1)
         assert len(built) == PRIMES.index(want[3][-1]) + 2
 
@@ -411,7 +411,7 @@ def test_kernel_qq_candidates_bad_first_prime():
     base = [rng.randint(-10**8, 10**8) for _ in range(6)]
     rows = [base, [x + (P if j == 1 else 0) for j, x in enumerate(base)],
             [rng.randint(-10**8, 10**8) for _ in range(6)]]
-    got = kernel_qq_candidates(_int_build(rows), 6, _accept_all)
+    got = kernel_qq_candidates(_int_build(rows), 6, _accept_all, None)
     assert got == _kernel_qq_from_scratch(_int_build(rows), 6)
     assert P not in got[3] and got[1] == 3
 
@@ -490,8 +490,85 @@ def test_kernel_qq_candidates_sparse_block_matches_from_scratch():
             rows[i][i] = rng.choice([1, 3, P0, 2 * P1])
             for j in rng.sample(range(m, n), 3):
                 rows[i][j] = rng.choice([P0, P1, -P0 * 7, rng.randint(-10**6, 10**6)])
-        got = kernel_qq_candidates(_int_build(rows), n, _accept_all)
+        got = kernel_qq_candidates(_int_build(rows), n, _accept_all, None)
         want = _kernel_qq_from_scratch(_int_build(rows), n)
         assert got == want
         for v in got[0]:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# kept columns: the caller picks kernel vectors mod p, only they are lifted
+# ---------------------------------------------------------------------------
+
+
+def _low_high_kernel_rows():
+    """Rows of rank 3 in 5 columns whose RREF kernel has a low-height vector
+    (free column 3) and one of about 200 bits (free column 4); the rows are
+    mixed by a unimodular matrix, so the matrix itself is not reduced."""
+    rng = random.Random(15)
+    low = [1, -2, 3]
+    high = [rng.randint(10**29, 10**30) * rng.choice((-1, 1)) for _ in range(3)]
+    reduced = [[int(i == k) for k in range(3)] + [low[i], high[i]] for i in range(3)]
+    mix = [[1, 0, 0], [2, 1, 0], [-3, 5, 1]]
+    rows = [[sum(mix[i][k] * reduced[k][j] for k in range(3)) for j in range(5)] for i in range(3)]
+    kernel = [[-x for x in low] + [1, 0], [-x for x in high] + [0, 1]]
+    return rows, kernel
+
+
+def _counting(build):
+    built = []
+
+    def counted(p):
+        built.append(p)
+        return build(p)
+
+    return counted, built
+
+
+def _verified(rows):
+    def accept(vectors, exact):
+        if all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in vectors):
+            return vectors
+        return None
+
+    return accept
+
+
+def test_kernel_qq_candidates_lifts_only_the_kept_column():
+    rows, kernel = _low_high_kernel_rows()
+    whole_build, whole_built = _counting(_int_build(rows))
+    whole = kernel_qq_candidates(whole_build, 5, _verified(rows), None)
+    assert whole[0] == kernel and whole[1:3] == (3, (0, 1, 2))
+    picked_build, picked_built = _counting(_int_build(rows))
+    got = kernel_qq_candidates(picked_build, 5, _verified(rows), lambda p, K: [0])
+    assert got[0] == [kernel[0]] and got[1:3] == (3, (0, 1, 2))
+    # the low vector lifts from the group's first prime alone
+    assert got[3] == PRIMES[:1] and picked_built == [PRIMES[0]]
+    assert len(picked_built) < len(whole_built)
+
+
+def test_kernel_qq_candidates_picks_again_at_the_next_prime():
+    # the "eval image" E is P0 times the high vector: it vanishes mod P0, so
+    # a pick there cannot reproduce its rank 1, and the pick moves to the
+    # group's next prime, where the low vector completes E
+    rows, kernel = _low_high_kernel_rows()
+    P0 = PRIMES[0]
+    E = [[P0 * x] for x in kernel[1]]
+    asked = []
+
+    def pick(p, K):
+        asked.append(p)
+        Ep = np.array([[x % p for x in row] for row in E], dtype=np.int64)
+        _, pivots = rref_mod(np.hstack([Ep, K.T]), p, reduced=False)
+        picked = [c - 1 for c in pivots if c >= 1]
+        if len(pivots) - len(picked) != 1 or len(picked) != len(K) - 1:
+            return None
+        return picked
+
+    build, built = _counting(_int_build(rows))
+    got = kernel_qq_candidates(build, 5, _verified(rows), pick)
+    assert asked == [P0, PRIMES[1]]
+    assert got[0] == [kernel[0]]
+    # the lift still starts at the group's first prime
+    assert got[3] == PRIMES[:2] and built == list(PRIMES[:2])

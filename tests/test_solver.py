@@ -312,7 +312,7 @@ def test_certified_kernel_qq_retry_and_exhaustion():
         built.append(p)
         return rows % p
 
-    first = kernel_qq_candidates(build, 3, lambda *cand: cand)
+    first = kernel_qq_candidates(build, 3, lambda *cand: cand, None)
     vectors, exact = first[0]
     assert not exact
     seen = []
