@@ -14,19 +14,6 @@ class FieldMismatch(ValueError):
     """Raised when operands belong to different coefficient fields."""
 
 
-def xgcd(a: int, b: int):
-    """Extended Euclid: (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 class Rationals:
     """The rational field Q.  Elements are Fractions in lowest terms."""
 
@@ -128,10 +115,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        g, x, _ = xgcd(a, self.p)
-        if g != 1:
-            raise ZeroDivisionError(f"{a} not invertible mod {self.p}")
-        return x % self.p
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -142,13 +142,6 @@ def characteristic_polynomial(A: Arrangement, lattice: Lattice | None = None):
     return coeffs
 
 
-def poly_eval_int(coeffs, t: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * t + c
-    return out
-
-
 def flat_of_subspace(A: Arrangement, X_forms, lattice: Lattice | None = None):
     """The flat equal to the subspace cut out by X_forms, or None."""
     key = span_key(A, X_forms)

@@ -1,18 +1,21 @@
 """Degreewise exact computation of logarithmic derivation and form modules.
 
-Graded pieces are kernels of divisibility constraints on numerator
-coefficient vectors.  Two engines produce them:
+Graded pieces are kernels of divisibility constraints on coefficient
+vectors over a free base.  One engine produces them: unknowns are the
+coefficients of an element over the base's module basis, and only the
+hyperplanes outside the base (its complement) contribute constraints.
 
-  * ambient: unknowns are the numerator tuples themselves; one
-    divisibility block per hyperplane and condition subset;
-  * relative: for simple essential arrangements with p = 1, unknowns are
-    coordinates over the explicit free basis attached to a maximal
-    independent subset of the forms, so only the remaining hyperplanes
-    contribute constraints.  This collapses the solve sizes; the two
-    engines must agree and are cross-checked in the tests.
+  * ambient: the base of the empty arrangement, the unit p-vectors or
+    p-forms with exponents 0, so the unknowns are the numerator tuples
+    themselves and every hyperplane is in the complement; valid for any
+    (A, m, p);
+  * relative: for simple essential arrangements with p = 1, the free
+    basis attached to a maximal independent subset of the forms (or a
+    Saito-certified free subarrangement).  This collapses the solve
+    sizes; the two bases must agree and are cross-checked in the tests.
 
-Both engines condition on `condition_terms`, and each is the family of
-its module's pieces: `space`, `field`, `build_mod`, `verify` and
+The engine conditions on `condition_terms`, and it is the family of its
+module's pieces: `space`, `field`, `build_mod`, `verify` and
 `known_rank`, plus the remembered `kernel(d)` and `dimension(d)`.  The
 relation pieces of a list of generators (`EvalKernelFamily`) read the
 same protocol, so one degree step of `sweep_minimal_generators` serves
@@ -36,7 +39,9 @@ degree the new generators are picked mod p, from the kernel at the
 first prime of the lift, before anything is lifted: only their kernel
 vectors are reconstructed and verified (`kernel_qq_candidates` with a
 `pick`), so a step keeping one vector of a kernel of hundreds lifts
-that vector alone, from as few primes as its own height needs.
+that vector alone, from as few primes as its own height needs.  Hints
+and kernel picks complete the eval image through one check
+(`_completing_columns`).
 """
 
 from __future__ import annotations
@@ -154,16 +159,17 @@ def condition_terms(kind: str, order: int, alpha: LinearForm):
     return [[(b, c) for b, c in terms if c] for terms in conds]
 
 
+def _condition_poly(numerators, terms) -> Poly:
+    """sum c * numerators[b] over the (b, c) terms of one condition."""
+    polys = [numerators[b].scale(c) for b, c in terms]
+    if not polys:
+        return Poly.zero(numerators[0].field, numerators[0].ell)
+    return sum(polys[1:], polys[0])
+
+
 def condition_polys(cv: CoeffVector, alpha: LinearForm):
     """The per-hyperplane polynomials that must be divisible by alpha^m."""
-    out = []
-    for terms in condition_terms(cv.kind, cv.order, alpha):
-        if terms:
-            P = cv.numerators[terms[0][0]].scale(terms[0][1])
-            for b, c in terms[1:]:
-                P = P + cv.numerators[b].scale(c)
-            out.append(P)
-    return out
+    return [_condition_poly(cv.numerators, terms) for terms in condition_terms(cv.kind, cv.order, alpha) if terms]
 
 
 def membership_failures(A: Arrangement, cv: CoeffVector, hyperplanes=None):
@@ -253,26 +259,106 @@ def shift_table(ell: int, d_src: int, mono: tuple) -> np.ndarray:
 
 
 class _Engine:
-    """The graded pieces of one module over its arrangement's field.
+    """The graded pieces of one module, in coordinates over a free base.
 
-    The piece at degree d is the kernel of the engine's divisibility
-    constraints (`build_mod`), and `verify` checks an element exactly.
+    The base is a free arrangement's module basis (`_basis`, exponents
+    e_i) inside A; the hyperplanes of A outside it are the complement.
+    Block i of an element is the coefficient polynomial of `_basis[i]`:
+
+      kind "D": theta = sum g_i theta0_i, twists e_i;
+      kind "O": (prod of the complement's forms, with multiplicity) *
+      omega = sum g_i eta_i, twists -(complement degree + e_i).
+
+    The base's own conditions hold for any coefficients, so the piece at
+    degree d is the kernel of the divisibility constraints of the
+    complement hyperplanes only (`build_mod`), and `verify` checks an
+    element exactly on them.  The empty arrangement's base, the unit
+    p-vectors or p-forms with exponents 0, gives the ambient engine.
     Dimensions are remembered per degree, so one engine answers repeated
     questions about its module without eliminating again.
     """
 
-    def __init__(self, A: Arrangement, kind: str, order: int):
+    def __init__(self, A: Arrangement, kind: str, order: int, basis, exponents, complement):
         if kind not in ("D", "O"):
             raise ValueError("kind must be 'D' or 'O'")
         self.A = A
         self.kind = kind
         self.order = order
         self.field = A.field
+        self._basis = basis
+        self.complement = complement
+        if kind == "D":
+            self.space = TwistSpace(A.ell, tuple(exponents))
+        else:
+            degree = sum(A.mult[h] for h in complement)
+            self.space = TwistSpace(A.ell, tuple(-(degree + e) for e in exponents))
+        self._carrier_cache = {}
         self._dims = {}
 
     def known_rank(self, d: int):
         """Rank over the field of the matrix at degree d if known without elimination."""
         return None
+
+    def numerator_degree(self, d: int) -> int:
+        return d if self.kind == "D" else d + self.A.deg_Q()
+
+    def _conditions_exact(self, h: int):
+        """Conditions of hyperplane h over the host field: [(block i, carrier Poly)].
+
+        One list per condition of `condition_terms`, in its order; the
+        carriers of a condition are its polynomial on the base elements.
+        Zero carriers are left out, and a condition without carriers
+        stays, for its zero block of rows.
+        """
+        conds = self._carrier_cache.get(h)
+        if conds is None:
+            conds = []
+            for terms in condition_terms(self.kind, self.order, self.A.forms[h]):
+                carriers = ((i, _condition_poly(cv.numerators, terms)) for i, cv in enumerate(self._basis))
+                conds.append([(i, w) for i, w in carriers if not w.is_zero()])
+            self._carrier_cache[h] = conds
+        return conds
+
+    def build_mod(self, d: int, p: int, cols=None) -> np.ndarray:
+        ell = self.A.ell
+        block_degs = self.space.block_degrees(d)
+        ncols = self.space.dim(d) if cols is None else len(cols)
+        if all(bd < 0 for bd in block_degs):
+            return np.zeros((0, ncols), dtype=np.int64)
+        N = self.numerator_degree(d)
+        block_cols = _block_columns([dim_homogeneous(ell, bd) for bd in block_degs], cols)
+        blocks = []
+        for h in self.complement:
+            # rows of the table transposed, so that the carrier products
+            # gather contiguous rows
+            tableT = divisibility_table_mod(_form_mod(self.A.forms[h], p), self.A.mult[h], N).T.copy()
+            nrows = tableT.shape[1]
+            conds = self._conditions_exact(h)
+            M = np.zeros((nrows * len(conds), ncols), dtype=np.int64)
+            for ci, terms in enumerate(conds):
+                for i, carrier in terms:
+                    bd = block_degs[i]
+                    if bd < 0:
+                        continue
+                    local, out = block_cols[i]
+                    M[ci * nrows : (ci + 1) * nrows, out] = _carrier_product(tableT, carrier, ell, bd, p, local).T
+            blocks.append(M)
+        if not blocks:
+            return np.zeros((0, ncols), dtype=np.int64)
+        return np.vstack(blocks)
+
+    def to_coeffvector(self, element, d: int) -> CoeffVector:
+        ell = self.A.ell
+        numerators = tuple(
+            sum_of_products(self.field, ell, ((element[i], b.numerators[k]) for i, b in enumerate(self._basis)))
+            for k in range(comb(ell, self.order))
+        )
+        return CoeffVector(self.kind, self.order, d, numerators)
+
+    def verify(self, element, d: int) -> bool:
+        # the base's conditions hold identically; check the complement
+        cv = self.to_coeffvector(element, d)
+        return not membership_failures(self.A, cv, hyperplanes=self.complement)
 
     def kernel(self, d: int):
         """The elements of an exact kernel basis at degree d.
@@ -313,52 +399,28 @@ class _Engine:
 
 
 class AmbientEngine(_Engine):
-    """Constraints on raw numerator tuples; valid for any (A, m, p)."""
+    """The engine over the unit base: unknowns are the numerator tuples themselves.
+
+    Valid for any (A, m, p).  Its base is the empty arrangement's: the
+    binom(ell, p) unit p-vectors or p-forms e_I with exponents 0, so
+    every hyperplane of A is in the complement.
+    """
 
     def __init__(self, A: Arrangement, kind: str, order: int = 1):
-        super().__init__(A, kind, order)
         if not 0 <= order <= A.ell:
             raise SolverError("order must satisfy 0 <= p <= ell")
-        offset = 0 if kind == "D" else A.deg_Q()
-        self.space = TwistSpace(A.ell, tuple([-offset] * comb(A.ell, order)))
+        index = subsets(A.ell, order)
+        units = [tuple(Poly.const(A.field, A.ell, int(I == J)) for J in index) for I in index]
+        units = [CoeffVector(kind, order, 0, nums) for nums in units]
+        super().__init__(A, kind, order, units, [0] * len(units), list(range(A.n)))
 
-    def numerator_degree(self, d: int) -> int:
-        return d if self.kind == "D" else d + self.A.deg_Q()
-
-    def build_mod(self, d: int, p: int, cols=None) -> np.ndarray:
-        N = self.numerator_degree(d)
-        ncols = self.space.dim(d) if cols is None else len(cols)
-        if N < 0 or self.space.dim(d) == 0:
-            return np.zeros((0, ncols), dtype=np.int64)
-        dimS = dim_homogeneous(self.A.ell, N)
-        block_cols = _block_columns([dimS] * len(self.space.twists), cols)
-        blocks = []
-        for h in range(self.A.n):
-            alpha = _form_mod(self.A.forms[h], p)
-            table = divisibility_table_mod(alpha, self.A.mult[h], N)
-            nrows = table.shape[0]
-            conds = condition_terms(self.kind, self.order, alpha)
-            M = np.zeros((nrows * len(conds), ncols), dtype=np.int64)
-            for ci, terms in enumerate(conds):
-                rows = slice(ci * nrows, (ci + 1) * nrows)
-                for b, c in terms:
-                    local, out = block_cols[b]
-                    M[rows, out] = (M[rows, out] + int(c) % p * table[:, local]) % p
-            blocks.append(M)
-        if not blocks:
-            return np.zeros((0, ncols), dtype=np.int64)
-        return np.vstack(blocks)
-
-    def to_coeffvector(self, element, d: int) -> CoeffVector:
-        return CoeffVector(self.kind, self.order, d, tuple(element))
+    # perfbench traces each engine's builds through its own class dict
+    build_mod = _Engine.build_mod
 
     def element_from_cv(self, cv: CoeffVector):
         if cv.kind != self.kind or cv.order != self.order:
             raise SolverError("hint does not match the module selector")
         return tuple(cv.numerators)
-
-    def verify(self, element, d: int) -> bool:
-        return not membership_failures(self.A, self.to_coeffvector(element, d))
 
 
 @dataclass
@@ -475,99 +537,30 @@ def validate_subarrangement(A: Arrangement, indices) -> Arrangement:
 
 
 class RelativeEngine(_Engine):
-    """Constraints in coordinates over a free subarrangement's basis.
+    """The engine over a free subarrangement's basis.
 
-    Requires a simple essential arrangement and p = 1.  With base modules
-    free on theta0_i (derivations, degrees e_i) and eta_i (1-forms,
-    degrees -e_i):
-
-      kind "D": theta = sum g_i theta0_i; each complement hyperplane H
-      imposes alpha_H | sum_i g_i * theta0_i(alpha_H).
-      kind "O": (prod of complement forms) * omega = sum g_i eta_i; each
-      complement H imposes the wedge conditions on the combined
-      numerators over Q(A).
-
-    Base-hyperplane conditions hold identically for any coefficients.
+    Requires a simple essential arrangement and p = 1.  The base is a
+    Saito-certified free subarrangement or, by default, the boolean-like
+    base on a maximal independent subset of the forms; only the remaining
+    hyperplanes contribute constraints, which collapses the solve sizes.
     """
 
     def __init__(self, A: Arrangement, kind: str, base: FreeBase | None = None):
-        super().__init__(A, kind, 1)
         if not A.is_simple():
             raise SolverError("relative engine needs a simple arrangement")
         if A.essential_rank != A.ell:
             raise SolverError("relative engine needs an essential arrangement")
         if base is None:
             base = boolean_like_base(A)
-        self.base = base
-        self.complement = [i for i in range(A.n) if i not in set(base.indices)]
-        nc = len(self.complement)
-        # block i of an element is the coefficient of the base element _basis[i]
         if kind == "D":
-            self.space = TwistSpace(A.ell, tuple(base.exponents))
-            self._basis = list(base.d_basis)
+            basis = list(base.d_basis)
         else:
-            self.space = TwistSpace(A.ell, tuple(-(nc + e) for e in base.exponents))
-            self._basis = [CoeffVector("O", 1, -e, nums) for e, nums in zip(base.exponents, base.omega_numerators)]
-        self._carrier_cache = {}
+            basis = [CoeffVector("O", 1, -e, nums) for e, nums in zip(base.exponents, base.omega_numerators)]
+        in_base = set(base.indices)
+        super().__init__(A, kind, 1, basis, base.exponents, [i for i in range(A.n) if i not in in_base])
 
-    def numerator_degree(self, d: int) -> int:
-        return d if self.kind == "D" else d + self.A.n
-
-    def _conditions_exact(self, h: int):
-        """Conditions over the host field: [(block i, carrier Poly)].
-
-        The carriers of a condition are its polynomials (`condition_polys`)
-        on the base elements; zero carriers and conditions without
-        carriers are left out.
-        """
-        conds = self._carrier_cache.get(h)
-        if conds is None:
-            per_base = [condition_polys(cv, self.A.forms[h]) for cv in self._basis]
-            conds = [[(i, w) for i, w in enumerate(ws) if not w.is_zero()] for ws in zip(*per_base)]
-            conds = [c for c in conds if c]
-            self._carrier_cache[h] = conds
-        return conds
-
-    def build_mod(self, d: int, p: int, cols=None) -> np.ndarray:
-        ell = self.A.ell
-        block_degs = self.space.block_degrees(d)
-        ncols = self.space.dim(d) if cols is None else len(cols)
-        if all(bd < 0 for bd in block_degs):
-            return np.zeros((0, ncols), dtype=np.int64)
-        N = self.numerator_degree(d)
-        block_cols = _block_columns([dim_homogeneous(ell, bd) for bd in block_degs], cols)
-        blocks = []
-        for h in self.complement:
-            # rows of the table transposed, so that the carrier products
-            # gather contiguous rows
-            tableT = divisibility_table_mod(_form_mod(self.A.forms[h], p), self.A.mult[h], N).T.copy()
-            nrows = tableT.shape[1]
-            conds = self._conditions_exact(h)
-            M = np.zeros((nrows * len(conds), ncols), dtype=np.int64)
-            for ci, terms in enumerate(conds):
-                for i, carrier in terms:
-                    bd = block_degs[i]
-                    if bd < 0:
-                        continue
-                    local, out = block_cols[i]
-                    M[ci * nrows : (ci + 1) * nrows, out] = _carrier_product(tableT, carrier, ell, bd, p, local).T
-            blocks.append(M)
-        if not blocks:
-            return np.zeros((0, ncols), dtype=np.int64)
-        return np.vstack(blocks)
-
-    def to_coeffvector(self, element, d: int) -> CoeffVector:
-        ell = self.A.ell
-        numerators = tuple(
-            sum_of_products(self.field, ell, ((element[i], b.numerators[k]) for i, b in enumerate(self._basis)))
-            for k in range(ell)
-        )
-        return CoeffVector(self.kind, 1, d, numerators)
-
-    def verify(self, element, d: int) -> bool:
-        # base-form conditions hold identically; check the complement
-        cv = self.to_coeffvector(element, d)
-        return not membership_failures(self.A, cv, hyperplanes=self.complement)
+    # perfbench traces each engine's builds through its own class dict
+    build_mod = _Engine.build_mod
 
 
 #: cells gathered at once when a carrier multiplies a divisibility table
@@ -586,12 +579,13 @@ def _carrier_product(tableT, carrier: Poly, ell: int, bd: int, p: int, local=sli
     tabs = np.stack([shift_table(ell, bd, cm) for cm in carrier.terms])[:, local]
     coeffs = np.array([_coeff_mod(c, p) for c in carrier.terms.values()], dtype=np.int64)
     nterms, dimg = tabs.shape
-    out = np.zeros((dimg, tableT.shape[1]), dtype=np.int64)
-    step = max(1, min(127, _GATHER_CELLS // max(out.size, 1)))
+    step = max(1, min(127, _GATHER_CELLS // max(dimg * tableT.shape[1], 1)))
+    out = None
     for s in range(0, nterms, step):
         gathered = tableT[tabs[s : s + step]]
         gathered *= coeffs[s : s + step, None, None]
-        out += gathered.sum(axis=0)
+        part = gathered[0] if len(gathered) == 1 else gathered.sum(axis=0)
+        out = part if out is None else np.add(out, part, out=out)
         np.mod(out, p, out=out)
     return out
 
@@ -946,11 +940,7 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
             Ep = E if p == p0 else eval_matrix_mod(family.space, gens, d, p)
         except ZeroDivisionError:
             return None
-        _, aug_pivots = rref_mod(np.hstack([Ep, Kp.T]), p, reduced=False)
-        picked = [c - Ep.shape[1] for c in aug_pivots if c >= Ep.shape[1]]
-        if len(aug_pivots) - len(picked) != rank_eval or len(picked) != len(Kp) - rank_eval:
-            return None
-        return picked
+        return _completing_columns(Ep, Kp.T, p, rank_eval, len(Kp))
 
     def accept(vectors, exact):
         new = [normalize_element(family.space.element_from_coords(field, d, v)) for v in vectors]
@@ -991,13 +981,25 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
         valid.append(el)
     if not valid:
         return None
-    H = np.stack(cols, axis=1)
-    aug = np.hstack([E, H]) if E.shape[1] else H
-    _, pivots = rref_mod(aug, p0, reduced=False)
-    chosen = [valid[c - E.shape[1]] for c in pivots if c >= E.shape[1]]
-    if rank_eval + len(chosen) != n0:
+    picked = _completing_columns(E, np.stack(cols, axis=1), p0, rank_eval, n0)
+    if picked is None:
         return None
-    return [normalize_element(el) for el in chosen]
+    return [normalize_element(valid[c]) for c in picked]
+
+
+def _completing_columns(E, C, p: int, rank_eval: int, upper: int):
+    """The columns of C that complete the image of E mod p to dimension `upper`, or None.
+
+    They are the pivots of [E | C] right of E.  The pivots inside E must
+    number `rank_eval`, the certified rank of E: a prime where E falls
+    short of it pins nothing.  The picked columns must number
+    upper - rank_eval.
+    """
+    _, pivots = rref_mod(np.hstack([E, C]), p, reduced=False)
+    picked = [c - E.shape[1] for c in pivots if c >= E.shape[1]]
+    if len(pivots) - len(picked) != rank_eval or len(picked) != upper - rank_eval:
+        return None
+    return picked
 
 
 def _eval_row_pivots(tgt_space: TwistSpace, gens, d: int, p: int):

@@ -11,11 +11,15 @@ its trace targets that way) in `src/`, `tests/` or `perfbench/`, outside
 the definition itself; dunder methods are exempt.
 
 The public functions also have a fixed number of defaulted parameters,
-so a new option is a visible change to a count.
+so a new option is a visible change to a count.  And every function or
+method that perfbench traces is still bound where its tracer looks it up.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -188,3 +192,21 @@ def test_defaulted_public_parameter_count():
         for option in defaulted_public_parameters(path.read_text())
     ]
     assert len(options) == 60, options
+
+
+def test_perfbench_targets_resolve(monkeypatch):
+    # the tracer wraps a plain name found on its module, and a method found
+    # in its own class dict; it is loaded from its file and only read (its
+    # dataclasses need the module registered while it runs)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for target in tracer.TARGETS:
+        module = importlib.import_module(f"{tracer.PACKAGE}.{target.module}")
+        if "." in target.attr:
+            cls_name, meth = target.attr.split(".")
+            assert meth in vars(getattr(module, cls_name)), target.attr
+        else:
+            assert callable(getattr(module, target.attr, None)), target.attr

@@ -3,6 +3,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrlog.arrangement import validate
 from arrlog.fields import GF, QQ
@@ -55,19 +57,23 @@ def test_graded_basis_membership_fp():
         assert graded_dimension(A.delete(i), "O", 1, -4) == 0
 
 
-def test_engines_agree_random_fp():
-    rng = random.Random(17)
-    F = GF(1009)
-    for trial in range(4):
-        n = rng.randint(4, 6)
-        A = generic(n, 3, seed=trial, field=F)
-        for kind in ("D", "O"):
-            amb = AmbientEngine(A, kind)
-            rel = RelativeEngine(A, kind)
-            for d in range(-2, 4) if kind == "D" else range(-n - 1, -n + 4):
-                da = graded_dimension(A, kind, 1, d, engine="ambient")
-                dr = graded_dimension(A, kind, 1, d, engine="relative")
-                assert da == dr, (kind, d, da, dr)
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(4, 6),
+    p=st.sampled_from([101, 1009]),
+    kind=st.sampled_from(["D", "O"]),
+)
+def test_engines_agree_random_fp(seed, n, p, kind):
+    # the unit base and the boolean-like base are two sets of coordinates
+    # on one module: same dimensions, same generator degrees
+    A = generic(n, 3, seed=seed, field=GF(p))
+    amb = AmbientEngine(A, kind)
+    rel = RelativeEngine(A, kind)
+    for d in range(-2, 4) if kind == "D" else range(-n - 1, -n + 4):
+        assert amb.dimension(d) == rel.dimension(d), (kind, d)
+    degrees = [minimal_generators(A, kind, engine=engine).degrees for engine in ("ambient", "relative")]
+    assert degrees[0] == degrees[1]
 
 
 def test_engines_agree_qq():
@@ -254,6 +260,41 @@ def test_hints_with_the_relative_engine_or_a_base_are_rejected():
     for kw in ({"engine": "relative"}, {"base": boolean_like_base(cut)}):
         with pytest.raises(SolverError, match="hints need the ambient engine"):
             minimal_generators(cut, "O", hints=hints, **kw)
+
+
+def test_hinted_step_needs_the_certified_eval_rank_mod_p(monkeypatch):
+    # hints complete the eval image through the kernel pick's check: the
+    # pivots of [E | hints] inside E must number the certified eval rank,
+    # so a prime where E falls short of it (asked for here as rank_eval + 1
+    # with n0 + 1) gives no generators, and the step falls back to the
+    # kernel instead of reporting a dimension of n0 + 1
+    from arrlog import solver
+
+    completing, try_hints = solver._completing_columns, solver._try_hinted_generators
+    hinted, inside = [], []
+
+    def spy_completing(E, C, p, rank_eval, upper):
+        picked = completing(E, C, p, rank_eval, upper)
+        if inside:
+            hinted.append((E, C, p, rank_eval, upper, picked))
+        return picked
+
+    def spy_hints(*args):
+        inside.append(True)
+        try:
+            return try_hints(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(solver, "_completing_columns", spy_completing)
+    monkeypatch.setattr(solver, "_try_hinted_generators", spy_hints)
+    cut, hints = _nine4d_cut_with_hints()
+    assert isinstance(minimal_generators(cut, "O", hints=hints).engine, AmbientEngine)
+    steps = [step for step in hinted if step[-1]]
+    assert steps
+    for E, C, p, rank_eval, upper, picked in steps:
+        assert len(picked) == upper - rank_eval
+        assert completing(E, C, p, rank_eval + 1, upper + 1) is None
 
 
 def test_a_base_with_the_ambient_engine_is_rejected():
