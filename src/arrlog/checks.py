@@ -97,8 +97,8 @@ def duality_dimension_check(A: Arrangement, order: int = 1, degree_range=(-6, 2)
     rows = []
     ok = True
     for d in range(lo, hi + 1):
-        do = graded_dimension(A, "O", order, d, engine="ambient")
-        dd = graded_dimension(A, "D", A.ell - order, d + shift, engine="ambient")
+        do = graded_dimension(A, "O", order, d)
+        dd = graded_dimension(A, "D", A.ell - order, d + shift)
         rows.append((d, do, dd))
         if do != dd:
             ok = False
@@ -129,8 +129,8 @@ def calibrate_duality_shift():
             shift = degq + offset
             good = True
             for d in range(lo, hi + 1):
-                do = graded_dimension(A, "O", 1, d, engine="ambient")
-                dd = graded_dimension(A, "D", A.ell - 1, d + shift, engine="ambient")
+                do = graded_dimension(A, "O", 1, d)
+                dd = graded_dimension(A, "D", A.ell - 1, d + shift)
                 if do != dd:
                     good = False
                     break

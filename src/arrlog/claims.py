@@ -198,9 +198,8 @@ def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
     A1 = ziegler22()
     sr = saito_check(A1)
     lat = intersection_lattice(A1, max_codim=3)
-    # A = A1 + H keeps A1's indices, so A1's free base is A's base
-    fb = free_base_from_saito(A1, range(A1.n), sr)
-    gens_src = omega_generators_from_free(A1, fb)
+    fb = free_base_from_saito(sr)
+    gens_src = omega_generators_from_free(fb)
     src_multiset = gens_src.degree_multiset()
     for seed in seeds:
         h = _sample_generic_hyperplane(A1, seed, lat, A1.ell - 1)
@@ -419,9 +418,11 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
     Reports the genericity certificate at every level, then the
     restriction-surjectivity / generator-comparison / extra-generator
     statements.  Those carry pass-fail status only when their hypotheses
-    hold (H fully generic and pd of the source 1-forms at most ell - 3);
-    otherwise they are recorded as informational skips, and the
-    resolution record cites the hypothesis failure.
+    hold (ell >= 4, H fully generic and pd of the source 1-forms at most
+    ell - 3); otherwise they are recorded as informational skips, and the
+    resolution record cites the hypothesis failure.  At ell = 3 every cut
+    has rank 2 and is free, so the cut of a free source has 2 generators
+    against its 3.
     """
     if A1.essential_rank != A1.ell:
         raise ArrangementError("generic-cut needs an essential arrangement")
@@ -449,15 +450,15 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
     fb = None
     if sr.free:
         pd_src = 0
-        fb = free_base_from_saito(A1, range(A1.n), sr)
-        gens_src = omega_generators_from_free(A1, fb)
+        fb = free_base_from_saito(sr)
+        gens_src = omega_generators_from_free(fb)
     else:
         gens_src = minimal_generators(A1, "O")
         pd_src = None
         if with_betti:
             bt_src = betti_table(gens_src)
             pd_src = bt_src.pd if bt_src.certified_free_tail else None
-    hypothesis_ok = fully and pd_src is not None and pd_src <= ell - 3
+    hypothesis_ok = ell >= 4 and fully and pd_src is not None and pd_src <= ell - 3
     A = A1.add_hyperplane(hyper)
     sj = surjectivity_check(A, A.n - 1, kind="O", source_generators=gens_src)
     tgt_gens = sj.target_generators
@@ -515,6 +516,11 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
             note = (
                 "hypothesis failure: pd of the source 1-forms is "
                 f"{pd_src} > {ell - 3}, so the surjectivity statement does not apply"
+            )
+        elif ell < 4:
+            note = (
+                f"hypothesis failure: ell = {ell} < 4, where every cut is free,"
+                " so the generic-cut statements do not apply"
             )
         rep.add(
             "cut:resolution",

@@ -190,7 +190,8 @@ def surjectivity_check(
     The image piece at degree d is the degree-d part of the submodule
     generated by the images of the source's minimal generators (the maps
     are module homomorphisms).  Without `target_generators` the target is
-    swept with those images as hints.  The ledger runs from the lowest to
+    swept with those images as hints, which checks their membership;
+    with it they are checked here.  The ledger runs from the lowest to
     the highest generator degree of the target, so the verdict is
     module-exact.
     """
@@ -203,14 +204,14 @@ def surjectivity_check(
     )
     images = restrict_generators(src_gens, res)
     del res  # with its cached monomial images, which the target sweep does not need
-    for img in images:
-        if membership_failures(target, img):
-            raise SolverError("restricted generator failed the target membership check")
-    tgt_gens = (
-        target_generators
-        if target_generators is not None
-        else minimal_generators(target, kind, order, hints=images)
-    )
+    if target_generators is None:
+        # the sweep checks each image once, as a hint
+        tgt_gens = minimal_generators(target, kind, order, hints=images)
+    else:
+        for img in images:
+            if membership_failures(target, img):
+                raise SolverError("restricted generator failed the target membership check")
+        tgt_gens = target_generators
     gen_degrees = sorted(tgt_gens.degrees)
     mapped = [(img.degree, tuple(img.numerators)) for img in images]
     lo, hi = (gen_degrees[0], gen_degrees[-1]) if gen_degrees else (0, 0)

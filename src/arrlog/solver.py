@@ -10,9 +10,10 @@ hyperplanes outside the base (its complement) contribute constraints.
     themselves and every hyperplane is in the complement; valid for any
     (A, m, p);
   * relative: for simple essential arrangements with p = 1, the free
-    basis attached to a maximal independent subset of the forms (or a
-    Saito-certified free subarrangement).  This collapses the solve
-    sizes; the two bases must agree and are cross-checked in the tests.
+    basis attached to a maximal independent subset of the forms, or a
+    Saito-certified free arrangement whose hyperplanes all lie in A.
+    This collapses the solve sizes; the two bases must agree and are
+    cross-checked in the tests.
 
 The engine conditions on `condition_terms`, and it is the family of its
 module's pieces: `space`, `field`, `build_mod`, `verify` and
@@ -54,9 +55,9 @@ from math import comb
 
 import numpy as np
 
-from .arrangement import Arrangement, ArrangementError
+from .arrangement import Arrangement, ArrangementError, canonicalize_form
 from .fields import GF, Rationals
-from .linalg import Echelon, Matrix, det, inverse
+from .linalg import Echelon, Matrix, inverse
 from .modular import (
     PRIMES,
     kernel_mod,
@@ -224,18 +225,6 @@ class TwistSpace:
                 blocks.append(Poly.zero(field, self.ell))
             pos += k
         return tuple(blocks)
-
-    def flatten_mod(self, element, d: int, p: int) -> np.ndarray:
-        vec = np.zeros(self.dim(d), dtype=np.int64)
-        pos = 0
-        for poly, deg in zip(element, self.block_degrees(d)):
-            if deg < 0:
-                continue
-            idx = monomial_index(self.ell, deg)
-            for mono, c in poly.terms.items():
-                vec[pos + idx[mono]] = _coeff_mod(c, p)
-            pos += len(idx)
-        return vec
 
 
 def _coeff_mod(c, p: int) -> int:
@@ -425,27 +414,27 @@ class AmbientEngine(_Engine):
 
 @dataclass
 class FreeBase:
-    """A certified free subarrangement with explicit module bases.
+    """A free arrangement with explicit module bases.
 
-    `indices` select the base hyperplanes inside the host arrangement;
-    `d_basis[i]` is a logarithmic derivation basis of the base (degrees =
-    `exponents`, Saito determinant = constant * Q(base)) and
+    `arrangement` is the free arrangement itself; an engine over a larger
+    A finds each of its hyperplanes in A.  `d_basis[i]` is a logarithmic
+    derivation basis of it (degrees = `exponents`) and
     `omega_numerators[i]` the numerator tuples of the dual basis of its
     1-forms (degrees = negated exponents).
     """
 
-    indices: list
+    arrangement: Arrangement
     exponents: list
     d_basis: list  # CoeffVector
-    omega_numerators: list  # tuple[Poly] per basis form, over Q(base)
-    constant: object
+    omega_numerators: list  # tuple[Poly] per basis form, over Q(arrangement)
 
 
 def boolean_like_base(A: Arrangement) -> FreeBase:
     """The free base on a greedy maximal independent subset of the forms.
 
-    With u_i the chosen forms (rows of T), the base derivations are
-    u_i d/du_i and the base 1-forms du_i / u_i.
+    With u_i the chosen forms (rows of T), the base is the boolean
+    arrangement of the u_i: its derivations are u_i d/du_i and its
+    1-forms du_i / u_i.
     """
     ell = A.ell
     fld = A.field
@@ -469,32 +458,29 @@ def boolean_like_base(A: Arrangement) -> FreeBase:
     for i in range(ell):
         P_i = product([u[j] for j in range(ell) if j != i], field=fld, ell=ell)
         omega.append(tuple(P_i.scale(T.rows[i][k]) for k in range(ell)))
-    det_t = det(fld, T.rows)
     return FreeBase(
-        indices=idxs,
+        arrangement=Arrangement(fld, ell, [A.forms[i] for i in idxs], [1] * ell),
         exponents=[1] * ell,
         d_basis=d_basis,
         omega_numerators=omega,
-        constant=det_t,
     )
 
 
-def free_base_from_saito(A: Arrangement, indices, saito_result) -> FreeBase:
-    """Build a FreeBase from a Saito-certified free subarrangement.
+def free_base_from_saito(saito_result) -> FreeBase:
+    """Build a FreeBase from a Saito certificate of freeness.
 
-    `saito_result` must be the certificate for the subarrangement of
-    `A` selected by `indices` (same form order).  The dual 1-form basis
-    comes from the adjugate of the derivation coefficient matrix and is
-    verified exactly.
+    The base's arrangement is the one the certificate was computed for.
+    The dual 1-form basis comes from the adjugate of the derivation
+    coefficient matrix and is verified exactly.
     """
     from .poly import poly_det
 
     if not saito_result.free:
-        raise SolverError("free base needs a Saito-certified subarrangement")
+        raise SolverError("free base needs a Saito-certified arrangement")
+    gens = saito_result.generators
+    A = gens.arrangement
     ell = A.ell
     fld = A.field
-    sub = validate_subarrangement(A, indices)
-    gens = saito_result.generators
     cvs = gens.representatives
     degrees = list(gens.degrees)
     M = [list(cv.numerators) for cv in cvs]
@@ -516,33 +502,26 @@ def free_base_from_saito(A: Arrangement, indices, saito_result) -> FreeBase:
         omega.append(tuple(nums))
     for i, nums in enumerate(omega):
         cv = CoeffVector("O", 1, -degrees[i], nums)
-        if membership_failures(sub, cv):
+        if membership_failures(A, cv):
             raise SolverError("dual basis form failed the membership check")
     return FreeBase(
-        indices=list(indices),
+        arrangement=A,
         exponents=degrees,
         d_basis=cvs,
         omega_numerators=omega,
-        constant=saito_result.constant,
-    )
-
-
-def validate_subarrangement(A: Arrangement, indices) -> Arrangement:
-    return Arrangement(
-        A.field,
-        A.ell,
-        [A.forms[i] for i in indices],
-        [A.mult[i] for i in indices],
     )
 
 
 class RelativeEngine(_Engine):
-    """The engine over a free subarrangement's basis.
+    """The engine over a free arrangement's basis.
 
-    Requires a simple essential arrangement and p = 1.  The base is a
-    Saito-certified free subarrangement or, by default, the boolean-like
-    base on a maximal independent subset of the forms; only the remaining
-    hyperplanes contribute constraints, which collapses the solve sizes.
+    Requires a simple essential arrangement A and p = 1.  The base is a
+    Saito-certified free arrangement (`free_base_from_saito`) or, by
+    default, the boolean-like base on a maximal independent subset of
+    A's forms.  Each base hyperplane is found in A by its canonical form
+    and multiplicity, and one that A lacks raises SolverError; the other
+    hyperplanes of A, in A's order, are the complement.  Only they
+    contribute constraints, which collapses the solve sizes.
     """
 
     def __init__(self, A: Arrangement, kind: str, base: FreeBase | None = None):
@@ -556,7 +535,13 @@ class RelativeEngine(_Engine):
             basis = list(base.d_basis)
         else:
             basis = [CoeffVector("O", 1, -e, nums) for e, nums in zip(base.exponents, base.omega_numerators)]
-        in_base = set(base.indices)
+        index = {(canonicalize_form(f), m): i for i, (f, m) in enumerate(zip(A.forms, A.mult))}
+        in_base = set()
+        for f, m in zip(base.arrangement.forms, base.arrangement.mult):
+            i = index.get((canonicalize_form(f), m))
+            if i is None:
+                raise SolverError(f"base hyperplane {f} (multiplicity {m}) is not in the arrangement")
+            in_base.add(i)
         super().__init__(A, kind, 1, basis, base.exponents, [i for i in range(A.n) if i not in in_base])
 
     # perfbench traces each engine's builds through its own class dict
@@ -689,13 +674,7 @@ def _certified_kernel(build, ncols: int, field, accept):
     return kernel_qq_candidates(build, ncols, accept, None)[0]
 
 
-def graded_basis(
-    A: Arrangement,
-    kind: str,
-    order: int = 1,
-    d: int = 0,
-    engine: str = "auto",
-) -> list:
+def graded_basis(A: Arrangement, kind: str, order: int = 1, d: int = 0) -> list:
     """Exact basis of D^p(A, m)_d (kind "D") or Omega^p(A, m)_d (kind "O").
 
     Returns a list of CoeffVectors.  Multiplicities ride along on the arrangement.  Over Q the basis is
@@ -703,18 +682,18 @@ def graded_basis(
     against the defining divisibility conditions exactly; the dimension
     is exact because mod-p ranks bound the rank over Q from below.
     """
-    eng = pick_engine(A, kind, order, engine)
+    eng = pick_engine(A, kind, order)
     return [eng.to_coeffvector(el, d) for el in eng.kernel(d)]
 
 
-def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0, engine: str = "auto") -> int:
+def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0) -> int:
     """Exact dimension of a graded piece.
 
     Over F_p this is native.  Over Q a zero answer is already exact (the
     mod-p kernel bounds the rational kernel); a nonzero answer is
     certified by reconstructing and verifying a full basis.
     """
-    return pick_engine(A, kind, order, engine).dimension(d)
+    return pick_engine(A, kind, order).dimension(d)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +827,9 @@ def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=(
     At each degree the new generators are the cokernel of the evaluation
     map of the generators found so far.  The dimensions are certified by
     mod-p rank bounds (exact over F_p), and over Q every exhibited
-    representative passes `family.verify` exactly.
+    representative passes `family.verify` exactly.  `hints` maps a degree
+    to elements already verified as members, which are tried there
+    before the kernel.
 
     `gens` are (degree, element) generators already known below the
     window; only the generators found inside it are returned.  After each
@@ -964,27 +945,20 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
 
     Returns the selected new generators, or None when the hints do not
     span the whole cokernel (the caller then falls back to kernel
-    reconstruction).  Exactness: each selected hint is verified as a
-    member, the eval rank is already certified, and the mod-p pivot
-    count bounds the rational independence from below while n0 bounds
-    the piece dimension from above.
+    reconstruction).  Exactness: every hint was verified as a member when
+    it was received, the eval rank is already certified, and the mod-p
+    pivot count bounds the rational independence from below while n0
+    bounds the piece dimension from above.
     """
-    cols = []
-    valid = []
-    for el in hints_d:
-        if not family.verify(el, d):
-            continue
-        try:
-            cols.append(family.space.flatten_mod(el, d, p0))
-        except ZeroDivisionError:
-            return None
-        valid.append(el)
-    if not valid:
+    try:
+        # a hint at its own degree is one eval column: its flat coordinates
+        C = eval_matrix_mod(family.space, [(d, el) for el in hints_d], d, p0)
+    except ZeroDivisionError:
         return None
-    picked = _completing_columns(E, np.stack(cols, axis=1), p0, rank_eval, n0)
+    picked = _completing_columns(E, C, p0, rank_eval, n0)
     if picked is None:
         return None
-    return [normalize_element(valid[c]) for c in picked]
+    return [normalize_element(hints_d[c]) for c in picked]
 
 
 def _completing_columns(E, C, p: int, rank_eval: int, upper: int):
@@ -1100,9 +1074,14 @@ def minimal_generators(
     Omega) and at each degree quotients the graded piece by the span of
     the monomial multiples of the generators already found.
 
-    `hints` (CoeffVectors tried before reconstruction at their degree)
-    are read by the ambient engine, so with engine "auto" they select it;
-    hints with engine "relative" or a `base` raise SolverError.
+    `base` (a FreeBase whose hyperplanes all lie in A) chooses the
+    coordinates of the relative engine.  `hints` (CoeffVectors tried
+    before reconstruction at their degree) are numerator tuples, the
+    coordinates of the unit base, so they select the ambient engine, and
+    hints with a `base` or engine "relative" raise SolverError.  Each
+    hint is checked for membership once, here, and a non-member raises
+    SolverError.  `engine` ("auto", "ambient" or "relative") picks the
+    engine by name.
     """
     if degree_range is None:
         degree_range = default_degree_range(A, kind)
@@ -1111,7 +1090,10 @@ def minimal_generators(
     eng = pick_engine(A, kind, order, "ambient" if hints else engine, base=base)
     hint_map = {}
     for cv in hints or ():
-        hint_map.setdefault(cv.degree, []).append(eng.element_from_cv(cv))
+        el = eng.element_from_cv(cv)
+        if membership_failures(A, cv):
+            raise SolverError(f"hint of degree {cv.degree} is not a member of the module")
+        hint_map.setdefault(cv.degree, []).append(el)
     res = sweep_minimal_generators(eng, degree_range, hints=hint_map)
     return _generator_set(A, kind, order, eng, res, tuple(degree_range), False)
 
@@ -1128,7 +1110,7 @@ class SaitoResult:
         return self.free
 
 
-def saito_check(A: Arrangement, degree_bound=None, engine: str = "auto") -> SaitoResult:
+def saito_check(A: Arrangement, degree_bound=None) -> SaitoResult:
     """Freeness certificate via the determinant criterion.
 
     Sweeps minimal generators of the derivation module; once ell
@@ -1142,7 +1124,7 @@ def saito_check(A: Arrangement, degree_bound=None, engine: str = "auto") -> Sait
     ell = A.ell
     degQ = A.deg_Q()
     hi = degQ if degree_bound is None else degree_bound
-    eng = pick_engine(A, "D", 1, engine)
+    eng = pick_engine(A, "D", 1)
     constant = None
 
     def stop(gens):
@@ -1207,17 +1189,14 @@ def free_piece_dimension(ell: int, exponents, d: int) -> int:
     return sum(dim_homogeneous(ell, d - e) for e in exponents)
 
 
-def omega_generators_from_free(A: Arrangement, base: FreeBase) -> GeneratorSet:
-    """Minimal 1-form generators of a free arrangement, from its FreeBase.
+def omega_generators_from_free(base: FreeBase) -> GeneratorSet:
+    """Minimal 1-form generators of the free arrangement of a FreeBase.
 
-    `base` must cover every hyperplane of A (`free_base_from_saito(A,
-    range(A.n), ...)`).  The dual basis of the derivation basis generates
-    the forms freely (its numerator determinant is a nonzero multiple of
-    Q^{ell-1}), so no sweep is required; the dimension table is the free
-    Hilbert function.
+    The dual basis of the derivation basis generates the forms freely
+    (its numerator determinant is a nonzero multiple of Q^{ell-1}), so no
+    sweep is required; the dimension table is the free Hilbert function.
     """
-    if base.indices != list(range(A.n)):
-        raise SolverError("the free base does not cover every hyperplane of the arrangement")
+    A = base.arrangement
     degrees = [-e for e in base.exponents]
     reps = [
         CoeffVector("O", 1, -e, base.omega_numerators[i])

@@ -149,10 +149,20 @@ GENERIC_CUT_RECORDS = {
         ("cut:extra-generator", "skip"),
         ("cut:resolution", "pass"),
     ],
+    ("@boolean:3",): [
+        ("cut:sampled-hyperplane", "pass"),
+        ("cut:genericity", "pass"),
+        ("cut:surjectivity", "skip"),
+        ("cut:generators", "skip"),
+        ("cut:extra-generator", "skip"),
+        ("cut:resolution", "pass"),
+    ],
 }
 
 
-@pytest.mark.parametrize("args", list(GENERIC_CUT_RECORDS), ids=["boolean4", "generic5-QQ", "generic5-F1009"])
+@pytest.mark.parametrize(
+    "args", list(GENERIC_CUT_RECORDS), ids=["boolean4", "generic5-QQ", "generic5-F1009", "boolean3"]
+)
 def test_generic_cut_records(args, tmp_path, capsys):
     code, p1 = run_cli(["generic-cut", *args], tmp_path, "gc1.json")
     _, p2 = run_cli(["generic-cut", *args], tmp_path, "gc2.json")
@@ -164,6 +174,11 @@ def test_generic_cut_records(args, tmp_path, capsys):
     if args == ("@boolean:4",):
         assert data["cut:generators"]["cut"] == [-1, -1, -1, -1]
         assert data["cut:resolution"]["betti_columns"] == [[-1] * 5, [0]]
+    elif args == ("@boolean:3",):
+        # at ell = 3 the cut has rank 2 and is free: the theorem needs ell >= 4
+        assert data["cut:surjectivity"]["hypothesis_holds"] is False
+        assert data["cut:generators"]["cut"] == [-2, -1]
+        assert "ell = 3 < 4" in data["cut:resolution"]["note"]
     else:
         # the cut of a non-free arrangement: the generic-cut hypothesis fails
         ledger = data["cut:surjectivity"]["ledger"]

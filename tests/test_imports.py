@@ -191,7 +191,7 @@ def test_defaulted_public_parameter_count():
         if path.name != "cli.py"
         for option in defaulted_public_parameters(path.read_text())
     ]
-    assert len(options) == 60, options
+    assert len(options) == 57, options
 
 
 def test_perfbench_targets_resolve(monkeypatch):

@@ -24,7 +24,6 @@ from arrlog.solver import (
     NotLogarithmic,
     free_base_from_saito,
     graded_basis,
-    graded_dimension,
     is_logarithmic,
     minimal_generators,
     saito_check,
@@ -167,7 +166,7 @@ def test_unhinted_ziegler22_cut_over_q_matches_the_hinted_sweep():
     A = A1.add_hyperplane(_sample_generic_hyperplane(A1, 101, intersection_lattice(A1, max_codim=3), A1.ell - 1))
     unhinted = minimal_generators(restrict(A, A.n - 1).restricted, "O", engine="ambient")
     assert sorted(unhinted.degrees) == [-9, -7, -5, -1]
-    source = omega_generators_from_free(A1, free_base_from_saito(A1, range(A1.n), saito_check(A1)))
+    source = omega_generators_from_free(free_base_from_saito(saito_check(A1)))
     hinted = surjectivity_check(A, A.n - 1, kind="O", source_generators=source).target_generators
     assert unhinted.dims == hinted.dims
 
@@ -192,6 +191,35 @@ def test_generic_cut_restricts_each_source_generator_once(monkeypatch):
     claims.generic_cut_analysis(rep, generic(5, 3, seed=1, field=GF(1009)), None, seed=1, with_betti=False)
     source = next(c for c in rep.claims if c.claim_id == "cut:generators").data["source"]
     assert len(calls) == len(source) > 0
+
+
+def test_generic_cut_checks_each_image_once(monkeypatch):
+    # the images of a cut's source generators seed the target's sweep as
+    # hints, which checks their membership once; nothing checks them again
+    from arrlog import claims, maps, solver
+    from arrlog.report import PASS, Report
+
+    images, checked = [], []
+    restrict_generators, failures = maps.restrict_generators, solver.membership_failures
+
+    def spy_images(gens, res):
+        out = restrict_generators(gens, res)
+        images.extend(out)
+        return out
+
+    def spy_failures(A, cv, hyperplanes=None):
+        checked.append(cv)
+        return failures(A, cv, hyperplanes)
+
+    monkeypatch.setattr(maps, "restrict_generators", spy_images)
+    for module in (maps, solver):
+        monkeypatch.setattr(module, "membership_failures", spy_failures)
+    rep = Report(command="test", field_spec="Q")
+    claims.claim_generic_cut_bundle(rep, seeds=(1,))
+    assert [c.status for c in rep.claims] == [PASS]
+    assert len(images) == 4
+    for img in images:
+        assert sum(cv.kind == img.kind and cv.numerators == img.numerators for cv in checked) == 1
 
 
 def test_preparation_check_on_log_basis():
@@ -263,7 +291,7 @@ def test_certified_image_rank_is_the_exact_rank(field, source):
     # the map has no columns
     cases = {"reaches": (gens, 0), "below": (gens[:-1], 0), "no columns": (gens, min(gs.degrees) - 1)}
     for case, (sub, d) in cases.items():
-        upper = graded_dimension(A, "O", 1, d, engine="ambient")
+        upper = gs.engine.dimension(d)
         cols = _exact_eval_columns(space, sub, d, field)
         rank = certified_image_rank(space, sub, d, field, upper=upper)
         assert rank == _exact_rank(cols, field), case
@@ -367,7 +395,7 @@ def restriction_inputs(request):
         A = ziegler22()
         saito = saito_check(A)
         der = saito.generators.representatives
-        fb = free_base_from_saito(A, list(range(A.n)), saito)
+        fb = free_base_from_saito(saito)
         forms = [CoeffVector("O", 1, -e, nums) for e, nums in zip(fb.exponents, fb.omega_numerators)]
 
         def deletion(i):

@@ -13,7 +13,13 @@ from arrlog.arrangement import restrict
 from arrlog.fields import GF
 from arrlog.lattice import characteristic_polynomial
 from arrlog.library import boolean, braid, grr3, ziegler22
-from arrlog.solver import saito_check
+from arrlog.solver import (
+    AmbientEngine,
+    RelativeEngine,
+    _saito_constant,
+    saito_check,
+    sweep_minimal_generators,
+)
 
 
 def _braid4():
@@ -40,12 +46,16 @@ def _factor_product(roots):
 @pytest.mark.parametrize("engine", ["ambient", "relative"])
 @pytest.mark.parametrize("name", FREE)
 def test_terao_factorization(name, engine):
-    # chi(A, t) = prod (t - d_i) over the exponents of a free arrangement
+    # chi(A, t) = prod (t - d_i) over the exponents of a free arrangement,
+    # with the Saito basis swept on each engine and its determinant checked
     make, exponents = FREE[name]
     A = make()
-    res = saito_check(A, engine=engine)
-    assert res.free and res.exponents == exponents
-    assert characteristic_polynomial(A) == _factor_product(res.exponents)
+    eng = (AmbientEngine if engine == "ambient" else RelativeEngine)(A, "D")
+    res = sweep_minimal_generators(eng, (0, max(exponents)))
+    assert sorted(res.degrees) == exponents
+    basis = [eng.to_coeffvector(el, d) for d, el in zip(res.degrees, res.elements)]
+    assert _saito_constant(A, basis) is not None
+    assert characteristic_polynomial(A) == _factor_product(exponents)
 
 
 @pytest.mark.parametrize("name", ["braid4", "ziegler22"])

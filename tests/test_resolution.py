@@ -83,7 +83,7 @@ def test_betti_table_from_generators_matches_unseeded():
     B = boolean(3)
     sr = saito_check(B)
     A = B.add_hyperplane(LinearForm(QQ, [1, 2, 3]))
-    fb = free_base_from_saito(A, list(range(B.n)), sr)
+    fb = free_base_from_saito(sr)
     G = grr3(3, GF(7)).delete(0)
     a_forms = (
         [[-1, -1, -1, -1], [0]], 1, True, True, 4,

@@ -79,8 +79,8 @@ def test_engines_agree_random_fp(seed, n, p, kind):
 def test_engines_agree_qq():
     A = nine4d()
     for d in (-2, -1):
-        da = len(graded_basis(A, "O", 1, d, engine="ambient"))
-        dr = len(graded_basis(A, "O", 1, d, engine="relative"))
+        da = len(AmbientEngine(A, "O").kernel(d))
+        dr = len(RelativeEngine(A, "O").kernel(d))
         assert da == dr
 
 
@@ -297,6 +297,19 @@ def test_hinted_step_needs_the_certified_eval_rank_mod_p(monkeypatch):
         assert completing(E, C, p, rank_eval + 1, upper + 1) is None
 
 
+def test_a_hint_that_is_not_a_member_is_rejected():
+    # dy / (xyz) is not logarithmic on boolean(3): Q d(omega) still has
+    # poles along x = 0 and z = 0
+    from arrlog.solver import SolverError
+
+    A = boolean(3)
+    zero, one = Poly.zero(QQ, 3), Poly.const(QQ, 3, 1)
+    hint = CoeffVector("O", 1, -3, (zero, one, zero))
+    assert membership_failures(A, hint)
+    with pytest.raises(SolverError, match="not a member"):
+        minimal_generators(A, "O", hints=[hint])
+
+
 def test_a_base_with_the_ambient_engine_is_rejected():
     from arrlog.solver import SolverError, boolean_like_base
 
@@ -308,28 +321,21 @@ def test_a_base_with_the_ambient_engine_is_rejected():
 def test_an_unknown_engine_name_is_rejected():
     from arrlog.solver import SolverError
 
-    for call in (
-        lambda: minimal_generators(boolean(3), "O", engine="amb"),
-        lambda: graded_dimension(boolean(3), "D", 1, 1, engine="Ambient"),
-        lambda: saito_check(boolean(3), engine=""),
-    ):
-        with pytest.raises(SolverError, match="unknown engine"):
-            call()
+    with pytest.raises(SolverError, match="unknown engine"):
+        minimal_generators(boolean(3), "O", engine="amb")
 
 
 @pytest.mark.parametrize("field", [GF(1009), QQ], ids=["F1009", "QQ"])
 def test_piece_solver_dimension_matches_graded_dimension(field):
     A = generic(5, 3, seed=2, field=field)
-    for engine in ("ambient", "relative"):
+    for engine in (AmbientEngine, RelativeEngine):
         for kind, degrees in (("D", range(-1, 5)), ("O", range(-6, 1))):
-            eng = pick_engine(A, kind, 1, engine)
-            for d in degrees:
-                assert eng.dimension(d) == graded_dimension(A, kind, 1, d, engine=engine), (engine, kind, d)
+            eng = engine(A, kind)
+            dims = [graded_dimension(A, kind, 1, d) for d in degrees]
+            assert [eng.dimension(d) for d in degrees] == dims, (engine, kind)
             # remembered: asking again builds no constraint matrix
             eng.build_mod = None
-            assert [eng.dimension(d) for d in degrees] == [
-                graded_dimension(A, kind, 1, d, engine=engine) for d in degrees
-            ]
+            assert [eng.dimension(d) for d in degrees] == dims
 
 
 @pytest.mark.parametrize("engine", ["ambient", "relative"])
@@ -338,11 +344,13 @@ def test_wrong_early_lift_takes_more_primes(engine):
     # engine (3 primes, 42 bits; 4 primes verify) and at degrees 3 and 4 on
     # the ambient one; verification must ask for more primes, not raise
     A = generic(5, 3, seed=3, field=QQ).delete(3)
-    dims = [graded_dimension(A, "D", 1, d, engine=engine) for d in range(7)]
+    make = AmbientEngine if engine == "ambient" else RelativeEngine
+    dims = [make(A, "D").dimension(d) for d in range(7)]
     assert dims == [0, 1, 6, 14, 25, 39, 56]
     for d in (2, 3):
-        for cv in graded_basis(A, "D", 1, d, engine=engine):
-            assert is_logarithmic(A, cv)
+        eng = make(A, "D")
+        for el in eng.kernel(d):
+            assert is_logarithmic(A, eng.to_coeffvector(el, d))
 
 
 def test_certified_kernel_qq_retry_and_exhaustion():
@@ -403,7 +411,7 @@ def test_rejected_lift_resumes_from_its_primes(monkeypatch):
     monkeypatch.setattr(AmbientEngine, "build_mod", counting_build)
     for d, dim, most in ((3, 14, 13), (4, 25, 20)):
         builds[0] = 0
-        assert graded_dimension(A, "D", 1, d, engine="ambient") == dim
+        assert AmbientEngine(A, "D").dimension(d) == dim
         assert builds[0] <= most, (d, builds[0])
 
 
