@@ -22,7 +22,6 @@ from .lattice import (
     Lattice,
     characteristic_polynomial,
     intersection_lattice,
-    is_generic,
     is_k_generic,
 )
 from .library import example_library, parse_library_ref

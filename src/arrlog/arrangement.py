@@ -274,9 +274,9 @@ def _proportionality_scale(canon: LinearForm, form: LinearForm):
 def parse_arrangement(text: str) -> Arrangement:
     """Parse the line-oriented arrangement format.
 
-    Header lines `field Q` (or `field Fp <p>`) and `dim <ell>`, then one
-    hyperplane per line as ell field elements, with an optional trailing
-    `*m` multiplicity.
+    Header lines `field Q` (or `field Fp <p>`) and `dim <ell>` with
+    ell >= 1, then one hyperplane per line as ell field elements, with an
+    optional trailing `*m` multiplicity.
     """
     from .fields import GF
 
@@ -301,8 +301,8 @@ def parse_arrangement(text: str) -> Arrangement:
                 raise ArrangementError(f"line {lineno}: bad field declaration {line!r}: {exc}") from exc
             continue
         if parts[0] == "dim":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ArrangementError(f"line {lineno}: bad dimension {line!r}")
+            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) == 0:
+                raise ArrangementError(f"line {lineno}: bad dimension {line!r}: expected a positive integer")
             ell = int(parts[1])
             continue
         if field is None or ell is None:

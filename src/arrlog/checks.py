@@ -78,14 +78,13 @@ def criticality_check(A: Arrangement, k: int) -> CriticalityReport:
 @dataclass
 class DualityReport:
     arrangement: Arrangement
-    order: int
     shift: int
-    rows: list  # (d, dim Omega^p_d, dim D^{ell-p}_{d+shift})
+    rows: list  # (d, dim Omega^1_d, dim D^{ell-1}_{d+shift})
     ok: bool
 
 
-def duality_dimension_check(A: Arrangement, order: int = 1, degree_range=(-6, 2), shift=None) -> DualityReport:
-    """Compare dim Omega^p(A, m)_d with dim D^{ell-p}(A, m)_{d + shift}.
+def duality_dimension_check(A: Arrangement, degree_range=(-6, 2), shift=None) -> DualityReport:
+    """Compare dim Omega^1(A, m)_d with dim D^{ell-1}(A, m)_{d + shift}.
 
     The graded twist of the duality isomorphism is not normative here, so
     the shift defaults to the value calibrated on the empty and boolean
@@ -97,12 +96,12 @@ def duality_dimension_check(A: Arrangement, order: int = 1, degree_range=(-6, 2)
     rows = []
     ok = True
     for d in range(lo, hi + 1):
-        do = graded_dimension(A, "O", order, d)
-        dd = graded_dimension(A, "D", A.ell - order, d + shift)
+        do = graded_dimension(A, "O", 1, d)
+        dd = graded_dimension(A, "D", A.ell - 1, d + shift)
         rows.append((d, do, dd))
         if do != dd:
             ok = False
-    return DualityReport(arrangement=A, order=order, shift=shift, rows=rows, ok=ok)
+    return DualityReport(arrangement=A, shift=shift, rows=rows, ok=ok)
 
 
 def calibrate_duality_shift():
@@ -122,20 +121,13 @@ def calibrate_duality_shift():
     examples.append(("boolean ell=2 mult (2,1)", b2, (-5, 2)))
     evidence = {}
     surviving = None
-    for name, A, (lo, hi) in examples:
+    for name, A, rng in examples:
         degq = A.deg_Q()
-        matches = []
-        for offset in range(-degq - 3, degq + 4):
-            shift = degq + offset
-            good = True
-            for d in range(lo, hi + 1):
-                do = graded_dimension(A, "O", 1, d)
-                dd = graded_dimension(A, "D", A.ell - 1, d + shift)
-                if do != dd:
-                    good = False
-                    break
-            if good:
-                matches.append(offset)
+        matches = [
+            offset
+            for offset in range(-degq - 3, degq + 4)
+            if duality_dimension_check(A, rng, degq + offset).ok
+        ]
         evidence[name] = matches
         s = set(matches)
         surviving = s if surviving is None else (surviving & s)
@@ -156,9 +148,7 @@ class EulerLedger:
     exact: bool
 
 
-def euler_exactness_check(
-    A: Arrangement, i: int, kind: str, order: int = 1, degree_range=None, *, _shared=None
-) -> EulerLedger:
+def euler_exactness_check(A: Arrangement, i: int, kind: str, degree_range=None, *, _shared=None) -> EulerLedger:
     """Degreewise rank ledger of the deletion-restriction sequences.
 
     kind "D": 0 -> D(A') --alpha--> D(A) --rho--> D(A^H): checks
@@ -169,21 +159,21 @@ def euler_exactness_check(
     `_shared` is the work on A alone that `euler_ledgers` hands to every
     hyperplane's ledger.
     """
-    sweep_A, engine_A = _shared or _ledger_shared(A, kind, order)
+    sweep_A, engine_A = _shared or _ledger_shared(A, kind)
     res = restrict(A, i)
     A_del = A.delete(i)
     if kind == "D":
         src_gens = sweep_A
-        big, small = engine_A, pick_engine(A_del, kind, order)
+        big, small = engine_A, pick_engine(A_del, kind, 1)
         if degree_range is None:
             degree_range = (0, A.deg_Q())
     else:
-        src_gens = minimal_generators(A_del, "O", order)
+        src_gens = minimal_generators(A_del, "O")
         big, small = src_gens.engine, engine_A
         if degree_range is None:
             degree_range = (-A_del.deg_Q(), 0)
     mapped = [(img.degree, tuple(img.numerators)) for img in restrict_generators(src_gens, res)]
-    tgt_space = AmbientEngine(res.restricted, kind, order).space
+    tgt_space = AmbientEngine(res.restricted, kind, 1).space
     rows = []
     exact = True
     lo, hi = degree_range
@@ -203,25 +193,22 @@ def euler_exactness_check(
     return EulerLedger(arrangement=A, index=i, kind=kind, rows=rows, exact=exact)
 
 
-def _ledger_shared(A: Arrangement, kind: str, order: int):
+def _ledger_shared(A: Arrangement, kind: str):
     """(D(A) sweep or None, engine of A): the ledger work that does not depend on i."""
     if kind == "D":
-        sweep = minimal_generators(A, "D", order)
+        sweep = minimal_generators(A, "D")
         return sweep, sweep.engine
-    return None, pick_engine(A, kind, order)
+    return None, pick_engine(A, kind, 1)
 
 
-def euler_ledgers(A: Arrangement, kind: str, order: int = 1, degree_range=None) -> list:
+def euler_ledgers(A: Arrangement, kind: str, degree_range=None) -> list:
     """`euler_exactness_check` for every hyperplane of A, in index order.
 
     The D(A) sweep and A's graded pieces are computed once for all
     hyperplanes; each ledger equals the one computed alone.
     """
-    shared = _ledger_shared(A, kind, order)
-    return [
-        euler_exactness_check(A, i, kind, order, degree_range, _shared=shared)
-        for i in range(A.n)
-    ]
+    shared = _ledger_shared(A, kind)
+    return [euler_exactness_check(A, i, kind, degree_range, _shared=shared) for i in range(A.n)]
 
 
 # ---------------------------------------------------------------------------

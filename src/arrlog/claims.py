@@ -133,7 +133,7 @@ def claim_criticality_family(rep: Report, primes=None):
             sr = saito_check(A)
             k = 2 * r - 2
             cr = criticality_check(A, k)
-            sizes = sorted({restrict(A, i).restricted.n for i in range(A.n)})
+            sizes = sorted({A.n - g for g in cr.gaps})
             rec = {
                 "p": p,
                 "free": sr.free,
@@ -360,7 +360,7 @@ def claim_duality(rep: Report):
         ("boolean2", boolean(2), (-4, 2)),
         ("grr3-3", grr3(3, GF(7)), (-10, 0)),
     ]:
-        repd = duality_dimension_check(A, 1, rng)
+        repd = duality_dimension_check(A, rng)
         tables.append({"name": name, "shift": repd.shift, "ok": repd.ok})
         ok = ok and repd.ok
     rep.add(
@@ -426,19 +426,20 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
     """
     if A1.essential_rank != A1.ell:
         raise ArrangementError("generic-cut needs an essential arrangement")
+    if not A1.is_simple():
+        raise ArrangementError("generic-cut needs a simple arrangement")
     ell = A1.ell
     lat = intersection_lattice(A1, max_codim=ell - 1)
     if hyper is None:
         hyper = _sample_generic_hyperplane(A1, seed, lat, ell - 1)
         rep.add("cut:sampled-hyperplane", "seeded-generic-hyperplane", True,
                 {"coefficients": [str(c) for c in hyper.coeffs]})
-    genericity = {}
-    for k in range(1, ell):
-        try:
-            okk, _ = is_k_generic([hyper], A1, k, lattice=lat)
-        except InLattice:
-            okk = False
-        genericity[k] = okk
+    # the witness is a failing flat of least codim: level k holds iff its codim exceeds k
+    try:
+        _, witness = is_k_generic([hyper], A1, ell - 1, lattice=lat)
+        genericity = {k: witness is None or witness.codim > k for k in range(1, ell)}
+    except InLattice:
+        genericity = dict.fromkeys(range(1, ell), False)
     fully = genericity.get(ell - 1, False)
     rep.add(
         "cut:genericity",

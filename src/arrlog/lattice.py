@@ -180,8 +180,3 @@ def is_k_generic(X_forms, A: Arrangement, k: int, lattice: Lattice | None = None
                 return False, Y
     return True, None
 
-
-def is_generic(X_forms, A: Arrangement, lattice: Lattice | None = None):
-    """Fully generic: k-generic for k = ell - codim(X)."""
-    k = A.ell - len(span_key(A, X_forms))
-    return is_k_generic(X_forms, A, k, lattice=lattice)

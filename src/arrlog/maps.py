@@ -58,30 +58,18 @@ def euler_restrict_der(
     return CoeffVector("D", theta.order, theta.degree, tuple(out))
 
 
-def restrict_form(
-    omega: CoeffVector,
-    A_prime: Arrangement,
-    h: LinearForm | None = None,
-    res: Restriction | None = None,
-    checked: bool = False,
-) -> CoeffVector:
+def restrict_form(omega: CoeffVector, A_prime: Arrangement, res: Restriction, checked: bool = False) -> CoeffVector:
     """Restriction of a logarithmic p-form on A' to a new hyperplane H.
 
-    Either pass the new hyperplane form `h` (H must not belong to A'), or
-    a precomputed Restriction of A' + H at H's index.  The image lies in
-    Omega^p of the simple restriction; when collapsed multiplicities make
-    the pulled-back form non-reducible to the simple denominator the map
-    is undefined and an error is raised.
+    `res` is the Restriction of A = A' + H at H's index, so H is not in
+    A'.  The image lies in Omega^p of the simple restriction; when
+    collapsed multiplicities make the pulled-back form non-reducible to the
+    simple denominator the map is undefined and an error is raised.
     """
     if omega.kind != "O":
         raise ValueError("restrict_form expects a form-side element")
     if not checked and membership_failures(A_prime, omega):
         raise NotLogarithmic("input is not logarithmic on the deletion")
-    if res is None:
-        if h is None:
-            raise ValueError("need the new hyperplane or a Restriction")
-        A = A_prime.add_hyperplane(h)
-        res = restrict(A, A.n - 1)
     field = res.arrangement.field
     B = res.embedding
     # Q(A')(y B) = kappa * prod(target forms ^ ziegler multiplicity)
@@ -137,20 +125,21 @@ def restrict_generators(gens: GeneratorSet, res: Restriction) -> list:
     images = [
         euler_restrict_der(cv, A, i, res, checked=True)
         if gens.kind == "D"
-        else restrict_form(cv, gens.arrangement, res=res, checked=True)
+        else restrict_form(cv, gens.arrangement, res, checked=True)
         for cv in gens.representatives
     ]
     return [img for img in images if not img.is_zero()]
 
 
-def certified_image_rank(tgt_space: TwistSpace, gens, d: int, field, upper=None) -> int:
+def certified_image_rank(tgt_space: TwistSpace, gens, d: int, field, upper: int) -> int:
     """Exact rank at degree d of the eval map of verified target elements.
 
-    When `upper` (the ambient piece dimension) is supplied and the rank
-    mod the first usable prime reaches it, or that rank is the number of
-    columns, the rank is pinned with no kernel: mod-p ranks bound the
-    rational rank from below, membership bounds it above.  Otherwise the exact kernel of the eval map is
-    exhibited (`solver._certified_eval_rank`).
+    `upper` is an upper bound on the rank that the caller knows (the
+    target piece dimension, or less).  When the rank mod the first usable
+    prime reaches it, or that rank is the number of columns, the rank is
+    pinned with no kernel: mod-p ranks bound the rational rank from below,
+    membership bounds it above.  Otherwise the exact kernel of the eval
+    map is exhibited (`solver._certified_eval_rank`).
     """
     return _certified_eval_rank(tgt_space, gens, d, field, upper)[0]
 
@@ -160,7 +149,6 @@ class SurjectivityReport:
     arrangement: Arrangement
     index: int
     kind: str
-    order: int
     degree_range: tuple
     rows: list  # (degree, dim target piece, dim image piece)
     target_generators: GeneratorSet
@@ -178,14 +166,14 @@ def surjectivity_check(
     A: Arrangement,
     i: int,
     kind: str = "O",
-    order: int = 1,
     source_generators=None,
     target_generators=None,
 ) -> SurjectivityReport:
-    """Degreewise surjectivity ledger for the restriction maps.
+    """Degreewise surjectivity ledger for the restriction maps on 1-forms
+    and derivations.
 
-    kind "D": Euler restriction D^p(A) -> D^p(A^H).
-    kind "O": form restriction Omega^p(A') -> Omega^p(A^H), A' = A less H.
+    kind "D": Euler restriction D(A) -> D(A^H).
+    kind "O": form restriction Omega^1(A') -> Omega^1(A^H), A' = A less H.
 
     The image piece at degree d is the degree-d part of the submodule
     generated by the images of the source's minimal generators (the maps
@@ -200,13 +188,13 @@ def surjectivity_check(
     src_gens = (
         source_generators
         if source_generators is not None
-        else minimal_generators(A if kind == "D" else A.delete(i), kind, order)
+        else minimal_generators(A if kind == "D" else A.delete(i), kind)
     )
     images = restrict_generators(src_gens, res)
     del res  # with its cached monomial images, which the target sweep does not need
     if target_generators is None:
         # the sweep checks each image once, as a hint
-        tgt_gens = minimal_generators(target, kind, order, hints=images)
+        tgt_gens = minimal_generators(target, kind, hints=images)
     else:
         for img in images:
             if membership_failures(target, img):
@@ -215,14 +203,14 @@ def surjectivity_check(
     gen_degrees = sorted(tgt_gens.degrees)
     mapped = [(img.degree, tuple(img.numerators)) for img in images]
     lo, hi = (gen_degrees[0], gen_degrees[-1]) if gen_degrees else (0, 0)
-    tgt_space = AmbientEngine(target, kind, order).space
+    tgt_space = AmbientEngine(target, kind, 1).space
     rows = []
     surjective = True
     witness = None
     for d in range(lo, hi + 1):
         tdim = tgt_gens.dims.get(d)
         if tdim is None:
-            tdim = graded_dimension(target, kind, order, d)
+            tdim = graded_dimension(target, kind, 1, d)
         idim = certified_image_rank(tgt_space, mapped, d, A.field, upper=tdim)
         rows.append((d, tdim, idim))
         if idim < tdim:
@@ -233,7 +221,6 @@ def surjectivity_check(
         arrangement=A,
         index=i,
         kind=kind,
-        order=order,
         degree_range=(lo, hi),
         rows=rows,
         target_generators=tgt_gens,

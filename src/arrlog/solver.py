@@ -674,7 +674,7 @@ def _certified_kernel(build, ncols: int, field, accept):
     return kernel_qq_candidates(build, ncols, accept, None)[0]
 
 
-def graded_basis(A: Arrangement, kind: str, order: int = 1, d: int = 0) -> list:
+def graded_basis(A: Arrangement, kind: str, order: int, d: int) -> list:
     """Exact basis of D^p(A, m)_d (kind "D") or Omega^p(A, m)_d (kind "O").
 
     Returns a list of CoeffVectors.  Multiplicities ride along on the arrangement.  Over Q the basis is
@@ -686,7 +686,7 @@ def graded_basis(A: Arrangement, kind: str, order: int = 1, d: int = 0) -> list:
     return [eng.to_coeffvector(el, d) for el in eng.kernel(d)]
 
 
-def graded_dimension(A: Arrangement, kind: str, order: int = 1, d: int = 0) -> int:
+def graded_dimension(A: Arrangement, kind: str, order: int, d: int) -> int:
     """Exact dimension of a graded piece.
 
     Over F_p this is native.  Over Q a zero answer is already exact (the
@@ -1118,10 +1118,13 @@ def saito_check(A: Arrangement, degree_bound=None) -> SaitoResult:
     determinant is compared with c * Q(A, m) by exact polynomial
     division.  Success certifies freeness with the generator degrees as
     exponents; a completed sweep without success certifies non-freeness.
+    An ell = 0 arrangement is free with no exponents and constant 1.
     """
     if A.essential_rank != A.ell:
         raise SolverError("saito_check needs an essential arrangement; essentialize first")
     ell = A.ell
+    if ell == 0:
+        return SaitoResult(True, [], A.field.one, None, "ell = 0: the empty basis has determinant 1 = Q")
     degQ = A.deg_Q()
     hi = degQ if degree_bound is None else degree_bound
     eng = pick_engine(A, "D", 1)

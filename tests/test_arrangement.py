@@ -17,7 +17,6 @@ from arrlog.lattice import (
     InLattice,
     characteristic_polynomial,
     intersection_lattice,
-    is_generic,
     is_k_generic,
 )
 from arrlog.library import FieldUnsupported, boolean, braid, generic, grr3, nine4d, ziegler22
@@ -240,8 +239,6 @@ def test_is_k_generic_examples():
     B = nine4d()
     ok, _ = is_k_generic([LinearForm(QQ, [1, 3, 5, 7])], B, 3)
     assert ok
-    okf, _ = is_generic([LinearForm(QQ, [1, 3, 5, 7])], B)
-    assert okf
 
 
 def test_essentialize():

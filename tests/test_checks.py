@@ -43,16 +43,16 @@ def test_calibrate_duality_shift():
 
 
 def test_duality_boolean_and_empty():
-    rep = duality_dimension_check(boolean(2), 1, (-4, 2))
+    rep = duality_dimension_check(boolean(2), (-4, 2))
     assert rep.ok and rep.shift == 2
     empty = validate(QQ, [], ell=2)
-    rep = duality_dimension_check(empty, 1, (-2, 3))
+    rep = duality_dimension_check(empty, (-2, 3))
     assert rep.ok and rep.shift == 0
 
 
 def test_duality_grr3():
     A = grr3(3, GF(7))
-    rep = duality_dimension_check(A, 1, (-10, 0))
+    rep = duality_dimension_check(A, (-10, 0))
     assert rep.ok
 
 

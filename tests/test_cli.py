@@ -29,6 +29,21 @@ def test_free_nonessential_input(tmp_path, capsys):
     assert "essentialized" in doc["claims"][0]["data"]["note"]
 
 
+EMPTY_FILE = "field Q\ndim 2\n"
+MULTI_FILE = "field Q\ndim 3\n1 0 0 *2\n0 1 0\n0 0 1\n1 1 1\n"
+
+
+def test_free_empty_arrangement(tmp_path, capsys):
+    # no hyperplanes: the essentialization has rank 0, and the zero module is free
+    path = tmp_path / "empty.arr"
+    path.write_text(EMPTY_FILE)
+    code, payload = run_cli(["free", str(path)], tmp_path, "e.json")
+    assert code == 0
+    data = json.loads(payload)["claims"][0]["data"]
+    assert (data["free"], data["exponents"]) == (True, [])
+    assert "essentialized" in data["note"]
+
+
 def test_critical_counterexample_flag(tmp_path, capsys):
     code, payload = run_cli(
         ["critical", "@grr3:3", "--field", "Fp:7", "--k", "4"], tmp_path, "c.json"
@@ -247,11 +262,16 @@ def test_free_bound_and_generic_cut_seed(tmp_path, capsys):
         (["lattice", "@boolean:3", "--max-codim", "-1"], None),
         (["verify-paper", "--primes", "x"], None),
         (["generic-cut", "@braid:n=4"], None),
+        (["lattice"], "field Q\ndim 0\n"),
+        (["lattice"], "field Q\ndim 2\n1 0 *0\n"),
+        (["lattice"], "field Q\ndim 2\n1/0 1\n"),
+        (["generic-cut"], MULTI_FILE),
     ],
     ids=[
         "degrees-one-number", "degrees-not-integers", "degrees-reversed", "hyperplane-zero", "hyperplane-short",
         "file-dim", "file-multiplicity", "file-field", "field-option", "field-blank", "library-parameter",
-        "max-codim", "primes-option", "generic-cut-nonessential",
+        "max-codim", "primes-option", "generic-cut-nonessential", "file-dim-zero", "file-multiplicity-zero",
+        "file-zero-denominator", "generic-cut-multiarrangement",
     ],
 )
 def test_malformed_input_is_a_typed_error(args, text, tmp_path, capsys):
@@ -268,13 +288,18 @@ def test_malformed_input_is_a_typed_error(args, text, tmp_path, capsys):
 
 SMOKE_COMMANDS = [["lattice"], ["free"], ["omega"], ["dmodule"], ["betti"], ["critical", "--k", "1"], ["generic-cut"]]
 SMOKE_INPUTS = [["@boolean:3"], ["@braid:n=4"], ["@generic:n=5,ell=3,seed=1", "--field", "Fp:1009"]]
+SMOKE_FILES = {"empty.arr": EMPTY_FILE, "multi.arr": MULTI_FILE}
 
 
-def test_every_subcommand_ends_in_a_report_or_a_typed_error(capsys):
-    # every subcommand but verify-paper, on a free, a non-essential and an
-    # F_p input: a report with exit 0 or 1, or one error line with exit 2
+def test_every_subcommand_ends_in_a_report_or_a_typed_error(tmp_path, capsys):
+    # every subcommand but verify-paper, on a free, a non-essential, an
+    # F_p, an empty and a multiarrangement input: a report with exit 0 or
+    # 1, or one error line with exit 2
+    for name, text in SMOKE_FILES.items():
+        (tmp_path / name).write_text(text)
+    inputs = SMOKE_INPUTS + [[str(tmp_path / name)] for name in SMOKE_FILES]
     for command in SMOKE_COMMANDS:
-        for ref in SMOKE_INPUTS:
+        for ref in inputs:
             code = main([command[0], *ref, *command[1:]])
             out, err = capsys.readouterr()
             assert code in (0, 1, 2), (command, ref)

@@ -11,7 +11,8 @@ its trace targets that way) in `src/`, `tests/` or `perfbench/`, outside
 the definition itself; dunder methods are exempt.
 
 The public functions also have a fixed number of defaulted parameters,
-so a new option is a visible change to a count.  And every function or
+so a new option is a visible change to a count, and each of them is
+passed by some call outside the tests.  And every function or
 method that perfbench traces is still bound where its tracer looks it up.
 """
 
@@ -191,7 +192,59 @@ def test_defaulted_public_parameter_count():
         if path.name != "cli.py"
         for option in defaulted_public_parameters(path.read_text())
     ]
-    assert len(options) == 57, options
+    assert len(options) == 45, options
+
+
+def uncalled_options(defining, callers):
+    """(function, parameter) of each defaulted public parameter of a
+    function in `defining` that no call in `callers` passes, by keyword or
+    by position.  A call counts when its callee's name (plain or dotted)
+    is the function's and it is not inside the function itself.
+
+    Both arguments map a file name to its source text.
+    """
+    passed = {}  # function name -> list of (positional count, keywords, file, line span)
+    for fname, text in callers.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            passed.setdefault(callee, []).append((len(node.args), keywords, fname, node.lineno))
+    out = []
+    for fname, text in defining.items():
+        for node in ast.parse(text).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            positional = [arg.arg for arg in node.args.posonlyargs + node.args.args]
+            inside = range(node.lineno, node.end_lineno + 1)
+            calls = [c for c in passed.get(node.name, []) if not (c[2] == fname and c[3] in inside)]
+            for _, param in defaulted_public_parameters(ast.unparse(node)):
+                index = positional.index(param) if param in positional else None
+                if not any(param in kw or (index is not None and n > index) for n, kw, _, _ in calls):
+                    out.append((node.name, param))
+    return out
+
+
+def test_checker_finds_uncalled_options():
+    lib = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return f(a, 1, 2, d=3, e=4)\n"
+    )
+    user = "f(0, 1)\nobj.f(0, d=5)\n"
+    got = uncalled_options({"lib.py": lib}, {"lib.py": lib, "user.py": user})
+    assert got == [("f", "c"), ("f", "e")]
+
+
+def test_every_defaulted_public_parameter_has_a_caller():
+    # the tests do not count as callers: an option only they set serves no one
+    defining = {
+        str(path.relative_to(ROOT)): path.read_text() for path in MODULES if path.name != "cli.py"
+    }
+    callers = {
+        str(p.relative_to(ROOT)): p.read_text() for tree in ("src", "perfbench") for p in sorted((ROOT / tree).rglob("*.py"))
+    }
+    assert uncalled_options(defining, callers) == []
 
 
 def test_perfbench_targets_resolve(monkeypatch):

@@ -89,7 +89,7 @@ def test_restrict_form_kernel_is_multiple():
     omega = basis[0]
     lifted = CoeffVector("O", 1, omega.degree + 1, omega.numerators)
     assert is_logarithmic(A_prime, lifted)
-    out = restrict_form(lifted, A_prime, h=h)
+    out = restrict_form(lifted, A_prime, restrict(A, A.n - 1))
     assert out.is_zero()
 
 
@@ -101,7 +101,8 @@ def test_restrict_form_boolean_direct():
         "O", 1, -1, (Poly.variable(QQ, 2, 1), Poly.zero(QQ, 2))
     )  # x2/ (x1 x2) dx1 = dx1/x1
     assert is_logarithmic(A_prime, omega)
-    out = restrict_form(omega, A_prime, h=h)
+    A = A_prime.add_hyperplane(h)
+    out = restrict_form(omega, A_prime, restrict(A, A.n - 1))
     # the restriction is a 1-form on a line arrangement with denominators
     # from two collapsed points; both numerators land in one variable
     assert not out.is_zero()

@@ -39,7 +39,7 @@ def test_multiarrangement_dimensions():
 
 def test_multiarrangement_duality():
     A = boolean(2).with_multiplicities([2, 1])
-    rep = duality_dimension_check(A, 1, (-5, 2))
+    rep = duality_dimension_check(A, (-5, 2))
     assert rep.ok and rep.shift == 3
 
 
