@@ -203,7 +203,7 @@ def uncalled_options(defining, callers):
 
     Both arguments map a file name to its source text.
     """
-    passed = {}  # function name -> list of (positional count, keywords, file, line span)
+    passed = {}  # callee name -> list of (positional count, keywords, file, line)
     for fname, text in callers.items():
         for node in ast.walk(ast.parse(text)):
             if not isinstance(node, ast.Call):
@@ -238,11 +238,11 @@ def test_checker_finds_uncalled_options():
 
 def test_every_defaulted_public_parameter_has_a_caller():
     # the tests do not count as callers: an option only they set serves no one
-    defining = {
-        str(path.relative_to(ROOT)): path.read_text() for path in MODULES if path.name != "cli.py"
-    }
+    defining = {str(p.relative_to(ROOT)): p.read_text() for p in MODULES if p.name != "cli.py"}
     callers = {
-        str(p.relative_to(ROOT)): p.read_text() for tree in ("src", "perfbench") for p in sorted((ROOT / tree).rglob("*.py"))
+        str(p.relative_to(ROOT)): p.read_text()
+        for tree in ("src", "perfbench")
+        for p in sorted((ROOT / tree).rglob("*.py"))
     }
     assert uncalled_options(defining, callers) == []
 
