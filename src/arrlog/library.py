@@ -31,19 +31,23 @@ class FieldUnsupported(ArrangementError):
 
 
 def boolean(ell: int, field=QQ) -> Arrangement:
+    if ell < 1:
+        raise ArrangementError("boolean needs ell >= 1")
     vecs = [[1 if j == i else 0 for j in range(ell)] for i in range(ell)]
-    return validate(field, vecs)
+    return validate(field, vecs, ell=ell)
 
 
 def braid(n: int, field=QQ) -> Arrangement:
     """x_i - x_j for i < j, in n variables; essential rank n-1."""
+    if n < 1:
+        raise ArrangementError("braid needs n >= 1")
     vecs = []
     for i in range(n):
         for j in range(i + 1, n):
             v = [0] * n
             v[i], v[j] = 1, -1
             vecs.append(v)
-    return validate(field, vecs)
+    return validate(field, vecs, ell=n)
 
 
 def _primitive_root(p: int) -> int:

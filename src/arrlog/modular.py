@@ -6,10 +6,12 @@ CRT and lifting entries with rational reconstruction.  The lift is a
 *candidate*: `kernel_qq_candidates` hands it to the caller's exact
 certificate (membership checks plus the mod-p rank lower bound) and, when
 that rejects it, goes on with more primes in the same search, so every
-published result remains exact.  A caller that needs only some kernel
-vectors names them mod p at the first prime of the lift (`pick`), and
-only their free columns of the reduced form are combined and lifted: the
-number of primes a lift takes is set by the height of what is lifted.
+published result remains exact.  It is the one certified kernel search
+over Q.  The caller names the kernel vectors it needs mod p at the first
+prime of the lift (`pick`; keeping every row asks for the whole kernel),
+and only their free columns of the reduced form are combined and lifted:
+the number of primes a lift takes is set by the height of what is
+lifted.  A ladder prime that does not reduce the inputs is passed over.
 
 Elimination (`rref_mod`) is a column-recursive Gauss-Jordan.  The pivots
 found in a column range act on every later column as one transform
@@ -390,38 +392,39 @@ def reconstruct_matrix(rows_mod: list[np.ndarray], primes: list[int]):
 
 
 def kernel_qq_candidates(build, ncols: int, accept, pick):
-    """Certified exact kernel of an integer matrix given mod p.
+    """Certified kernel vectors of an integer matrix given mod p.
 
     `build(p)` must return the constraint matrix reduced mod p (int64
     2-D array with `ncols` columns; it may differ per prime only by the
-    reduction).  Computes rrefs over the ladder primes in order, keeps
-    the group agreeing on the (max-rank, lex-min) pivot profile and
-    reconstructs the free columns of the reduced matrix entrywise.  Each
-    reconstructed candidate, a list of Fraction lists in unit-free-column
-    form, goes to `accept(vectors, False)`, which returns its
-    result, or None to reject the candidate.  After a failed or rejected
-    lift the search goes on with the next prime, keeping every group,
-    and lifts again only once the best group holds one more prime.
-
-    With `pick` None the candidate is the whole kernel, and a free block
-    with entries waits for a second prime before its first lift.
-    Otherwise the caller chooses the vectors before any lift:
-    `pick(p, K)` gets the kernel mod p of the best group's prime p (one
-    row per free column, as `kernel_mod` gives it) and returns the rows
-    to keep, or None to be asked again at the group's next prime.  Only
-    the kept free columns are lifted, from the group's first prime on,
-    and the candidate holds their vectors alone.
+    reduction), and raises ZeroDivisionError at a prime that does not
+    reduce the inputs: that prime joins no group.  Computes rrefs over the
+    ladder primes in order and keeps the group agreeing on the (max-rank,
+    lex-min) pivot profile.  The caller chooses the vectors before any
+    lift: `pick(p, K)` gets the kernel mod p of the best group's prime p
+    (one row per free column, as `kernel_mod` gives it) and returns the
+    rows to keep, or None (or raises ZeroDivisionError) to be asked again
+    at the group's next prime.  Only the kept free columns of the reduced
+    matrix are reconstructed entrywise, from the group's first prime on.
+    Each candidate, a list of Fraction lists in unit-free-column form,
+    goes to `accept(vectors)`, which returns its result, or None to reject
+    it.  After a failed or rejected lift the search goes on with the next
+    prime, keeping every group, and lifts again only once the best group
+    holds one more prime.
 
     Returns (accept's result, rank, pivots, primes_used), or raises
-    `ReconstructionFailed` when the ladder is used up.  Completeness is
-    exact as soon as `accept` verifies membership of each vector: the
-    mod-p rank is a lower bound for the rank over Q, so `ncols - rank`
-    independent verified kernel vectors span the whole kernel.
+    `ReconstructionFailed` when the ladder is used up.  A pick that keeps
+    every row asks for the whole kernel, which is exact as soon as
+    `accept` verifies membership of each vector: the mod-p rank is a
+    lower bound for the rank over Q, so `ncols - rank` independent
+    verified kernel vectors span it.
     """
     groups = {}  # pivots tuple -> _CRTLift of the free-column blocks
     need = 1  # primes the best group must hold before its next lift
     for p in PRIMES:
-        A = build(p)
+        try:
+            A = build(p)
+        except ZeroDivisionError:
+            continue
         if A.any():
             R, pivots = rref_mod(A, p)
         else:
@@ -432,22 +435,22 @@ def kernel_qq_candidates(build, ncols: int, accept, pick):
         # prime on and `pick` sees each of its primes in order
         best = max(groups, key=lambda k: (len(k), [-c for c in k]))
         group = groups[best]
-        if pick is not None and group.cols is None:
-            kept = pick(p, _kernel_rows(R, pivots, free, p)) if best == tuple(pivots) else None
+        if group.cols is None:
+            if best != tuple(pivots):
+                continue
+            try:
+                kept = pick(p, _kernel_rows(R, pivots, free, p))
+            except ZeroDivisionError:
+                kept = None
             if kept is None:
                 continue
             group.keep(kept)
         n = len(group.primes)
-        # a whole free block with entries waits for a second prime; an
-        # empty one (no pivots, or no free columns) or a pick lifts from one
-        if n < need or (pick is None and n < 2 and 0 < len(best) < ncols):
+        if n < need:
             continue
         lifted = group.lift()
         if lifted is not None:
-            cols = _free_columns(best, ncols)
-            if group.cols is not None:
-                cols = cols[group.cols]
-            result = accept(_kernel_from_lifted(lifted, best, cols, ncols), False)
+            result = accept(_kernel_from_lifted(lifted, best, _free_columns(best, ncols)[group.cols], ncols))
             if result is not None:
                 return result, len(best), best, tuple(group.primes)
         need = n + 1

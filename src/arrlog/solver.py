@@ -17,32 +17,33 @@ hyperplanes outside the base (its complement) contribute constraints.
 
 The engine conditions on `condition_terms`, and it is the family of its
 module's pieces: `space`, `field`, `build_mod`, `verify` and
-`known_rank`, plus the remembered `kernel(d)` and `dimension(d)`.  The
-relation pieces of a list of generators (`EvalKernelFamily`) read the
-same protocol, so one degree step of `sweep_minimal_generators` serves
-every family on both fields, and one routine, `_certified_eval_rank`,
-certifies the rank of every evaluation map.  The whole kernels of
-`kernel(d)`, `dimension(d)` and the eval ranks go through
-`_certified_kernel`, where the field is looked at, as it is where the
-primes are chosen (`_primes`); a degree step takes its own kernel, with
-the rank over F_p and through a `pick` over Q.  Over F_p
-the modular elimination is the field arithmetic, so every rank and
-kernel mod the field's prime is exact and is taken once.  Over Q kernels are
-computed mod deterministic ladder primes, lifted by CRT + rational
-reconstruction, and then certified: exhibited elements are verified
-exactly at the polynomial level, and mod-p ranks bound the ranks over Q
-from below, which pins every reported dimension exactly.  A Q degree
-step ranks the eval matrix of the generators below it first and builds
-the constraint matrix only on the columns that image leaves out
-(`build_mod(d, p, cols)`): at most degrees the generators span the
+`known_rank`, plus the remembered `dimension(d)`.  The relation pieces
+of a list of generators (`EvalKernelFamily`) read the same protocol, so
+one degree step of `sweep_minimal_generators` serves every family on
+both fields, and one routine, `_certified_eval_rank`, certifies the rank
+of every evaluation map.  With nothing below a degree every kernel
+vector is a new generator, so a graded basis (`graded_basis`) is a
+one-degree sweep, and so is a dimension over Q; over F_p a dimension is
+one rank at the field's prime.  That is the one place where the fields
+part ways for a dimension, and `_primes` is where the primes are chosen.
+Over F_p the modular elimination is the field arithmetic, so every rank
+and kernel mod the field's prime is exact and is taken once.  Over Q,
+kernels are computed mod deterministic ladder primes, lifted by CRT +
+rational reconstruction, and then certified: exhibited elements are
+verified exactly at the polynomial level, and mod-p ranks bound the
+ranks over Q from below, which pins every reported dimension exactly.
+A Q degree step ranks the eval matrix of the generators below it first
+and builds the constraint matrix only on the columns that image leaves
+out (`build_mod(d, p, cols)`): at most degrees the generators span the
 piece, and a full column rank there certifies it.  At a generator
 degree the new generators are picked mod p, from the kernel at the
 first prime of the lift, before anything is lifted: only their kernel
-vectors are reconstructed and verified (`kernel_qq_candidates` with a
-`pick`), so a step keeping one vector of a kernel of hundreds lifts
-that vector alone, from as few primes as its own height needs.  Hints
-and kernel picks complete the eval image through one check
-(`_completing_columns`).
+vectors are reconstructed and verified (`kernel_qq_candidates`, the one
+certified kernel search over Q), so a step keeping one vector of a
+kernel of hundreds lifts that vector alone, from as few primes as its
+own height needs.  An eval rank certified by its kernel is the same
+search with a pick that keeps every row.  Hints and kernel picks
+complete the eval image through one check (`_completing_columns`).
 """
 
 from __future__ import annotations
@@ -349,40 +350,21 @@ class _Engine:
         cv = self.to_coeffvector(element, d)
         return not membership_failures(self.A, cv, hyperplanes=self.complement)
 
-    def kernel(self, d: int):
-        """The elements of an exact kernel basis at degree d.
-
-        A lifted candidate is verified element by element, and one that
-        fails is replaced by a lift from more primes.
-        """
-        ncols = self.space.dim(d)
-        if ncols == 0:
-            return []
-
-        def accept(vectors, exact):
-            elements = [self.space.element_from_coords(self.field, d, v) for v in vectors]
-            if not exact and not all(self.verify(el, d) for el in elements):
-                return None
-            return elements
-
-        return _certified_kernel(lambda p: self.build_mod(d, p), ncols, self.field, accept)
-
     def dimension(self, d: int) -> int:
-        """Exact dimension of the piece at degree d: the size of its certified kernel.
+        """Exact dimension of the piece at degree d, remembered.
 
-        A matrix of full rank mod the first prime ends the kernel search
-        at once, and an exact kernel is counted without building elements.
+        With nothing below d every kernel vector is a new generator, so
+        over Q it is the dimension a one-degree sweep certifies.  Over F_p
+        the rank at the field's prime is exact: one build, one pivots-only
+        elimination.
         """
         n = self._dims.get(d)
         if n is None:
-            ncols = self.space.dim(d)
-
-            def count(vectors, exact):
-                if exact or all(self.verify(self.space.element_from_coords(self.field, d, v), d) for v in vectors):
-                    return len(vectors)
-                return None
-
-            n = _certified_kernel(lambda p: self.build_mod(d, p), ncols, self.field, count) if ncols else 0
+            if isinstance(self.field, Rationals):
+                n = sweep_minimal_generators(self, (d, d)).dims[d]
+            else:
+                ncols, p = self.space.dim(d), self.field.p
+                n = ncols - rank_mod(self.build_mod(d, p), p) if ncols else 0
             self._dims[d] = n
         return n
 
@@ -656,34 +638,19 @@ def _primes(field):
     return PRIMES if isinstance(field, Rationals) else (field.p,)
 
 
-def _certified_kernel(build, ncols: int, field, accept):
-    """The result of the first kernel candidate that `accept` certifies.
-
-    `build(p)` returns the matrix mod p.  `accept(vectors, exact)`
-    gets a candidate basis (coordinate lists) and returns its result, or
-    None when the candidate fails exact verification; `exact` says it
-    needs none.  Over F_p the kernel mod the field's prime is exact, and
-    so is every rank at that prime.  Over Q a wrong lift of a few primes
-    can still reconstruct, so `kernel_qq_candidates` answers a rejected
-    candidate with one more prime for its group, until the ladder is used
-    up (`ReconstructionFailed`).
-    """
-    if not isinstance(field, Rationals):
-        p = field.p
-        return accept(kernel_mod(build(p), p).tolist(), True)
-    return kernel_qq_candidates(build, ncols, accept, None)[0]
-
-
 def graded_basis(A: Arrangement, kind: str, order: int, d: int) -> list:
     """Exact basis of D^p(A, m)_d (kind "D") or Omega^p(A, m)_d (kind "O").
 
-    Returns a list of CoeffVectors.  Multiplicities ride along on the arrangement.  Over Q the basis is
-    reconstructed from modular solves and every element is verified
-    against the defining divisibility conditions exactly; the dimension
-    is exact because mod-p ranks bound the rank over Q from below.
+    Returns a list of CoeffVectors.  Multiplicities ride along on the
+    arrangement.  With nothing below d every kernel vector is a new
+    generator, so the basis is what a one-degree sweep finds: over Q each
+    element is reconstructed from modular solves, verified against the
+    defining divisibility conditions exactly and scaled to primitive
+    integer coefficients; the count is exact because mod-p ranks bound
+    the rank over Q from below.
     """
     eng = pick_engine(A, kind, order)
-    return [eng.to_coeffvector(el, d) for el in eng.kernel(d)]
+    return [eng.to_coeffvector(el, d) for el in sweep_minimal_generators(eng, (d, d)).elements]
 
 
 def graded_dimension(A: Arrangement, kind: str, order: int, d: int) -> int:
@@ -914,18 +881,19 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     def pick(p, Kp):
         # the rows of Kp that are pivots of [Ep | Kp^T] complete the eval
         # image; p must reproduce the certified eval rank, as the field's
-        # own prime does
+        # own prime does, and a p that does not reduce the generators
+        # raises ZeroDivisionError: either way the search asks again
         if rank_eval == len(Kp):
             return []
-        try:
-            Ep = E if p == p0 else eval_matrix_mod(family.space, gens, d, p)
-        except ZeroDivisionError:
-            return None
+        Ep = E if p == p0 else eval_matrix_mod(family.space, gens, d, p)
         return _completing_columns(Ep, Kp.T, p, rank_eval, len(Kp))
 
-    def accept(vectors, exact):
-        new = [normalize_element(family.space.element_from_coords(field, d, v)) for v in vectors]
-        if not exact and not all(family.verify(el, d) for el in new):
+    def new_generators(vectors):
+        return [normalize_element(family.space.element_from_coords(field, d, v)) for v in vectors]
+
+    def accept(vectors):
+        new = new_generators(vectors)
+        if not all(family.verify(el, d) for el in new):
             return None
         return rank_eval + len(new), new
 
@@ -937,7 +905,7 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     picked = pick(p, K)
     if picked is None:
         raise SolverError("the field's prime did not reproduce the certified eval rank")
-    return accept(K[picked].tolist(), True)
+    return rank_eval + len(picked), new_generators(K[picked].tolist())
 
 
 def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
@@ -997,8 +965,8 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, rank
     below, so it is exact when it reaches `upper` (an upper bound the
     caller knows, or None) or the number of columns, or when p0 is the
     field's own prime.  Otherwise the rank is certified by exhibiting the
-    kernel, lifted from the ladder primes with E0 as the matrix at p0:
-    every candidate relation must vanish exactly.
+    whole kernel, lifted from the ladder primes with E0 as the matrix at
+    p0: every candidate relation must vanish exactly.
     """
     primes = _primes(field)
     p0 = _eval_prime(gens, primes)
@@ -1012,7 +980,7 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, rank
     if rank in (upper, ncols) or len(primes) == 1:
         return rank, p0, E0
 
-    def accept(vectors, *_):
+    def accept(vectors):
         if all(combination_is_zero(gens, src.element_from_coords(field, d, v)) for v in vectors):
             return ncols - len(vectors)
         return None
@@ -1020,7 +988,10 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, rank
     def build(p):
         return E0 if p == p0 else eval_matrix_mod(tgt_space, gens, d, p)
 
-    return _certified_kernel(build, ncols, field, accept), p0, E0
+    def keep_all(p, K):
+        return list(range(len(K)))
+
+    return kernel_qq_candidates(build, ncols, accept, keep_all)[0], p0, E0
 
 
 # ---------------------------------------------------------------------------

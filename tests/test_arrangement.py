@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from arrlog.arrangement import (
+    ArrangementError,
     DuplicateHyperplane,
     ZeroForm,
     format_arrangement,
@@ -27,6 +28,16 @@ from arrlog.poly import LinearForm
 def test_validate_boolean():
     A = boolean(3)
     assert A.n == 3 and A.is_essential()
+
+
+def test_library_sizes_one_and_zero():
+    # braid(1) has no hyperplanes but still its one variable
+    A = braid(1)
+    assert (A.n, A.ell, A.essential_rank) == (0, 1, 0)
+    assert (boolean(1).n, boolean(1).ell) == (1, 1)
+    for make, name in ((boolean, "ell"), (braid, "n")):
+        with pytest.raises(ArrangementError, match=f"{make.__name__} needs {name} >= 1"):
+            make(0)
 
 
 def test_validate_duplicate():

@@ -266,12 +266,13 @@ def test_free_bound_and_generic_cut_seed(tmp_path, capsys):
         (["lattice"], "field Q\ndim 2\n1 0 *0\n"),
         (["lattice"], "field Q\ndim 2\n1/0 1\n"),
         (["generic-cut"], MULTI_FILE),
+        (["lattice", "@boolean:0"], None),
     ],
     ids=[
         "degrees-one-number", "degrees-not-integers", "degrees-reversed", "hyperplane-zero", "hyperplane-short",
         "file-dim", "file-multiplicity", "file-field", "field-option", "field-blank", "library-parameter",
         "max-codim", "primes-option", "generic-cut-nonessential", "file-dim-zero", "file-multiplicity-zero",
-        "file-zero-denominator", "generic-cut-multiarrangement",
+        "file-zero-denominator", "generic-cut-multiarrangement", "library-boolean-zero",
     ],
 )
 def test_malformed_input_is_a_typed_error(args, text, tmp_path, capsys):
@@ -287,14 +288,15 @@ def test_malformed_input_is_a_typed_error(args, text, tmp_path, capsys):
 
 
 SMOKE_COMMANDS = [["lattice"], ["free"], ["omega"], ["dmodule"], ["betti"], ["critical", "--k", "1"], ["generic-cut"]]
-SMOKE_INPUTS = [["@boolean:3"], ["@braid:n=4"], ["@generic:n=5,ell=3,seed=1", "--field", "Fp:1009"]]
+SMOKE_INPUTS = [["@boolean:3"], ["@braid:n=4"], ["@braid:n=1"], ["@generic:n=5,ell=3,seed=1", "--field", "Fp:1009"]]
 SMOKE_FILES = {"empty.arr": EMPTY_FILE, "multi.arr": MULTI_FILE}
 
 
 def test_every_subcommand_ends_in_a_report_or_a_typed_error(tmp_path, capsys):
     # every subcommand but verify-paper, on a free, a non-essential, an
-    # F_p, an empty and a multiarrangement input: a report with exit 0 or
-    # 1, or one error line with exit 2
+    # F_p, two empty (a library reference and a file) and a
+    # multiarrangement input: a report with exit 0 or 1, or one error line
+    # with exit 2
     for name, text in SMOKE_FILES.items():
         (tmp_path / name).write_text(text)
     inputs = SMOKE_INPUTS + [[str(tmp_path / name)] for name in SMOKE_FILES]

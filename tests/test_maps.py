@@ -304,6 +304,21 @@ def test_certified_image_rank_is_the_exact_rank(field, source):
             assert cols == [] and rank == 0
 
 
+def test_certified_image_rank_passes_over_a_prime_the_images_do_not_reduce_at():
+    # the images have denominator P0 = PRIMES[0]: the first ladder prime
+    # does not reduce them, so it joins no group of the kernel search; the
+    # two columns are x/P0 and 2x/P0 in the first block, of rank 1
+    from fractions import Fraction
+
+    from arrlog.modular import PRIMES
+
+    space = AmbientEngine(boolean(2), "D", 1).space
+    x = Poly.variable(QQ, 2, 0)
+    P0 = PRIMES[0]
+    images = [(1, (x.scale(Fraction(k, P0)), 0 * x)) for k in (1, 2)]
+    assert certified_image_rank(space, images, 1, QQ, upper=2) == 1
+
+
 # ---------------------------------------------------------------------------
 # restriction maps against the per-(T, I) formula, every numerator
 # substituted on its own by the per-term reference substitution

@@ -289,7 +289,7 @@ def test_kernel_qq_candidates_exact():
         def build(p, rows=rows):
             return np.array(rows, dtype=np.int64) % p
 
-        vectors, rk, pivots, primes = kernel_qq_candidates(build, 8, _accept_all, None)
+        vectors, rk, pivots, primes = kernel_qq_candidates(build, 8, _verified(rows), _keep_all)
         exact = kernel_basis(Matrix(QQ, rows))
         assert len(vectors) == len(exact)
         # candidates must annihilate the exact matrix
@@ -334,12 +334,21 @@ def _reconstruct_from_scratch(rows_mod, primes):
     return out
 
 
-def _accept_all(vectors, exact):
-    return vectors
+def _keep_all(p, K):
+    return list(range(len(K)))
 
 
-def _kernel_qq_from_scratch(build, ncols, min_primes=2):
-    """Oracle: the prime loop with a from-scratch reconstruction per attempt."""
+def _verified(rows):
+    def accept(vectors):
+        if all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in vectors):
+            return vectors
+        return None
+
+    return accept
+
+
+def _kernel_qq_from_scratch(build, ncols, accept, min_primes=1):
+    """Oracle: the prime loop with a from-scratch reconstruction of the whole kernel per attempt."""
     results = {}
     for p in PRIMES:
         A = build(p)
@@ -347,8 +356,6 @@ def _kernel_qq_from_scratch(build, ncols, min_primes=2):
         free = [j for j in range(ncols) if j not in set(pivots)]
         results.setdefault(tuple(pivots), []).append((p, R[:, free]))
         best = max(results, key=lambda k: (len(k), [-c for c in k]))
-        if len(best) == ncols:
-            return [], ncols, best, tuple(q for q, _ in results[best])
         group = results[best]
         if len(group) >= min_primes:
             lifted = _reconstruct_from_scratch([B for _, B in group], [q for q, _ in group])
@@ -361,7 +368,9 @@ def _kernel_qq_from_scratch(build, ncols, min_primes=2):
                     for i, c in enumerate(best):
                         v[c] = -lifted[i][fj]
                     vectors.append(v)
-                return vectors, len(best), best, tuple(q for q, _ in group)
+                result = accept(vectors)
+                if result is not None:
+                    return result, len(best), best, tuple(q for q, _ in group)
             min_primes += 1
     raise AssertionError("oracle ran out of primes")
 
@@ -378,8 +387,8 @@ def test_kernel_qq_candidates_matches_from_scratch_reconstruction():
     rng = random.Random(11)
     for m, n, bound in [(3, 7, 10**3), (5, 11, 10**6), (6, 9, 10**9), (4, 7, 50)]:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
-        got = kernel_qq_candidates(_int_build(rows), n, _accept_all, None)
-        want = _kernel_qq_from_scratch(_int_build(rows), n)
+        got = kernel_qq_candidates(_int_build(rows), n, _verified(rows), _keep_all)
+        want = _kernel_qq_from_scratch(_int_build(rows), n, _verified(rows))
         assert got == want
         assert len(got[3]) >= 2
         for v in got[0]:
@@ -394,12 +403,15 @@ def test_kernel_qq_candidates_matches_from_scratch_reconstruction():
 
         offers = []
 
-        def reject_first(vectors, exact):
-            offers.append(vectors)
-            return vectors if len(offers) > 1 else None
+        def reject_first(vectors, verified=_verified(rows)):
+            # the first candidate that verifies is rejected too
+            result = verified(vectors)
+            if result is not None:
+                offers.append(vectors)
+            return result if len(offers) > 1 else None
 
-        resumed = kernel_qq_candidates(build, n, reject_first, None)
-        assert resumed == _kernel_qq_from_scratch(_int_build(rows), n, min_primes=len(want[3]) + 1)
+        resumed = kernel_qq_candidates(build, n, reject_first, _keep_all)
+        assert resumed == _kernel_qq_from_scratch(_int_build(rows), n, _verified(rows), min_primes=len(want[3]) + 1)
         assert len(built) == PRIMES.index(want[3][-1]) + 2
 
 
@@ -411,9 +423,26 @@ def test_kernel_qq_candidates_bad_first_prime():
     base = [rng.randint(-10**8, 10**8) for _ in range(6)]
     rows = [base, [x + (P if j == 1 else 0) for j, x in enumerate(base)],
             [rng.randint(-10**8, 10**8) for _ in range(6)]]
-    got = kernel_qq_candidates(_int_build(rows), 6, _accept_all, None)
-    assert got == _kernel_qq_from_scratch(_int_build(rows), 6)
+    got = kernel_qq_candidates(_int_build(rows), 6, _verified(rows), _keep_all)
+    assert got == _kernel_qq_from_scratch(_int_build(rows), 6, _verified(rows))
     assert P not in got[3] and got[1] == 3
+
+
+def test_kernel_qq_candidates_passes_over_a_prime_that_does_not_reduce_the_inputs():
+    # the inputs have a denominator P0 = PRIMES[0]: build(P0) raises, that
+    # prime joins no group, and the kernel comes from the next primes
+    P0 = PRIMES[0]
+    rows = [[Fraction(1, P0), Fraction(2, P0), 3], [4, 5, 6]]
+    built = []
+
+    def build(p):
+        built.append(p)
+        return fraction_matrix_to_mod(rows, p)
+
+    got = kernel_qq_candidates(build, 3, _verified(rows), _keep_all)
+    assert got[0] == [[5 * P0 - 4, 2 - 4 * P0, 1]]
+    assert got[1:3] == (2, (0, 1)) and P0 not in got[3]
+    assert built[0] == P0 and len(built) == len(got[3]) + 1
 
 
 def test_reconstruct_matrix_matches_from_scratch():
@@ -490,8 +519,8 @@ def test_kernel_qq_candidates_sparse_block_matches_from_scratch():
             rows[i][i] = rng.choice([1, 3, P0, 2 * P1])
             for j in rng.sample(range(m, n), 3):
                 rows[i][j] = rng.choice([P0, P1, -P0 * 7, rng.randint(-10**6, 10**6)])
-        got = kernel_qq_candidates(_int_build(rows), n, _accept_all, None)
-        want = _kernel_qq_from_scratch(_int_build(rows), n)
+        got = kernel_qq_candidates(_int_build(rows), n, _verified(rows), _keep_all)
+        want = _kernel_qq_from_scratch(_int_build(rows), n, _verified(rows))
         assert got == want
         for v in got[0]:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
@@ -526,19 +555,10 @@ def _counting(build):
     return counted, built
 
 
-def _verified(rows):
-    def accept(vectors, exact):
-        if all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in vectors):
-            return vectors
-        return None
-
-    return accept
-
-
 def test_kernel_qq_candidates_lifts_only_the_kept_column():
     rows, kernel = _low_high_kernel_rows()
     whole_build, whole_built = _counting(_int_build(rows))
-    whole = kernel_qq_candidates(whole_build, 5, _verified(rows), None)
+    whole = kernel_qq_candidates(whole_build, 5, _verified(rows), _keep_all)
     assert whole[0] == kernel and whole[1:3] == (3, (0, 1, 2))
     picked_build, picked_built = _counting(_int_build(rows))
     got = kernel_qq_candidates(picked_build, 5, _verified(rows), lambda p, K: [0])

@@ -1,5 +1,6 @@
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from arrlog.arrangement import validate
 from arrlog.fields import GF, QQ
 from arrlog.library import boolean, braid, generic, grr3, nine4d, ziegler22
 from arrlog.linalg import Matrix, rank
-from arrlog.modular import PRIMES, ReconstructionFailed, kernel_qq_candidates
+from arrlog.modular import PRIMES, ReconstructionFailed, kernel_mod, kernel_qq_candidates
 from arrlog.poly import LinearForm, Poly
 from arrlog.solver import (
     AmbientEngine,
     CoeffVector,
     RelativeEngine,
-    _certified_kernel,
     condition_polys,
     condition_terms,
     free_piece_dimension,
@@ -28,6 +28,7 @@ from arrlog.solver import (
     pick_engine,
     saito_check,
     subsets,
+    sweep_minimal_generators,
 )
 
 
@@ -79,8 +80,8 @@ def test_engines_agree_random_fp(seed, n, p, kind):
 def test_engines_agree_qq():
     A = nine4d()
     for d in (-2, -1):
-        da = len(AmbientEngine(A, "O").kernel(d))
-        dr = len(RelativeEngine(A, "O").kernel(d))
+        da = len(sweep_minimal_generators(AmbientEngine(A, "O"), (d, d)).elements)
+        dr = len(sweep_minimal_generators(RelativeEngine(A, "O"), (d, d)).elements)
         assert da == dr
 
 
@@ -349,8 +350,12 @@ def test_wrong_early_lift_takes_more_primes(engine):
     assert dims == [0, 1, 6, 14, 25, 39, 56]
     for d in (2, 3):
         eng = make(A, "D")
-        for el in eng.kernel(d):
+        for el in sweep_minimal_generators(eng, (d, d)).elements:
             assert is_logarithmic(A, eng.to_coeffvector(el, d))
+
+
+def _keep_all(p, K):
+    return list(range(len(K)))
 
 
 def test_certified_kernel_qq_retry_and_exhaustion():
@@ -361,24 +366,23 @@ def test_certified_kernel_qq_retry_and_exhaustion():
         built.append(p)
         return rows % p
 
-    first = kernel_qq_candidates(build, 3, lambda *cand: cand, None)
-    vectors, exact = first[0]
-    assert not exact
+    first = kernel_qq_candidates(build, 3, lambda vectors: vectors, _keep_all)
+    vectors = first[0]
+    assert vectors == [[1, -2, 1]]
     seen = []
 
-    def reject_first(vectors, exact):
+    def reject_first(vectors):
         seen.append(len(built))  # primes built when the candidate is offered
         return vectors if len(seen) > 1 else None
 
-    assert _certified_kernel(build, 3, QQ, lambda *cand: cand) == first[0]
     built.clear()
-    assert _certified_kernel(build, 3, QQ, reject_first) == vectors
+    assert kernel_qq_candidates(build, 3, reject_first, _keep_all)[0] == vectors
     # the search resumes with one more prime: the rejected candidate's
     # primes are built once
     assert seen == [len(first[3]), len(first[3]) + 1]
     assert len(built) == len(first[3]) + 1
     with pytest.raises(ReconstructionFailed):
-        _certified_kernel(build, 3, QQ, lambda *cand: None)
+        kernel_qq_candidates(build, 3, lambda vectors: None, _keep_all)
 
 
 def test_certified_kernel_qq_zero_mod_first_prime():
@@ -387,44 +391,115 @@ def test_certified_kernel_qq_zero_mod_first_prime():
     P = PRIMES[0]
     rows = [[P, 2 * P, 3 * P]]
 
-    def accept(vectors, exact):
+    def accept(vectors):
         if all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows for v in vectors):
             return vectors
         return None
 
-    vectors = _certified_kernel(lambda p: np.array(rows, dtype=np.int64) % p, 3, QQ, accept)
+    vectors = kernel_qq_candidates(lambda p: np.array(rows, dtype=np.int64) % p, 3, accept, _keep_all)[0]
     assert len(vectors) == 2
     assert rank(Matrix(QQ, vectors)) == 2
 
 
 def test_rejected_lift_resumes_from_its_primes(monkeypatch):
     # a wrong lift that reconstructs (degrees 3 and 4 on the ambient engine)
-    # is answered by one more prime, not by a lift from the first prime again
+    # is answered by one more prime, not by a lift from the first prime
+    # again; the one-degree sweep's rank at its first prime is one more
+    # build than the primes of the lift
     A = generic(5, 3, seed=3, field=QQ).delete(3)
     build_mod = AmbientEngine.build_mod
     builds = [0]
 
-    def counting_build(self, d, p):
+    def counting_build(self, d, p, cols=None):
         builds[0] += 1
-        return build_mod(self, d, p)
+        return build_mod(self, d, p, cols)
 
     monkeypatch.setattr(AmbientEngine, "build_mod", counting_build)
-    for d, dim, most in ((3, 14, 13), (4, 25, 20)):
+    for d, dim, most in ((3, 14, 14), (4, 25, 21)):
         builds[0] = 0
         assert AmbientEngine(A, "D").dimension(d) == dim
         assert builds[0] <= most, (d, builds[0])
 
 
-def test_certified_kernel_fp_is_exact_and_taken_once():
-    rows = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
-    built = []
+def test_certified_kernel_fp_is_exact_and_taken_once(monkeypatch):
+    # over F_p a dimension is the rank at the field's prime: one build and
+    # one pivots-only elimination per degree with coordinates, remembered
+    from arrlog import modular
 
-    def build(p):
-        built.append(p)
-        return rows % p
+    builds, eliminations = [], []
+    rref_mod = modular.rref_mod
 
-    vectors, exact = _certified_kernel(build, 3, GF(7), lambda *cand: cand)
-    assert (vectors, exact, built) == ([[1, 5, 1]], True, [7])  # (1, -2, 1) mod 7
+    def counting_rref(A, p, reduced=True):
+        eliminations.append((p, reduced))
+        return rref_mod(A, p, reduced)
+
+    for cls in (AmbientEngine, RelativeEngine):
+        def counting_build(self, d, p, cols=None, cls=cls, build_mod=cls.build_mod):
+            builds.append((cls, p))
+            return build_mod(self, d, p, cols)
+
+        monkeypatch.setattr(cls, "build_mod", counting_build)
+    monkeypatch.setattr(modular, "rref_mod", counting_rref)
+    eng = AmbientEngine(boolean(3, field=GF(7)), "D")
+    assert eng.dimension(1) == 3  # x_i d/dx_i
+    assert builds == [(AmbientEngine, 7)] and eliminations == [(7, False)]
+    assert eng.dimension(1) == 3 and len(builds) == 1
+    A = generic(5, 3, seed=2, field=GF(1009))
+    for engine in (AmbientEngine, RelativeEngine):
+        for kind, degrees in (("D", range(-1, 5)), ("O", range(-6, 1))):
+            eng = engine(A, kind)
+            for d in degrees:
+                del builds[:], eliminations[:]
+                eng.dimension(d)
+                want = 1 if eng.space.dim(d) else 0
+                assert builds == [(engine, 1009)] * want, (engine, kind, d)
+                assert eliminations == [(1009, False)] * want, (engine, kind, d)
+
+
+def _primitive_integer(element):
+    coeffs = [c for poly in element for c in poly.terms.values()]
+    return all(Fraction(c).denominator == 1 for c in coeffs) and gcd(*(int(c) for c in coeffs)) == 1
+
+
+@pytest.mark.parametrize("case", ["nine4d-O", "generic-delete-D"])
+def test_qq_graded_basis_is_the_one_degree_sweep(case):
+    # with nothing below d every kernel vector is a new generator: each
+    # engine's one-degree sweep finds verified elements with primitive
+    # integer coefficients, as many as the certified dimension
+    if case == "nine4d-O":
+        A, kind, degrees = nine4d(), "O", (-2, -1)
+    else:
+        A, kind, degrees = generic(5, 3, seed=3, field=QQ).delete(3), "D", (3,)
+    for d in degrees:
+        basis = graded_basis(A, kind, 1, d)
+        assert len(basis) == graded_dimension(A, kind, 1, d) > 0
+        assert all(is_logarithmic(A, cv) for cv in basis)
+        for make in (AmbientEngine, RelativeEngine):
+            eng = make(A, kind)
+            elements = sweep_minimal_generators(eng, (d, d)).elements
+            assert len(elements) == len(basis) == eng.dimension(d), (make, d)
+            for el in elements:
+                assert eng.verify(el, d) and is_logarithmic(A, eng.to_coeffvector(el, d))
+                assert _primitive_integer(el), (make, d)
+
+
+def test_fp_graded_basis_is_the_kernel_in_its_order():
+    # over F_p the one-degree sweep keeps every row of the kernel at the
+    # field's prime, in kernel_mod's order
+    F = GF(1009)
+    cases = [
+        (generic(5, 3, seed=1, field=F), "O", -1),
+        (generic(6, 3, seed=2, field=F), "D", 3),
+        (boolean(3, field=F), "D", 1),
+        (grr3(3, GF(7)), "O", -4),
+        (braid(4, field=F), "D", 2),
+    ]
+    for A, kind, d in cases:
+        eng = pick_engine(A, kind, 1)
+        p = A.field.p
+        K = kernel_mod(eng.build_mod(d, p), p)
+        want = [eng.to_coeffvector(eng.space.element_from_coords(A.field, d, v), d) for v in K.tolist()]
+        assert want and graded_basis(A, kind, 1, d) == want, (kind, d)
 
 
 # each exit of saito_check: its reason and the sweep it reports
