@@ -2,12 +2,7 @@
 
 from .fields import GF, QQ, FieldMismatch, PrimeField, Rationals, parse_field
 from .linalg import Matrix, kernel_basis, rank, rref
-from .poly import (
-    LinearForm,
-    Poly,
-    divisibility_constraints,
-    monomial_basis,
-)
+from .poly import LinearForm, Poly, monomial_basis
 from .arrangement import (
     Arrangement,
     ArrangementError,

@@ -109,7 +109,9 @@ def calibrate_duality_shift():
 
     Returns (rule, evidence): matching shifts per example, intersected as
     offsets relative to deg Q(A, m); the surviving offset is 0, i.e.
-    shift = deg Q(A, m).
+    shift = deg Q(A, m).  A shift matches when the table of
+    `duality_dimension_check` at that shift is ok; each example builds one
+    engine per side and reads each dimension of its tables once.
     """
     from .library import boolean
 
@@ -121,13 +123,13 @@ def calibrate_duality_shift():
     examples.append(("boolean ell=2 mult (2,1)", b2, (-5, 2)))
     evidence = {}
     surviving = None
-    for name, A, rng in examples:
+    for name, A, (lo, hi) in examples:
         degq = A.deg_Q()
-        matches = [
-            offset
-            for offset in range(-degq - 3, degq + 4)
-            if duality_dimension_check(A, rng, degq + offset).ok
-        ]
+        offsets = range(-degq - 3, degq + 4)
+        omega, top = pick_engine(A, "O", 1), pick_engine(A, "D", A.ell - 1)
+        forms = [(d, omega.dimension(d)) for d in range(lo, hi + 1)]
+        tops = {e: top.dimension(e) for e in range(lo + degq + offsets[0], hi + degq + offsets[-1] + 1)}
+        matches = [offset for offset in offsets if all(tops[d + degq + offset] == n for d, n in forms)]
         evidence[name] = matches
         s = set(matches)
         surviving = s if surviving is None else (surviving & s)

@@ -351,6 +351,7 @@ def claim_preparation(rep: Report, seed: int):
 def claim_duality(rep: Report):
     surviving, evidence = calibrate_duality_shift()
     calibrated = surviving == [0]
+    offset = surviving[0] if surviving else 0  # the tables are read at the calibrated shift
     from .arrangement import validate
 
     tables = []
@@ -360,7 +361,7 @@ def claim_duality(rep: Report):
         ("boolean2", boolean(2), (-4, 2)),
         ("grr3-3", grr3(3, GF(7)), (-10, 0)),
     ]:
-        repd = duality_dimension_check(A, rng)
+        repd = duality_dimension_check(A, rng, A.deg_Q() + offset)
         tables.append({"name": name, "shift": repd.shift, "ok": repd.ok})
         ok = ok and repd.ok
     rep.add(

@@ -141,7 +141,7 @@ def certified_image_rank(tgt_space: TwistSpace, gens, d: int, field, upper: int)
     membership bounds it above.  Otherwise the exact kernel of the eval
     map is exhibited (`solver._certified_eval_rank`).
     """
-    return _certified_eval_rank(tgt_space, gens, d, field, upper)[0]
+    return _certified_eval_rank(tgt_space, gens, d, field, upper)
 
 
 @dataclass

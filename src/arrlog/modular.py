@@ -7,11 +7,11 @@ CRT and lifting entries with rational reconstruction.  The lift is a
 certificate (membership checks plus the mod-p rank lower bound) and, when
 that rejects it, goes on with more primes in the same search, so every
 published result remains exact.  It is the one certified kernel search
-over Q.  The caller names the kernel vectors it needs mod p at the first
-prime of the lift (`pick`; keeping every row asks for the whole kernel),
-and only their free columns of the reduced form are combined and lifted:
-the number of primes a lift takes is set by the height of what is
-lifted.  A ladder prime that does not reduce the inputs is passed over.
+over Q.  It lifts the free columns of the reduced form, the whole kernel
+of the matrix it is given: a caller that needs part of a kernel builds
+the matrix on the columns that part lives on, so the number of primes a
+lift takes is set by the height of what it needs.  A ladder prime that
+does not reduce the inputs is passed over.
 
 Elimination (`rref_mod`) is a column-recursive Gauss-Jordan.  The pivots
 found in a column range act on every later column as one transform
@@ -306,8 +306,6 @@ def rational_reconstruct(r: int, m: int):
 class _CRTLift:
     """Residue matrices of one shape under growing primes, lifted to Q on demand.
 
-    `keep(cols)` narrows the lift to some columns of the matrices, those
-    added before it included; it must come before the first `lift`.
     Only the union of the nonzero positions seen so far is kept: a position
     that is zero mod every prime added has combined residue 0, and one that
     turns nonzero under a later prime joins with combined residue 0 for the
@@ -321,7 +319,6 @@ class _CRTLift:
 
     def __init__(self):
         self.primes = []
-        self.cols = None  # the columns lifted; None lifts them all
         self._shape = None
         self._pending = []  # (p, residue matrix) not yet folded in
         self._pos = np.zeros(0, dtype=np.int64)  # sorted union of the nonzero positions
@@ -331,11 +328,7 @@ class _CRTLift:
 
     def add(self, p: int, R: np.ndarray):
         self.primes.append(p)
-        self._pending.append((p, R if self.cols is None else R[:, self.cols]))
-
-    def keep(self, cols):
-        self.cols = cols
-        self._pending = [(p, R[:, cols]) for p, R in self._pending]
+        self._pending.append((p, R))
 
     def _fold(self, p, R):
         self._shape = R.shape
@@ -391,32 +384,29 @@ def reconstruct_matrix(rows_mod: list[np.ndarray], primes: list[int]):
     return acc.lift()
 
 
-def kernel_qq_candidates(build, ncols: int, accept, pick):
-    """Certified kernel vectors of an integer matrix given mod p.
+def kernel_qq_candidates(build, ncols: int, accept):
+    """Certified kernel of an integer matrix given mod p.
 
     `build(p)` must return the constraint matrix reduced mod p (int64
     2-D array with `ncols` columns; it may differ per prime only by the
     reduction), and raises ZeroDivisionError at a prime that does not
     reduce the inputs: that prime joins no group.  Computes rrefs over the
     ladder primes in order and keeps the group agreeing on the (max-rank,
-    lex-min) pivot profile.  The caller chooses the vectors before any
-    lift: `pick(p, K)` gets the kernel mod p of the best group's prime p
-    (one row per free column, as `kernel_mod` gives it) and returns the
-    rows to keep, or None (or raises ZeroDivisionError) to be asked again
-    at the group's next prime.  Only the kept free columns of the reduced
-    matrix are reconstructed entrywise, from the group's first prime on.
-    Each candidate, a list of Fraction lists in unit-free-column form,
-    goes to `accept(vectors)`, which returns its result, or None to reject
-    it.  After a failed or rejected lift the search goes on with the next
-    prime, keeping every group, and lifts again only once the best group
-    holds one more prime.
+    lex-min) pivot profile.  The free columns of the best group's reduced
+    matrices are reconstructed entrywise, from the group's first prime on.
+    Each candidate, the kernel basis as a list of Fraction lists in
+    unit-free-column form, goes to `accept(vectors)`, which returns its
+    result, or None to reject it.  After a failed or rejected lift the
+    search goes on with the next prime, keeping every group, and lifts
+    again only once the best group holds one more prime.
 
     Returns (accept's result, rank, pivots, primes_used), or raises
-    `ReconstructionFailed` when the ladder is used up.  A pick that keeps
-    every row asks for the whole kernel, which is exact as soon as
-    `accept` verifies membership of each vector: the mod-p rank is a
-    lower bound for the rank over Q, so `ncols - rank` independent
-    verified kernel vectors span it.
+    `ReconstructionFailed` when the ladder is used up.  The candidate is
+    the whole kernel as soon as `accept` verifies membership of each
+    vector: the mod-p rank is a lower bound for the rank over Q, so
+    `ncols - rank` independent verified kernel vectors span it.  A caller
+    that needs only part of a kernel builds the matrix on the columns
+    that part lives on.
     """
     groups = {}  # pivots tuple -> _CRTLift of the free-column blocks
     need = 1  # primes the best group must hold before its next lift
@@ -429,28 +419,15 @@ def kernel_qq_candidates(build, ncols: int, accept, pick):
             R, pivots = rref_mod(A, p)
         else:
             R, pivots = A[:0], []  # zero mod p: no pivots, nothing to eliminate
-        free = _free_columns(pivots, ncols)
-        groups.setdefault(tuple(pivots), _CRTLift()).add(p, R[:, free])
-        # the key ignores the primes, so a group is best from its first
-        # prime on and `pick` sees each of its primes in order
+        groups.setdefault(tuple(pivots), _CRTLift()).add(p, R[:, _free_columns(pivots, ncols)])
         best = max(groups, key=lambda k: (len(k), [-c for c in k]))
         group = groups[best]
-        if group.cols is None:
-            if best != tuple(pivots):
-                continue
-            try:
-                kept = pick(p, _kernel_rows(R, pivots, free, p))
-            except ZeroDivisionError:
-                kept = None
-            if kept is None:
-                continue
-            group.keep(kept)
         n = len(group.primes)
         if n < need:
             continue
         lifted = group.lift()
         if lifted is not None:
-            result = accept(_kernel_from_lifted(lifted, best, _free_columns(best, ncols)[group.cols], ncols))
+            result = accept(_kernel_from_lifted(lifted, best, ncols))
             if result is not None:
                 return result, len(best), best, tuple(group.primes)
         need = n + 1
@@ -459,10 +436,10 @@ def kernel_qq_candidates(build, ncols: int, accept, pick):
     )
 
 
-def _kernel_from_lifted(block, pivots, cols, ncols):
-    """The kernel vectors of the free columns `cols` from their lifted block of the reduced form."""
+def _kernel_from_lifted(block, pivots, ncols):
+    """The kernel basis, one vector per free column, from the lifted free-column block of the reduced form."""
     basis = []
-    for fj, j in enumerate(cols.tolist()):
+    for fj, j in enumerate(_free_columns(pivots, ncols).tolist()):
         v = [Fraction(0)] * ncols
         v[j] = Fraction(1)
         for i, c in enumerate(pivots):

@@ -544,23 +544,3 @@ def divisibility_row_data(alpha: LinearForm, m: int, degree: int):
             row, col = divmod(cell, pat.ncols)
             columns[col].append((row, values[v]))
     return pat.nrows, columns
-
-
-def divisibility_constraints(poly_degree: int, alpha: LinearForm, m: int):
-    """Dense constraint matrix for divisibility by alpha^m on S_poly_degree.
-
-    The kernel, acting on coefficient vectors in monomial_basis order, is
-    exactly the set of degree-poly_degree forms divisible by alpha^m.
-    """
-    from .linalg import Matrix
-
-    if poly_degree < 0:
-        raise ValueError("poly_degree must be nonnegative")
-    fld = alpha.field
-    nrows, columns = divisibility_row_data(alpha, m, poly_degree)
-    ncols = len(columns)
-    rows = [[fld.zero] * ncols for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, c in col:
-            rows[i][j] = fld.add(rows[i][j], c)
-    return Matrix(fld, rows)

@@ -32,18 +32,19 @@ kernels are computed mod deterministic ladder primes, lifted by CRT +
 rational reconstruction, and then certified: exhibited elements are
 verified exactly at the polynomial level, and mod-p ranks bound the
 ranks over Q from below, which pins every reported dimension exactly.
-A Q degree step ranks the eval matrix of the generators below it first
-and builds the constraint matrix only on the columns that image leaves
-out (`build_mod(d, p, cols)`): at most degrees the generators span the
-piece, and a full column rank there certifies it.  At a generator
-degree the new generators are picked mod p, from the kernel at the
-first prime of the lift, before anything is lifted: only their kernel
-vectors are reconstructed and verified (`kernel_qq_candidates`, the one
-certified kernel search over Q), so a step keeping one vector of a
-kernel of hundreds lifts that vector alone, from as few primes as its
-own height needs.  An eval rank certified by its kernel is the same
-search with a pick that keeps every row.  Hints and kernel picks
-complete the eval image through one check (`_completing_columns`).
+A degree step takes the row pivots P of the eval matrix of the
+generators below it first and builds the constraint matrix only on the
+columns off P (`build_mod(d, p, cols)`): the eval image projects onto P
+isomorphically and lies in the kernel, so at most degrees a full column
+rank there certifies the piece.  At a generator degree every vector of
+the kernel on those columns is a new generator: over F_p it is the
+kernel the rank was read from, and over Q the same matrix is lifted and
+verified (`kernel_qq_candidates`, the one certified kernel search over
+Q), so a step with one new generator in a kernel of hundreds lifts
+that vector alone, from as few primes as its own height needs.  An eval
+rank that its lower bound mod p does not pin is certified by the same
+search on the eval matrix.  Hints complete the eval image through one
+check (`_completing_columns`).
 """
 
 from __future__ import annotations
@@ -830,66 +831,68 @@ def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=(
 
 
 def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
-    """(piece dimension, new generators) at degree d, given the generators below it."""
-    # fast path: dim <= n0 (the constraint rank mod p bounds the kernel;
-    # a known rank gives it exactly) and dim >= the certified eval rank
-    # (the span of verified-member multiples); equality pins the dimension
-    # with no kernel.  Over F_p, p is the field's prime and n0 is exact.
+    """(piece dimension, new generators) at degree d, given the generators below it.
+
+    The eval image C mod p0 projects isomorphically onto its row pivots P,
+    so V = C + span(e_j, j not in P), and C lies in the kernel: the
+    constraint matrix needs ranking only on the other columns, and
+    n0 = ncols - rank of that matrix is the ncols - rank_p0 of a full
+    elimination (a known rank gives it exactly).  The dimension lies
+    between the certified eval rank (the span of verified-member
+    multiples) and n0, so equality pins it with no kernel.  Once the eval
+    rank is certified equal to |P|, C meets span(e_j, j not in P) in 0
+    over Q too, so the kernel is C + (the kernel on the columns off P),
+    and every vector of the kernel off P is a new generator.  Over F_p, p0
+    is the field's prime and every rank and kernel is exact and taken once.
+    """
     field = family.field
     primes = _primes(field)
-
-    def build(p):
-        return family.build_mod(d, p)
-
-    K = None  # the exact kernel mod the field's prime, once taken
-    rows = None  # row pivots P of the eval matrix mod p0, once taken
+    p0 = _eval_prime(gens, primes)
     rank = family.known_rank(d)
+    if rank == ncols:
+        return 0, []
+    rows = _eval_row_pivots(family.space, gens, d, p0)
+    cols = np.setdiff1d(np.arange(ncols), rows)
+    K = None  # the exact kernel off P mod the field's prime, once taken
     if rank is None and len(primes) > 1:
-        # the eval image C mod p0 projects onto the coordinates P
-        # isomorphically, so V = C + span(e_j, j not in P), and C lies in
-        # the kernel: the constraint matrix needs ranking only on the
-        # other columns, and n0 = |P| + (ncols - |P| - rank) is the
-        # ncols - rank_p0(A) of a full elimination.  n0 == |P| certifies
-        # the degree: dim >= rank_Q(E) >= |P| (the columns of E are
-        # verified members), and full column rank mod p0 on the other
-        # columns makes A injective over Q on their span, so dim <= |P|.
-        p0 = _eval_prime(gens, primes)
-        rows = _eval_row_pivots(family.space, gens, d, p0)
-        rank = rank_mod(family.build_mod(d, p0, np.setdiff1d(np.arange(ncols), rows)), p0)
+        rank = rank_mod(family.build_mod(d, p0, cols), p0)
     elif rank is None:
         # at the field's prime the reduced elimination costs about what
         # the rank does, and its kernel serves a generator degree too
-        K = kernel_mod(build(primes[0]), primes[0])
-        rank = ncols - len(K)
+        K = kernel_mod(family.build_mod(d, p0, cols), p0)
+        rank = len(cols) - len(K)
     n0 = ncols - rank
-    if n0 == 0 or rows is not None and n0 == len(rows):
+    if n0 == len(rows):
         return n0, []
-    rank_eval, p0, E = _certified_eval_rank(family.space, gens, d, field, n0, None if rows is None else len(rows))
+    rank_eval = _certified_eval_rank(family.space, gens, d, field, n0, len(rows))
     if rank_eval == n0:
         return n0, []
     if hints_d:
-        chosen = _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0)
+        chosen = _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, p0)
         if chosen is not None:
             return n0, chosen
-    # apparent generator degree: pick the new generators from the kernel
-    # mod p, then lift and verify only them; the piece dimension is the
-    # eval rank plus their number, both sides certified (the kernel mod p
-    # bounds it from above; the eval columns and the picks are exhibited
-    # members, and a lifted pick reduces mod p to its row of the kernel,
-    # so they are independent mod p and so over Q)
+    if len(rows) < rank_eval:
+        # p0 is bad for the eval matrix: take P where it reaches its rank
+        rows = _eval_row_pivots_at_rank(family.space, gens, d, primes, rank_eval)
+        cols = np.setdiff1d(np.arange(ncols), rows)
 
-    def pick(p, Kp):
-        # the rows of Kp that are pivots of [Ep | Kp^T] complete the eval
-        # image; p must reproduce the certified eval rank, as the field's
-        # own prime does, and a p that does not reduce the generators
-        # raises ZeroDivisionError: either way the search asks again
-        if rank_eval == len(Kp):
-            return []
-        Ep = E if p == p0 else eval_matrix_mod(family.space, gens, d, p)
-        return _completing_columns(Ep, Kp.T, p, rank_eval, len(Kp))
+    # apparent generator degree: the new generators are the kernel off P,
+    # taken at the field's prime or lifted and verified over Q.  The piece
+    # dimension is the eval rank plus their number, certified on both
+    # sides: the eval columns and the new vectors are verified members,
+    # independent because the new ones vanish on P, where C has full
+    # rank; and the mod-p rank of the matrix off P bounds the kernel off P
+    # from above
+    off = cols.tolist()
 
     def new_generators(vectors):
-        return [normalize_element(family.space.element_from_coords(field, d, v)) for v in vectors]
+        out = []
+        for v in vectors:
+            coords = [0] * ncols
+            for c, x in zip(off, v):
+                coords[c] = x
+            out.append(normalize_element(family.space.element_from_coords(field, d, coords)))
+        return out
 
     def accept(vectors):
         new = new_generators(vectors)
@@ -897,28 +900,28 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
             return None
         return rank_eval + len(new), new
 
+    def build(p):
+        return family.build_mod(d, p, cols)
+
     if len(primes) > 1:
-        return kernel_qq_candidates(build, ncols, accept, pick)[0]
-    p = primes[0]
+        return kernel_qq_candidates(build, len(cols), accept)[0]
     if K is None:
-        K = kernel_mod(build(p), p)
-    picked = pick(p, K)
-    if picked is None:
-        raise SolverError("the field's prime did not reproduce the certified eval rank")
-    return rank_eval + len(picked), new_generators(K[picked].tolist())
+        K = kernel_mod(build(p0), p0)
+    return rank_eval + len(K), new_generators(K.tolist())
 
 
-def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
+def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, p0):
     """Fill the quotient with caller-supplied exact elements if possible.
 
     Returns the selected new generators, or None when the hints do not
-    span the whole cokernel (the caller then falls back to kernel
-    reconstruction).  Exactness: every hint was verified as a member when
-    it was received, the eval rank is already certified, and the mod-p
-    pivot count bounds the rational independence from below while n0
-    bounds the piece dimension from above.
+    span the whole cokernel (the caller then falls back to the kernel).
+    Exactness: every hint was verified as a member when it was received,
+    the eval rank is already certified, and the mod-p pivot count bounds
+    the rational independence from below while n0 bounds the piece
+    dimension from above.
     """
     try:
+        E = eval_matrix_mod(family.space, gens, d, p0)
         # a hint at its own degree is one eval column: its flat coordinates
         C = eval_matrix_mod(family.space, [(d, el) for el in hints_d], d, p0)
     except ZeroDivisionError:
@@ -945,40 +948,62 @@ def _completing_columns(E, C, p: int, rank_eval: int, upper: int):
 
 
 def _eval_row_pivots(tgt_space: TwistSpace, gens, d: int, p: int):
-    """Row pivots of the eval matrix of `gens` at degree d mod p.
+    """Row pivots P of the eval matrix of `gens` at degree d mod p, taken from the last row.
 
-    The image mod p projects isomorphically onto these coordinates.  One
-    pivots-only elimination of the transposed matrix gives them, and the
-    matrix is dropped on return.
+    P is the set of last nonzero coordinates of the image's vectors, so
+    the image mod p projects isomorphically onto these coordinates.  One
+    pivots-only elimination of the transposed matrix, its coordinates
+    reversed, gives them, and the matrix is dropped on return.  Why the
+    last rows: a vector of the kernel ends at a free column of the
+    constraint matrix, so P is free there, and the reduced kernel basis
+    on the columns off P is the set of rows of the full reduced kernel
+    basis that complete the image (those whose free column is no image
+    vector's last coordinate).  Taken from the first rows, P would give
+    other new generators, equal modulo the image, and other reported
+    elements: the sign of ziegler22's Saito constant flips.
     """
     if not TwistSpace(tgt_space.ell, tuple(e for e, _ in gens)).dim(d):
         return []
-    return rref_mod(eval_matrix_mod(tgt_space, gens, d, p).T, p, reduced=False)[1]
+    E = eval_matrix_mod(tgt_space, gens, d, p)
+    last = E.shape[0] - 1
+    return sorted(last - r for r in rref_mod(E[::-1].T, p, reduced=False)[1])
+
+
+def _eval_row_pivots_at_rank(tgt_space: TwistSpace, gens, d: int, primes, rank: int):
+    """`_eval_row_pivots` at the first of `primes` where the eval matrix has rank `rank`."""
+    for p in primes:
+        try:
+            rows = _eval_row_pivots(tgt_space, gens, d, p)
+        except ZeroDivisionError:
+            continue
+        if len(rows) == rank:
+            return rows
+    raise SolverError(f"no prime reaches the certified eval rank {rank} at degree {d}")
 
 
 def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, rank=None):
     """Exact rank over `field` of the evaluation map of `gens` at degree d.
 
-    Returns (rank, p0, E0): E0 is the eval matrix mod p0, the prime of
-    `_eval_prime`, where the rank is taken first (`rank`, when the caller
-    already has it mod p0).  That rank bounds the rank over `field` from
-    below, so it is exact when it reaches `upper` (an upper bound the
-    caller knows, or None) or the number of columns, or when p0 is the
-    field's own prime.  Otherwise the rank is certified by exhibiting the
-    whole kernel, lifted from the ladder primes with E0 as the matrix at
-    p0: every candidate relation must vanish exactly.
+    The rank is taken first mod p0, the prime of `_eval_prime` (`rank`,
+    when the caller already has it there).  That rank bounds the rank over
+    `field` from below, so it is exact when it reaches `upper` (an upper
+    bound the caller knows, or None) or the number of columns, or when p0
+    is the field's own prime.  Otherwise the rank is certified by
+    exhibiting the whole kernel, lifted from the ladder primes: every
+    candidate relation must vanish exactly.
     """
     primes = _primes(field)
     p0 = _eval_prime(gens, primes)
     src = TwistSpace(tgt_space.ell, tuple(e for e, _ in gens))
     ncols = src.dim(d)
     if ncols == 0:
-        return 0, p0, np.zeros((tgt_space.dim(d), 0), dtype=np.int64)
-    E0 = eval_matrix_mod(tgt_space, gens, d, p0)
+        return 0
+    E0 = None
     if rank is None:
+        E0 = eval_matrix_mod(tgt_space, gens, d, p0)
         rank = rank_mod(E0, p0)
     if rank in (upper, ncols) or len(primes) == 1:
-        return rank, p0, E0
+        return rank
 
     def accept(vectors):
         if all(combination_is_zero(gens, src.element_from_coords(field, d, v)) for v in vectors):
@@ -986,12 +1011,9 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, rank
         return None
 
     def build(p):
-        return E0 if p == p0 else eval_matrix_mod(tgt_space, gens, d, p)
+        return E0 if p == p0 and E0 is not None else eval_matrix_mod(tgt_space, gens, d, p)
 
-    def keep_all(p, K):
-        return list(range(len(K)))
-
-    return kernel_qq_candidates(build, ncols, accept, keep_all)[0], p0, E0
+    return kernel_qq_candidates(build, ncols, accept)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ def test_surjectivity_sweeps_the_target_with_the_images(case):
 
 def test_unhinted_ziegler22_cut_over_q_matches_the_hinted_sweep():
     # the seed-101 cut of ziegler22: unhinted over Q, its kernel at degree -1
-    # needs more than the whole ladder, while the one vector kept needs a few
+    # needs more than the whole ladder, while the one new generator needs a few
     # primes; the hinted sweep is the one the generic-cut claim makes
     from arrlog.claims import _sample_generic_hyperplane
     from arrlog.lattice import intersection_lattice

@@ -289,7 +289,7 @@ def test_kernel_qq_candidates_exact():
         def build(p, rows=rows):
             return np.array(rows, dtype=np.int64) % p
 
-        vectors, rk, pivots, primes = kernel_qq_candidates(build, 8, _verified(rows), _keep_all)
+        vectors, rk, pivots, primes = kernel_qq_candidates(build, 8, _verified(rows))
         exact = kernel_basis(Matrix(QQ, rows))
         assert len(vectors) == len(exact)
         # candidates must annihilate the exact matrix
@@ -332,10 +332,6 @@ def _reconstruct_from_scratch(rows_mod, primes):
             lifted.append(f)
         out.append(lifted)
     return out
-
-
-def _keep_all(p, K):
-    return list(range(len(K)))
 
 
 def _verified(rows):
@@ -387,7 +383,7 @@ def test_kernel_qq_candidates_matches_from_scratch_reconstruction():
     rng = random.Random(11)
     for m, n, bound in [(3, 7, 10**3), (5, 11, 10**6), (6, 9, 10**9), (4, 7, 50)]:
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
-        got = kernel_qq_candidates(_int_build(rows), n, _verified(rows), _keep_all)
+        got = kernel_qq_candidates(_int_build(rows), n, _verified(rows))
         want = _kernel_qq_from_scratch(_int_build(rows), n, _verified(rows))
         assert got == want
         assert len(got[3]) >= 2
@@ -410,7 +406,7 @@ def test_kernel_qq_candidates_matches_from_scratch_reconstruction():
                 offers.append(vectors)
             return result if len(offers) > 1 else None
 
-        resumed = kernel_qq_candidates(build, n, reject_first, _keep_all)
+        resumed = kernel_qq_candidates(build, n, reject_first)
         assert resumed == _kernel_qq_from_scratch(_int_build(rows), n, _verified(rows), min_primes=len(want[3]) + 1)
         assert len(built) == PRIMES.index(want[3][-1]) + 2
 
@@ -423,7 +419,7 @@ def test_kernel_qq_candidates_bad_first_prime():
     base = [rng.randint(-10**8, 10**8) for _ in range(6)]
     rows = [base, [x + (P if j == 1 else 0) for j, x in enumerate(base)],
             [rng.randint(-10**8, 10**8) for _ in range(6)]]
-    got = kernel_qq_candidates(_int_build(rows), 6, _verified(rows), _keep_all)
+    got = kernel_qq_candidates(_int_build(rows), 6, _verified(rows))
     assert got == _kernel_qq_from_scratch(_int_build(rows), 6, _verified(rows))
     assert P not in got[3] and got[1] == 3
 
@@ -439,7 +435,7 @@ def test_kernel_qq_candidates_passes_over_a_prime_that_does_not_reduce_the_input
         built.append(p)
         return fraction_matrix_to_mod(rows, p)
 
-    got = kernel_qq_candidates(build, 3, _verified(rows), _keep_all)
+    got = kernel_qq_candidates(build, 3, _verified(rows))
     assert got[0] == [[5 * P0 - 4, 2 - 4 * P0, 1]]
     assert got[1:3] == (2, (0, 1)) and P0 not in got[3]
     assert built[0] == P0 and len(built) == len(got[3]) + 1
@@ -519,7 +515,7 @@ def test_kernel_qq_candidates_sparse_block_matches_from_scratch():
             rows[i][i] = rng.choice([1, 3, P0, 2 * P1])
             for j in rng.sample(range(m, n), 3):
                 rows[i][j] = rng.choice([P0, P1, -P0 * 7, rng.randint(-10**6, 10**6)])
-        got = kernel_qq_candidates(_int_build(rows), n, _verified(rows), _keep_all)
+        got = kernel_qq_candidates(_int_build(rows), n, _verified(rows))
         want = _kernel_qq_from_scratch(_int_build(rows), n, _verified(rows))
         assert got == want
         for v in got[0]:
@@ -527,7 +523,7 @@ def test_kernel_qq_candidates_sparse_block_matches_from_scratch():
 
 
 # ---------------------------------------------------------------------------
-# kept columns: the caller picks kernel vectors mod p, only they are lifted
+# part of a kernel: the caller builds the matrix on the columns it lives on
 # ---------------------------------------------------------------------------
 
 
@@ -555,40 +551,17 @@ def _counting(build):
     return counted, built
 
 
-def test_kernel_qq_candidates_lifts_only_the_kept_column():
+def test_kernel_qq_candidates_on_the_columns_of_a_low_vector_lifts_it_alone():
+    # the whole kernel needs the primes of its 200-bit vector; built on the
+    # columns the low vector lives on, the matrix has that vector as its
+    # whole kernel, and it lifts from the first prime alone
     rows, kernel = _low_high_kernel_rows()
     whole_build, whole_built = _counting(_int_build(rows))
-    whole = kernel_qq_candidates(whole_build, 5, _verified(rows), _keep_all)
+    whole = kernel_qq_candidates(whole_build, 5, _verified(rows))
     assert whole[0] == kernel and whole[1:3] == (3, (0, 1, 2))
-    picked_build, picked_built = _counting(_int_build(rows))
-    got = kernel_qq_candidates(picked_build, 5, _verified(rows), lambda p, K: [0])
-    assert got[0] == [kernel[0]] and got[1:3] == (3, (0, 1, 2))
-    # the low vector lifts from the group's first prime alone
-    assert got[3] == PRIMES[:1] and picked_built == [PRIMES[0]]
-    assert len(picked_built) < len(whole_built)
-
-
-def test_kernel_qq_candidates_picks_again_at_the_next_prime():
-    # the "eval image" E is P0 times the high vector: it vanishes mod P0, so
-    # a pick there cannot reproduce its rank 1, and the pick moves to the
-    # group's next prime, where the low vector completes E
-    rows, kernel = _low_high_kernel_rows()
-    P0 = PRIMES[0]
-    E = [[P0 * x] for x in kernel[1]]
-    asked = []
-
-    def pick(p, K):
-        asked.append(p)
-        Ep = np.array([[x % p for x in row] for row in E], dtype=np.int64)
-        _, pivots = rref_mod(np.hstack([Ep, K.T]), p, reduced=False)
-        picked = [c - 1 for c in pivots if c >= 1]
-        if len(pivots) - len(picked) != 1 or len(picked) != len(K) - 1:
-            return None
-        return picked
-
-    build, built = _counting(_int_build(rows))
-    got = kernel_qq_candidates(build, 5, _verified(rows), pick)
-    assert asked == [P0, PRIMES[1]]
-    assert got[0] == [kernel[0]]
-    # the lift still starts at the group's first prime
-    assert got[3] == PRIMES[:2] and built == list(PRIMES[:2])
+    low_rows = [row[:4] for row in rows]
+    low_build, low_built = _counting(_int_build(low_rows))
+    got = kernel_qq_candidates(low_build, 4, _verified(low_rows))
+    assert got[0] == [kernel[0][:4]] and got[1:3] == (3, (0, 1, 2))
+    assert got[3] == PRIMES[:1] and low_built == [PRIMES[0]]
+    assert len(low_built) < len(whole_built)

@@ -264,7 +264,7 @@ def test_hints_with_the_relative_engine_or_a_base_are_rejected():
 
 
 def test_hinted_step_needs_the_certified_eval_rank_mod_p(monkeypatch):
-    # hints complete the eval image through the kernel pick's check: the
+    # hints complete the eval image through `_completing_columns`: the
     # pivots of [E | hints] inside E must number the certified eval rank,
     # so a prime where E falls short of it (asked for here as rank_eval + 1
     # with n0 + 1) gives no generators, and the step falls back to the
@@ -354,10 +354,6 @@ def test_wrong_early_lift_takes_more_primes(engine):
             assert is_logarithmic(A, eng.to_coeffvector(el, d))
 
 
-def _keep_all(p, K):
-    return list(range(len(K)))
-
-
 def test_certified_kernel_qq_retry_and_exhaustion():
     rows = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)  # kernel (1, -2, 1)
     built = []
@@ -366,7 +362,7 @@ def test_certified_kernel_qq_retry_and_exhaustion():
         built.append(p)
         return rows % p
 
-    first = kernel_qq_candidates(build, 3, lambda vectors: vectors, _keep_all)
+    first = kernel_qq_candidates(build, 3, lambda vectors: vectors)
     vectors = first[0]
     assert vectors == [[1, -2, 1]]
     seen = []
@@ -376,13 +372,13 @@ def test_certified_kernel_qq_retry_and_exhaustion():
         return vectors if len(seen) > 1 else None
 
     built.clear()
-    assert kernel_qq_candidates(build, 3, reject_first, _keep_all)[0] == vectors
+    assert kernel_qq_candidates(build, 3, reject_first)[0] == vectors
     # the search resumes with one more prime: the rejected candidate's
     # primes are built once
     assert seen == [len(first[3]), len(first[3]) + 1]
     assert len(built) == len(first[3]) + 1
     with pytest.raises(ReconstructionFailed):
-        kernel_qq_candidates(build, 3, lambda vectors: None, _keep_all)
+        kernel_qq_candidates(build, 3, lambda vectors: None)
 
 
 def test_certified_kernel_qq_zero_mod_first_prime():
@@ -396,7 +392,7 @@ def test_certified_kernel_qq_zero_mod_first_prime():
             return vectors
         return None
 
-    vectors = kernel_qq_candidates(lambda p: np.array(rows, dtype=np.int64) % p, 3, accept, _keep_all)[0]
+    vectors = kernel_qq_candidates(lambda p: np.array(rows, dtype=np.int64) % p, 3, accept)[0]
     assert len(vectors) == 2
     assert rank(Matrix(QQ, vectors)) == 2
 
@@ -567,53 +563,162 @@ class _Constraint(np.ndarray):
 
 def test_fp_degree_step_eliminates_eval_matrix_once(monkeypatch):
     # over F_p the eval rank at the field's prime is exact: a degree step
-    # ranks its eval matrix and takes no kernel of it; and one reduced
-    # elimination of its constraint matrix gives the rank and, at a
-    # generator degree, the kernel the new generators are picked from
+    # takes the row pivots of its eval matrix, and no rank or kernel of it;
+    # and one reduced elimination of its constraint matrix on the columns
+    # off those pivots gives the rank and, at a generator degree, the new
+    # generators themselves
     from arrlog import solver
 
-    eval_matrix_mod, rank_mod, kernel_mod = solver.eval_matrix_mod, solver.rank_mod, solver.kernel_mod
-    ranks, kernels = [0], [0]
+    eval_matrix_mod = solver.eval_matrix_mod
+    eval_eliminations = {"rref_mod": 0, "rank_mod": 0, "kernel_mod": 0}
     built, eliminated = {}, {}
 
     def counting_build(build_mod):
-        def build(self, d, p):
-            M = build_mod(self, d, p).view(_Constraint)
+        def build(self, d, p, cols=None):
+            M = build_mod(self, d, p, cols).view(_Constraint)
             M.key = (self, d)
             built[M.key] = built.get(M.key, 0) + 1
             return M
 
         return build
 
-    def count_constraint(M):
-        if isinstance(M, _Constraint):
-            eliminated[M.key] = eliminated.get(M.key, 0) + 1
+    def counting(name):
+        eliminate = getattr(solver, name)
 
-    def counting_rank(M, p):
-        ranks[0] += isinstance(M, _Eval)
-        count_constraint(M)
-        return rank_mod(M, p)
+        def spy(M, p, **kwargs):
+            if isinstance(M, _Eval):
+                eval_eliminations[name] += 1
+            elif isinstance(M, _Constraint):
+                eliminated[M.key] = eliminated.get(M.key, 0) + 1
+            return eliminate(M, p, **kwargs)
 
-    def counting_kernel(M, p):
-        kernels[0] += isinstance(M, _Eval)
-        count_constraint(M)
-        return kernel_mod(M, p)
+        return spy
 
     for cls in (AmbientEngine, RelativeEngine):
         monkeypatch.setattr(cls, "build_mod", counting_build(cls.build_mod))
     monkeypatch.setattr(solver, "eval_matrix_mod", lambda *args: eval_matrix_mod(*args).view(_Eval))
-    monkeypatch.setattr(solver, "rank_mod", counting_rank)
-    monkeypatch.setattr(solver, "kernel_mod", counting_kernel)
+    for name in eval_eliminations:
+        monkeypatch.setattr(solver, name, counting(name))
     F = GF(1009)
     generator_degrees = 0
     for A in (boolean(3, field=F).add_hyperplane(LinearForm(F, [1, 2, 3])), generic(5, 3, seed=1, field=F)):
         for kind in ("D", "O"):
             generator_degrees += len(set(minimal_generators(A, kind).degrees))
-    assert ranks[0] > 0
-    assert kernels[0] == 0
+    # the pivots come from the transposed eval matrix, which stays an _Eval
+    assert eval_eliminations["rref_mod"] > 0
+    assert eval_eliminations["rank_mod"] == eval_eliminations["kernel_mod"] == 0
     assert generator_degrees > 0
     assert set(built.values()) == {1}
     assert eliminated.keys() == built.keys() and set(eliminated.values()) == {1}
+
+
+def _pick_reference(family, gens, d):
+    """The new generators at degree d from the full-width kernel and the [E | K^T] pick.
+
+    This is the rule the kernel off the eval pivots replaces, kept as an
+    oracle: the whole kernel mod p in unit-free-column form, of which the
+    rows that are pivots of [E | K^T] right of E complete the eval image E
+    of the generators below d.  Over Q only the picked rows are lifted and
+    verified: their kernel on the pivot columns and the picked free columns.
+    """
+    from arrlog import solver
+
+    field, space, ncols = family.field, family.space, family.space.dim(d)
+    p = solver._eval_prime(gens, solver._primes(field))
+    M = family.build_mod(d, p)
+    _, pivots = solver.rref_mod(M, p, reduced=False)
+    K = kernel_mod(M, p)
+    E = solver.eval_matrix_mod(space, gens, d, p)
+    _, completing = solver.rref_mod(np.hstack([E, K.T]), p, reduced=False)
+    picked = [c - E.shape[1] for c in completing if c >= E.shape[1]]
+
+    def element(v):
+        return solver.normalize_element(space.element_from_coords(field, d, v))
+
+    if field != QQ:
+        return [element(v) for v in K[picked].tolist()]
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    cols = np.sort(np.concatenate([pivots, free[picked]])).astype(np.int64)
+
+    def accept(vectors):
+        new = []
+        for v in vectors:
+            coords = [0] * ncols
+            for c, x in zip(cols.tolist(), v):
+                coords[c] = x
+            new.append(element(coords))
+        return new if all(family.verify(el, d) for el in new) else None
+
+    return kernel_qq_candidates(lambda q: family.build_mod(d, q, cols), len(cols), accept)[0]
+
+
+def _generator_steps(monkeypatch):
+    """Record (family, generators below, d, new generators) of every degree step with new generators."""
+    from arrlog import solver
+
+    degree_step, steps = solver._degree_step, []
+
+    def spy(family, gens, d, ncols, hints_d=()):
+        n_d, new = degree_step(family, gens, d, ncols, hints_d)
+        if new:
+            steps.append((family, list(gens), d, new))
+        return n_d, new
+
+    monkeypatch.setattr(solver, "_degree_step", spy)
+    return steps
+
+
+# (arrangement, kind) of each generator sweep the kernel off the eval pivots
+# is checked on; ziegler22's D sweep is the Saito sweep, which ends at 9
+KERNEL_OFF_PIVOTS_CASES = {
+    "ziegler22-D-QQ": (ziegler22, "D"),
+    "generic-D-QQ": (lambda: generic(5, 3, seed=1), "D"),
+    "generic-O-QQ": (lambda: generic(5, 3, seed=1), "O"),
+    "generic-D-F1009": (lambda: generic(5, 3, seed=1, field=GF(1009)), "D"),
+    "generic-O-F1009": (lambda: generic(5, 3, seed=1, field=GF(1009)), "O"),
+    "nine4d-O-QQ": (nine4d, "O"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_OFF_PIVOTS_CASES))
+def test_kernel_off_the_eval_pivots_is_the_pick_of_the_full_kernel(case, monkeypatch):
+    # with P the eval matrix's row pivots taken from its last row, the
+    # reduced kernel basis off P is the set of rows of the full reduced
+    # kernel basis that the [E | K^T] pick keeps: the same generators
+    make, kind = KERNEL_OFF_PIVOTS_CASES[case]
+    A = make()
+    steps = _generator_steps(monkeypatch)
+    if case.startswith("ziegler22"):
+        assert saito_check(A).exponents == [1, 5, 7, 9]
+    else:
+        minimal_generators(A, kind)
+    assert steps
+    for family, gens, d, new in steps:
+        assert new == _pick_reference(family, gens, d), (case, d)
+
+
+def test_a_bad_first_prime_for_the_eval_pivots_gives_the_same_step(monkeypatch):
+    # P at the first prime one pivot short of the certified eval rank: the
+    # degree step certifies the rank by its kernel, takes P at the next
+    # prime where the eval matrix reaches it, and finds the same dimensions
+    # and generators
+    from arrlog import solver
+
+    A = generic(5, 3, seed=1)
+    want = [minimal_generators(A, kind) for kind in ("D", "O")]
+    row_pivots, asked = solver._eval_row_pivots, []
+
+    def short_at_the_first_prime(tgt_space, gens, d, p):
+        rows = row_pivots(tgt_space, gens, d, p)
+        asked.append((p, len(rows)))
+        return rows[:-1] if p == PRIMES[0] else rows
+
+    monkeypatch.setattr(solver, "_eval_row_pivots", short_at_the_first_prime)
+    for kind, gs in zip(("D", "O"), want):
+        got = minimal_generators(A, kind)
+        assert (got.degrees, got.dims, got.elements) == (gs.degrees, gs.dims, gs.elements), kind
+    # the D sweep has generators below its generator degree 3
+    assert any(p == PRIMES[1] and n for p, n in asked)
 
 
 class _Tagged(np.ndarray):
