@@ -83,25 +83,21 @@ class DualityReport:
     ok: bool
 
 
-def duality_dimension_check(A: Arrangement, degree_range=(-6, 2), shift=None) -> DualityReport:
-    """Compare dim Omega^1(A, m)_d with dim D^{ell-1}(A, m)_{d + shift}.
+def duality_dimension_check(A: Arrangement, degree_range=(-6, 2)) -> DualityReport:
+    """Compare dim Omega^1(A, m)_d with dim D^{ell-1}(A, m)_{d + deg Q(A, m)}.
 
     The graded twist of the duality isomorphism is not normative here, so
-    the shift defaults to the value calibrated on the empty and boolean
-    arrangements (deg Q(A, m)); see calibrate_duality_shift.
+    the shift deg Q(A, m) is the one calibrated on the empty and boolean
+    arrangements; see calibrate_duality_shift.
     """
-    if shift is None:
-        shift = A.deg_Q()
+    return _duality_table(A, pick_engine(A, "O", 1), pick_engine(A, "D", A.ell - 1), degree_range, A.deg_Q())
+
+
+def _duality_table(A: Arrangement, omega, top, degree_range, shift: int) -> DualityReport:
+    """The table of dim Omega^1_d against dim D^{ell-1}_{d + shift}, read off two engines."""
     lo, hi = degree_range
-    rows = []
-    ok = True
-    for d in range(lo, hi + 1):
-        do = graded_dimension(A, "O", 1, d)
-        dd = graded_dimension(A, "D", A.ell - 1, d + shift)
-        rows.append((d, do, dd))
-        if do != dd:
-            ok = False
-    return DualityReport(arrangement=A, shift=shift, rows=rows, ok=ok)
+    rows = [(d, omega.dimension(d), top.dimension(d + shift)) for d in range(lo, hi + 1)]
+    return DualityReport(arrangement=A, shift=shift, rows=rows, ok=all(do == dd for _, do, dd in rows))
 
 
 def calibrate_duality_shift():
@@ -109,9 +105,8 @@ def calibrate_duality_shift():
 
     Returns (rule, evidence): matching shifts per example, intersected as
     offsets relative to deg Q(A, m); the surviving offset is 0, i.e.
-    shift = deg Q(A, m).  A shift matches when the table of
-    `duality_dimension_check` at that shift is ok; each example builds one
-    engine per side and reads each dimension of its tables once.
+    shift = deg Q(A, m).  Each example builds one engine per side, so
+    the tables at every candidate shift compute each dimension once.
     """
     from .library import boolean
 
@@ -123,13 +118,14 @@ def calibrate_duality_shift():
     examples.append(("boolean ell=2 mult (2,1)", b2, (-5, 2)))
     evidence = {}
     surviving = None
-    for name, A, (lo, hi) in examples:
+    for name, A, rng in examples:
         degq = A.deg_Q()
-        offsets = range(-degq - 3, degq + 4)
         omega, top = pick_engine(A, "O", 1), pick_engine(A, "D", A.ell - 1)
-        forms = [(d, omega.dimension(d)) for d in range(lo, hi + 1)]
-        tops = {e: top.dimension(e) for e in range(lo + degq + offsets[0], hi + degq + offsets[-1] + 1)}
-        matches = [offset for offset in offsets if all(tops[d + degq + offset] == n for d, n in forms)]
+        matches = [
+            offset
+            for offset in range(-degq - 3, degq + 4)
+            if _duality_table(A, omega, top, rng, degq + offset).ok
+        ]
         evidence[name] = matches
         s = set(matches)
         surviving = s if surviving is None else (surviving & s)

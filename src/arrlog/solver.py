@@ -851,7 +851,7 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     rank = family.known_rank(d)
     if rank == ncols:
         return 0, []
-    rows = _eval_row_pivots(family.space, gens, d, p0)
+    rows, E = _eval_row_pivots(family.space, gens, d, p0)
     cols = np.setdiff1d(np.arange(ncols), rows)
     K = None  # the exact kernel off P mod the field's prime, once taken
     if rank is None and len(primes) > 1:
@@ -864,11 +864,11 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     n0 = ncols - rank
     if n0 == len(rows):
         return n0, []
-    rank_eval = _certified_eval_rank(family.space, gens, d, field, n0, len(rows))
+    rank_eval = _certified_eval_rank(family.space, gens, d, field, n0, E, len(rows))
     if rank_eval == n0:
         return n0, []
     if hints_d:
-        chosen = _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, p0)
+        chosen = _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0)
         if chosen is not None:
             return n0, chosen
     if len(rows) < rank_eval:
@@ -910,7 +910,7 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     return rank_eval + len(K), new_generators(K.tolist())
 
 
-def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, p0):
+def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
     """Fill the quotient with caller-supplied exact elements if possible.
 
     Returns the selected new generators, or None when the hints do not
@@ -921,7 +921,6 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, p0):
     dimension from above.
     """
     try:
-        E = eval_matrix_mod(family.space, gens, d, p0)
         # a hint at its own degree is one eval column: its flat coordinates
         C = eval_matrix_mod(family.space, [(d, el) for el in hints_d], d, p0)
     except ZeroDivisionError:
@@ -948,32 +947,33 @@ def _completing_columns(E, C, p: int, rank_eval: int, upper: int):
 
 
 def _eval_row_pivots(tgt_space: TwistSpace, gens, d: int, p: int):
-    """Row pivots P of the eval matrix of `gens` at degree d mod p, taken from the last row.
+    """(P, E): the eval matrix E of `gens` at degree d mod p and its row pivots P, from the last row.
 
     P is the set of last nonzero coordinates of the image's vectors, so
     the image mod p projects isomorphically onto these coordinates.  One
     pivots-only elimination of the transposed matrix, its coordinates
-    reversed, gives them, and the matrix is dropped on return.  Why the
-    last rows: a vector of the kernel ends at a free column of the
-    constraint matrix, so P is free there, and the reduced kernel basis
-    on the columns off P is the set of rows of the full reduced kernel
-    basis that complete the image (those whose free column is no image
-    vector's last coordinate).  Taken from the first rows, P would give
-    other new generators, equal modulo the image, and other reported
-    elements: the sign of ziegler22's Saito constant flips.
+    reversed, gives them.  E is handed back for the caller's other reads
+    at p, so a degree step builds it once there.  Why the last rows: a
+    vector of the kernel ends at a free column of the constraint matrix,
+    so P is free there, and the reduced kernel basis on the columns off
+    P is the set of rows of the full reduced kernel basis that complete
+    the image (those whose free column is no image vector's last
+    coordinate).  Taken from the first rows, P would give other new
+    generators, equal modulo the image, and other reported elements: the
+    sign of ziegler22's Saito constant flips.
     """
     if not TwistSpace(tgt_space.ell, tuple(e for e, _ in gens)).dim(d):
-        return []
+        return [], np.zeros((tgt_space.dim(d), 0), dtype=np.int64)
     E = eval_matrix_mod(tgt_space, gens, d, p)
     last = E.shape[0] - 1
-    return sorted(last - r for r in rref_mod(E[::-1].T, p, reduced=False)[1])
+    return sorted(last - r for r in rref_mod(E[::-1].T, p, reduced=False)[1]), E
 
 
 def _eval_row_pivots_at_rank(tgt_space: TwistSpace, gens, d: int, primes, rank: int):
     """`_eval_row_pivots` at the first of `primes` where the eval matrix has rank `rank`."""
     for p in primes:
         try:
-            rows = _eval_row_pivots(tgt_space, gens, d, p)
+            rows = _eval_row_pivots(tgt_space, gens, d, p)[0]
         except ZeroDivisionError:
             continue
         if len(rows) == rank:
@@ -981,14 +981,14 @@ def _eval_row_pivots_at_rank(tgt_space: TwistSpace, gens, d: int, primes, rank: 
     raise SolverError(f"no prime reaches the certified eval rank {rank} at degree {d}")
 
 
-def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, rank=None):
+def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, E0=None, rank=None):
     """Exact rank over `field` of the evaluation map of `gens` at degree d.
 
-    The rank is taken first mod p0, the prime of `_eval_prime` (`rank`,
-    when the caller already has it there).  That rank bounds the rank over
-    `field` from below, so it is exact when it reaches `upper` (an upper
-    bound the caller knows, or None) or the number of columns, or when p0
-    is the field's own prime.  Otherwise the rank is certified by
+    The rank is taken first mod p0, the prime of `_eval_prime` (`E0` and
+    `rank` are the eval matrix and its rank there, when the caller already
+    has them).  That rank bounds the rank over `field` from below, so it
+    is exact when it reaches `upper` (an upper bound the caller knows, or
+    None) or the number of columns, or when p0 is the field's own prime.  Otherwise the rank is certified by
     exhibiting the whole kernel, lifted from the ladder primes: every
     candidate relation must vanish exactly.
     """
@@ -998,9 +998,9 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, rank
     ncols = src.dim(d)
     if ncols == 0:
         return 0
-    E0 = None
-    if rank is None:
+    if E0 is None:
         E0 = eval_matrix_mod(tgt_space, gens, d, p0)
+    if rank is None:
         rank = rank_mod(E0, p0)
     if rank in (upper, ncols) or len(primes) == 1:
         return rank
@@ -1011,7 +1011,7 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, rank
         return None
 
     def build(p):
-        return E0 if p == p0 and E0 is not None else eval_matrix_mod(tgt_space, gens, d, p)
+        return E0 if p == p0 else eval_matrix_mod(tgt_space, gens, d, p)
 
     return kernel_qq_candidates(build, ncols, accept)[0]
 

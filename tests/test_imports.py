@@ -192,7 +192,7 @@ def test_defaulted_public_parameter_count():
         if path.name != "cli.py"
         for option in defaulted_public_parameters(path.read_text())
     ]
-    assert len(options) == 45, options
+    assert len(options) == 44, options
 
 
 def uncalled_options(defining, callers):

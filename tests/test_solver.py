@@ -709,9 +709,9 @@ def test_a_bad_first_prime_for_the_eval_pivots_gives_the_same_step(monkeypatch):
     row_pivots, asked = solver._eval_row_pivots, []
 
     def short_at_the_first_prime(tgt_space, gens, d, p):
-        rows = row_pivots(tgt_space, gens, d, p)
+        rows, E = row_pivots(tgt_space, gens, d, p)
         asked.append((p, len(rows)))
-        return rows[:-1] if p == PRIMES[0] else rows
+        return (rows[:-1] if p == PRIMES[0] else rows), E
 
     monkeypatch.setattr(solver, "_eval_row_pivots", short_at_the_first_prime)
     for kind, gs in zip(("D", "O"), want):
