@@ -19,6 +19,16 @@ Where the entries sit, and their integer factors, depend only on
 (ell, k, m, N): `divisibility_pattern` computes that once per process
 with monomial-rank arithmetic, and a table for one form is a few gathers
 over the powers of its coefficients.
+
+The table is the quotient map S -> S/(alpha^m) in the basis y^t * r of
+its rows, and that map is a ring map.  So the table of c * g is the
+image of c (the table of c at its own degree) times the table of g, and
+multiplying by the image of c is a map between two degrees of the
+quotient that depends on the image's entries alone: at row
+(u + s, q * x^mu) and column (u, q) it holds the coefficient of
+y^s x^mu in the image.  `product_pattern` places those entries once per
+(ell, m, degree, degree of c), so a constraint block c * g is a small
+table at the degree of g and one matrix product.
 """
 
 from __future__ import annotations
@@ -124,6 +134,43 @@ class _DivisibilityPattern:
 @lru_cache(maxsize=None)
 def divisibility_pattern(ell: int, k: int, m: int, N: int) -> _DivisibilityPattern:
     return _DivisibilityPattern(ell, k, m, N)
+
+
+def quotient_dim(ell: int, m: int, N: int) -> int:
+    """Rows of the degree-N table: the dimension of S/(alpha^m) in degree N."""
+    return _quotient_offsets(ell, m, N)[m]
+
+
+def _quotient_offsets(ell: int, m: int, N: int) -> list:
+    """Where block t of the rows of the degree-N table starts, for t = 0..m."""
+    offsets = [0]
+    for t in range(m):
+        offsets.append(offsets[-1] + len(monomial_exponents(ell - 1, N - t)))
+    return offsets
+
+
+@lru_cache(maxsize=None)
+def product_pattern(ell: int, m: int, a: int, D: int):
+    """Layout of multiplication by a degree-D image from degree a to a + D of S/(alpha^m).
+
+    Returns (nrows, ncols, cells, value_of): for an image c (a vector in
+    the row basis of the degree-D table), the nrows x ncols matrix of
+    multiplication by c holds c[value_of[i]] at the flat position
+    cells[i], and zeros elsewhere.  Rows and columns are those of the
+    tables at degrees a + D and a.
+    """
+    rows = _quotient_offsets(ell, m, a + D)
+    cols = _quotient_offsets(ell, m, a)
+    vals = _quotient_offsets(ell, m, D)
+    cells, value_of = [], []
+    for u in range(m):
+        Q = monomial_exponents(ell - 1, a - u)
+        for s in range(m - u):
+            mus = monomial_exponents(ell - 1, D - s)
+            at = rows[u + s] + monomial_rank(Q[:, None, :] + mus[None, :, :])
+            cells.append((at * cols[m] + cols[u] + np.arange(len(Q))[:, None]).ravel())
+            value_of.append(np.broadcast_to(vals[s] + np.arange(len(mus)), at.shape).ravel())
+    return rows[m], cols[m], np.concatenate(cells), np.concatenate(value_of)
 
 
 def _powers_mod(x: int, top: int, p: int) -> np.ndarray:

@@ -224,8 +224,11 @@ def _addmul(C, X, Y, p):
     of at most `_INNER_CHUNK` columns of X multiplies [2**14 X mod p | X]
     by [Y_hi; Y_lo]: at most 2048 terms below 2**28 * 2**14, so the sum
     plus C stays below 2**53 and every partial sum is an exact integer.
+    Empty operands leave C as it is.
     """
     m, k = X.shape
+    if not (C.size and k):
+        return
     w = min(C.shape[1], _UPDATE_COLS)
     t = np.empty((m, w))
     r = np.empty((m, w), dtype=np.int64)

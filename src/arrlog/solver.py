@@ -49,11 +49,12 @@ check (`_completing_columns`).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -62,12 +63,13 @@ from .fields import GF, Rationals
 from .linalg import Echelon, Matrix, inverse
 from .modular import (
     PRIMES,
+    _addmul,
     kernel_mod,
     kernel_qq_candidates,
     rank_mod,
     rref_mod,
 )
-from .divisibility import divisibility_table_mod, monomial_exponents, monomial_rank
+from .divisibility import divisibility_table_mod, monomial_exponents, monomial_rank, product_pattern, quotient_dim
 from .poly import (
     LinearForm,
     Poly,
@@ -283,7 +285,7 @@ class _Engine:
         else:
             degree = sum(A.mult[h] for h in complement)
             self.space = TwistSpace(A.ell, tuple(-(degree + e) for e in exponents))
-        self._carrier_cache = {}
+        self._images = {}
         self._dims = {}
 
     def known_rank(self, d: int):
@@ -293,24 +295,85 @@ class _Engine:
     def numerator_degree(self, d: int) -> int:
         return d if self.kind == "D" else d + self.A.deg_Q()
 
-    def _conditions_exact(self, h: int):
-        """Conditions of hyperplane h over the host field: [(block i, carrier Poly)].
+    def _numerators(self, p: int):
+        """The base elements' numerators mod p as dense columns, one group per degree.
 
-        One list per condition of `condition_terms`, in its order; the
-        carriers of a condition are its polynomial on the base elements.
-        Zero carriers are left out, and a condition without carriers
-        stays, for its zero block of rows.
+        A list of (D, blocks, C): numerator b of base element blocks[j],
+        of degree D, is column j * binom(ell, order) + b of C, a
+        dim S_D x width int64 matrix.  Kept in `_images` per (kind,
+        order, p), so the engines over one base share it.
         """
-        conds = self._carrier_cache.get(h)
-        if conds is None:
-            conds = []
-            for terms in condition_terms(self.kind, self.order, self.A.forms[h]):
-                carriers = ((i, _condition_poly(cv.numerators, terms)) for i, cv in enumerate(self._basis))
-                conds.append([(i, w) for i, w in carriers if not w.is_zero()])
-            self._carrier_cache[h] = conds
-        return conds
+        key = (self.kind, self.order, p)
+        found = self._images.get(key)
+        if found is None:
+            by_degree = {}
+            for i, cv in enumerate(self._basis):
+                D = cv.numerator_degree()
+                if D is not None:
+                    by_degree.setdefault(D, []).append(i)
+            found = []
+            nnum = comb(self.A.ell, self.order)
+            for D, blocks in sorted(by_degree.items()):
+                C = np.zeros((dim_homogeneous(self.A.ell, D), len(blocks) * nnum), dtype=np.int64)
+                for j, i in enumerate(blocks):
+                    for b, f in enumerate(self._basis[i].numerators):
+                        if f.terms:
+                            at = monomial_rank(np.array(list(f.terms), dtype=np.int64))
+                            C[at, j * nnum + b] = [_coeff_mod(c, p) for c in f.terms.values()]
+                found.append((D, blocks, C))
+            self._images[key] = found
+        return found
+
+    def _reduced_carriers(self, h: int, p: int):
+        """(alpha, nconds, images): hyperplane h's carriers reduced mod alpha^m at p.
+
+        alpha is h's form mod p.  The carrier of condition ci on block i
+        is the condition's combination of base element i's numerators
+        (`condition_terms`), and reduction mod alpha^m is linear, so the
+        numerators of one degree D are reduced by one table and one
+        product, and combined by a second.  images[D] holds the images in
+        S/(alpha^m), at D, of the carriers on the blocks of the `_numerators`
+        group of degree D: row j * nconds + ci is condition ci's carrier
+        on the group's block j.  Kept in `_images` per (kind, order,
+        form, m, p).
+        """
+        form, m = self.A.forms[h], self.A.mult[h]
+        key = (self.kind, self.order, form.coeffs, m, p)
+        found = self._images.get(key)
+        if found is None:
+            alpha = _form_mod(form, p)
+            conds = condition_terms(self.kind, self.order, form)
+            nnum = comb(self.A.ell, self.order)
+            W = np.zeros((len(conds), nnum), dtype=np.int64)
+            for ci, terms in enumerate(conds):
+                for b, c in terms:
+                    W[ci, b] = _coeff_mod(c, p)
+            images = {}
+            for D, blocks, C in self._numerators(p) if conds else ():
+                table = divisibility_table_mod(alpha, m, D)
+                R = table.shape[0]
+                numerators = np.zeros((R, C.shape[1]), dtype=np.int64)
+                _addmul(numerators, table, C, p)
+                carriers = np.zeros((len(conds), len(blocks) * R), dtype=np.int64)
+                _addmul(carriers, W, numerators.reshape(R, len(blocks), nnum).transpose(2, 1, 0).reshape(nnum, -1), p)
+                images[D] = carriers.reshape(len(conds), len(blocks), R).transpose(1, 0, 2).reshape(-1, R)
+            found = self._images[key] = (alpha, len(conds), images)
+        return found
 
     def build_mod(self, d: int, p: int, cols=None) -> np.ndarray:
+        """Constraint matrix mod p of the piece at degree d, on the columns `cols`.
+
+        The rows of hyperplane h are, per condition, the table of alpha^m
+        at the numerator degree N applied to sum_i carrier_i * g_i.  The
+        table is the ring map S -> S/(alpha^m), so block i is the
+        multiplication by the reduced carrier (`_reduced_carriers`) from
+        the quotient at the block degree to the quotient at N
+        (`product_pattern`), times the table at the block degree.  The
+        blocks whose carriers have one degree D share the block degree
+        N - D, so each hyperplane takes one table and one exact product
+        per D, on the columns that any of those blocks keeps.  A degree-0
+        carrier, as in the ambient engine, scales the table.
+        """
         ell = self.A.ell
         block_degs = self.space.block_degrees(d)
         ncols = self.space.dim(d) if cols is None else len(cols)
@@ -318,25 +381,56 @@ class _Engine:
             return np.zeros((0, ncols), dtype=np.int64)
         N = self.numerator_degree(d)
         block_cols = _block_columns([dim_homogeneous(ell, bd) for bd in block_degs], cols)
-        blocks = []
+        groups = []
+        for D, blocks, _ in self._numerators(p):
+            if N - D < 0:
+                continue
+            if cols is None:
+                U, at = slice(None), [slice(None)] * len(blocks)
+            else:
+                U = np.unique(np.concatenate([block_cols[i][0] for i in blocks]))
+                at = [np.searchsorted(U, block_cols[i][0]) for i in blocks]
+            groups.append((D, blocks, U, at))
+        rational = isinstance(self.field, Rationals)
+        stacked = []
         for h in self.complement:
-            # rows of the table transposed, so that the carrier products
-            # gather contiguous rows
-            tableT = divisibility_table_mod(_form_mod(self.A.forms[h], p), self.A.mult[h], N).T.copy()
-            nrows = tableT.shape[1]
-            conds = self._conditions_exact(h)
-            M = np.zeros((nrows * len(conds), ncols), dtype=np.int64)
-            for ci, terms in enumerate(conds):
-                for i, carrier in terms:
-                    bd = block_degs[i]
-                    if bd < 0:
-                        continue
+            m = self.A.mult[h]
+            alpha, nconds, images = self._reduced_carriers(h, p)
+            nrows = quotient_dim(ell, m, N)
+            M = np.zeros((nconds * nrows, ncols), dtype=np.int64)
+            for D, blocks, U, at in groups if nconds else ():
+                bd = N - D
+                if D == 0:
+                    table = divisibility_table_mod(alpha, m, bd)
+                    scale = images[D].reshape(len(blocks), nconds, 1, 1)
+                    for j, i in enumerate(blocks):
+                        local, out = block_cols[i]
+                        M[:, out] = (scale[j] * table[:, local] % p).reshape(nconds * nrows, -1)
+                    continue
+                # over F_p every build is at the field's prime, and the
+                # deletions of an arrangement, which share its base, build
+                # the same small products again: those are kept on all
+                # columns; over Q each ladder prime is a new key
+                shared = not rational and len(blocks) * nconds * nrows * dim_homogeneous(ell, bd) <= _SHARED_CELLS
+                key = (self.kind, self.order, self.A.forms[h].coeffs, m, p, D, bd)
+                P = self._images.get(key) if shared else None
+                if P is None:
+                    table = divisibility_table_mod(alpha, m, bd)
+                    R, c, cells, value_of = product_pattern(ell, m, bd, D)
+                    X = np.zeros((len(blocks) * nconds, R * c), dtype=np.int64)
+                    X[:, cells] = images[D][:, value_of]
+                    Y = table if shared else table[:, U]
+                    P = np.zeros((len(X) * R, Y.shape[1]), dtype=np.int64)
+                    _addmul(P, X.reshape(-1, c), Y, p)
+                    if shared:
+                        self._images[key] = P
+                for j, i in enumerate(blocks):
                     local, out = block_cols[i]
-                    M[ci * nrows : (ci + 1) * nrows, out] = _carrier_product(tableT, carrier, ell, bd, p, local).T
-            blocks.append(M)
-        if not blocks:
+                    M[:, out] = P[j * nconds * nrows : (j + 1) * nconds * nrows, local if shared else at[j]]
+            stacked.append(M)
+        if not stacked:
             return np.zeros((0, ncols), dtype=np.int64)
-        return np.vstack(blocks)
+        return np.vstack(stacked)
 
     def to_coeffvector(self, element, d: int) -> CoeffVector:
         ell = self.A.ell
@@ -410,6 +504,9 @@ class FreeBase:
     exponents: list
     d_basis: list  # CoeffVector
     omega_numerators: list  # tuple[Poly] per basis form, over Q(arrangement)
+    #: numerators, reduced carriers and small F_p products mod p, keyed
+    #: by tuples of different lengths and shared by the engines over this base
+    _images: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def boolean_like_base(A: Arrangement) -> FreeBase:
@@ -430,9 +527,20 @@ def boolean_like_base(A: Arrangement) -> FreeBase:
             break
     if len(idxs) < ell:
         raise SolverError("arrangement not essential")
-    T = Matrix(fld, [A.forms[i].coeffs for i in idxs])
+    return _boolean_base(tuple(A.forms[i] for i in idxs))
+
+
+@lru_cache(maxsize=4)
+def _boolean_base(forms) -> FreeBase:
+    """The boolean base on `forms`: one object per tuple, so that the
+    engines of an arrangement's deletions share its carriers.  The
+    deletions of one arrangement are built together, so a few recent
+    bases are enough."""
+    fld = forms[0].field
+    ell = len(forms)
+    T = Matrix(fld, [f.coeffs for f in forms])
     Tinv = inverse(T)
-    u = [A.forms[i].as_poly() for i in idxs]
+    u = [f.as_poly() for f in forms]
     d_basis = []
     for i in range(ell):
         nums = tuple(u[i].scale(Tinv.rows[k][i]) for k in range(ell))
@@ -442,7 +550,7 @@ def boolean_like_base(A: Arrangement) -> FreeBase:
         P_i = product([u[j] for j in range(ell) if j != i], field=fld, ell=ell)
         omega.append(tuple(P_i.scale(T.rows[i][k]) for k in range(ell)))
     return FreeBase(
-        arrangement=Arrangement(fld, ell, [A.forms[i] for i in idxs], [1] * ell),
+        arrangement=Arrangement(fld, ell, list(forms), [1] * ell),
         exponents=[1] * ell,
         d_basis=d_basis,
         omega_numerators=omega,
@@ -526,36 +634,14 @@ class RelativeEngine(_Engine):
                 raise SolverError(f"base hyperplane {f} (multiplicity {m}) is not in the arrangement")
             in_base.add(i)
         super().__init__(A, kind, 1, basis, base.exponents, [i for i in range(A.n) if i not in in_base])
+        self._images = base._images
 
     # perfbench traces each engine's builds through its own class dict
     build_mod = _Engine.build_mod
 
 
-#: cells gathered at once when a carrier multiplies a divisibility table
-_GATHER_CELLS = 1 << 20
-
-
-def _carrier_product(tableT, carrier: Poly, ell: int, bd: int, p: int, local=slice(None)) -> np.ndarray:
-    """Transposed table of g -> carrier * g on S_bd, reduced mod p.
-
-    Column r of the table of the product is sum_t c_t * table[:, tab_t[r]]
-    over the carrier terms c_t * x^(mu_t), tab_t = shift_table(ell, bd, mu_t).
-    Only the columns `local` of S_bd are gathered.  Products are below
-    2**56, so a sum of up to 127 of them plus an entry below p stays
-    inside int64.
-    """
-    tabs = np.stack([shift_table(ell, bd, cm) for cm in carrier.terms])[:, local]
-    coeffs = np.array([_coeff_mod(c, p) for c in carrier.terms.values()], dtype=np.int64)
-    nterms, dimg = tabs.shape
-    step = max(1, min(127, _GATHER_CELLS // max(dimg * tableT.shape[1], 1)))
-    out = None
-    for s in range(0, nterms, step):
-        gathered = tableT[tabs[s : s + step]]
-        gathered *= coeffs[s : s + step, None, None]
-        part = gathered[0] if len(gathered) == 1 else gathered.sum(axis=0)
-        out = part if out is None else np.add(out, part, out=out)
-        np.mod(out, p, out=out)
-    return out
+#: cells of the largest constraint product an F_p engine keeps on its base
+_SHARED_CELLS = 1 << 12
 
 
 def _block_columns(sizes, cols):
@@ -1161,23 +1247,67 @@ def _generator_set(A, kind, order, eng, res: SweepResult, rng, stopped):
 
 
 def _saito_constant(A: Arrangement, cvs):
-    """c with det(coefficient matrix) = c * Q(A, m), or None."""
-    from .poly import poly_det, divide_by_linear
+    """c with det(coefficient matrix) = c * Q(A, m), or None when c = 0.
 
-    entries = [list(cv.numerators) for cv in cvs]
-    det = poly_det(entries)
-    if det.is_zero():
+    The generators are members of D(A, m) whose degrees sum to deg Q, so
+    det = c * Q with c a constant (Saito's lemma).  The ring map
+    x -> (1, z, ..., z^(ell-1)) sends Q to a nonzero univariate
+    polynomial, so c is the ratio of the leading coefficients of the two
+    images, and c = 0 exactly when the image of det vanishes.  Each row
+    is scaled to integer coefficients, so the image of det is taken in
+    Z[z] and reduced into the field at the end.
+    """
+    fld = A.field
+    rows, scale = [], 1
+    for cv in cvs:
+        s = lcm(*(Fraction(c).denominator for f in cv.numerators for c in f.terms.values()))
+        scale *= s
+        row = []
+        for f in cv.numerators:
+            image = {}
+            for mono, c in f.terms.items():
+                e = sum(i * k for i, k in enumerate(mono))
+                image[e] = image.get(e, 0) + int(c * s)
+            row.append(image)
+        rows.append(row)
+    det = {e: fld.of(c) for e, c in _univariate_det(rows).items()}
+    top = max((e for e, c in det.items() if c), default=None)
+    if top is None:
         return None
-    f = det
+    lead_q = fld.one
     for alpha, m in zip(A.forms, A.mult):
+        a = [c for c in alpha.coeffs if c][-1]
         for _ in range(m):
-            q, r = divide_by_linear(f, alpha)
-            if not r.is_zero():
-                return None
-            f = q
-    if f.is_zero() or f.total_degree() != 0:
-        return None
-    return f.coeff((0,) * A.ell)
+            lead_q = fld.mul(lead_q, a)
+    return fld.div(det[top], fld.mul(fld.of(scale), lead_q))
+
+
+def _univariate_det(rows) -> dict:
+    """Determinant of a square matrix over Z[z], entries {exponent: int}.
+
+    Laplace expansion along the rows, each minor (a set of columns)
+    computed once.
+    """
+    n = len(rows)
+    minors = {(): {0: 1}}
+
+    def minor(cols):
+        found = minors.get(cols)
+        if found is None:
+            found = {}
+            r = n - len(cols)
+            for j, c in enumerate(cols):
+                if not rows[r][c]:
+                    continue
+                sub = minor(cols[:j] + cols[j + 1 :])
+                sign = -1 if j % 2 else 1
+                for e1, a in rows[r][c].items():
+                    for e2, b in sub.items():
+                        found[e1 + e2] = found.get(e1 + e2, 0) + sign * a * b
+            minors[cols] = found
+        return found
+
+    return minor(tuple(range(n)))
 
 
 def free_piece_dimension(ell: int, exponents, d: int) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from arrlog.fields import GF, QQ
-from arrlog.library import grr3, ziegler22
+from arrlog.library import braid, generic, grr3, ziegler22
 from arrlog.modular import PRIMES
 from arrlog.divisibility import divisibility_table_mod, monomial_exponents, monomial_rank
 from arrlog.poly import LinearForm, Poly, divisibility_row_data, monomial_basis, monomial_index
@@ -22,9 +22,12 @@ from arrlog.solver import (
     AmbientEngine,
     RelativeEngine,
     _coeff_mod,
+    _condition_poly,
     _form_mod,
     boolean_like_base,
     condition_terms,
+    free_base_from_saito,
+    saito_check,
     shift_table,
 )
 
@@ -130,6 +133,15 @@ def oracle_ambient_build(eng, d, p):
     return np.vstack(blocks)
 
 
+def oracle_carriers(eng, h):
+    """Per condition of hyperplane h: [(block i, carrier Poly)], zero carriers left out."""
+    conds = []
+    for terms in condition_terms(eng.kind, eng.order, eng.A.forms[h]):
+        carriers = ((i, _condition_poly(cv.numerators, terms)) for i, cv in enumerate(eng._basis))
+        conds.append([(i, w) for i, w in carriers if not w.is_zero()])
+    return conds
+
+
 def oracle_relative_build(eng, d, p):
     ell = eng.A.ell
     block_degs = eng.space.block_degrees(d)
@@ -141,7 +153,7 @@ def oracle_relative_build(eng, d, p):
     blocks = []
     for h in eng.complement:
         dense = oracle_table(_form_mod(eng.A.forms[h], p), eng.A.mult[h], N)
-        conds = eng._conditions_exact(h)
+        conds = oracle_carriers(eng, h)
         M = np.zeros((dense.shape[0] * len(conds), ncols), dtype=np.int64)
         for ci, terms in enumerate(conds):
             r = slice(ci * dense.shape[0], (ci + 1) * dense.shape[0])
@@ -292,9 +304,69 @@ def test_relative_build_mod_matches_oracle_on_ziegler22(p):
 
 
 def test_ambient_build_mod_with_multiplicities():
-    # multiplicities above one give tables with m > 1 inside the engine
+    # multiplicities above one give tables with m > 1 inside the engine;
+    # the ambient carriers are constants, which scale the table
     A = grr3(3, GF(7))
     A = type(A)(A.field, A.ell, A.forms, [1 + i % 3 for i in range(A.n)])
-    eng = AmbientEngine(A, "D", 1)
-    for d in (0, 3, 6):
-        assert np.array_equal(eng.build_mod(d, 7), oracle_ambient_build(eng, d, 7))
+    rng = np.random.default_rng(3)
+    for kind, degrees in (("D", (0, 3, 6)), ("O", (-A.deg_Q(), -A.deg_Q() + 2, -A.deg_Q() + 4))):
+        eng = AmbientEngine(A, kind, 1)
+        for d in degrees:
+            want = oracle_ambient_build(eng, d, 7)
+            assert np.array_equal(eng.build_mod(d, 7), want), (kind, d)
+            cols = np.flatnonzero(rng.random(want.shape[1]) < 0.5)
+            assert np.array_equal(eng.build_mod(d, 7, cols), want[:, cols]), (kind, d)
+
+
+@pytest.mark.parametrize("p", LADDER)
+def test_relative_build_mod_matches_oracle_on_the_cut_engine(p):
+    # the engine of a generic cut over ziegler22's Saito base: one
+    # complement hyperplane, carriers of degree 13 to 21
+    A1 = ziegler22()
+    A = A1.add_hyperplane(LinearForm(QQ, [1, 3, 7, 20]))
+    assert A.is_simple()
+    eng = RelativeEngine(A, "O", free_base_from_saito(saito_check(A1)))
+    assert sorted(eng.numerator_degree(0) - bd for bd in eng.space.block_degrees(0)) == [13, 15, 17, 21]
+    for d in (-9, -4, -2):
+        want = oracle_relative_build(eng, d, p)
+        assert np.array_equal(eng.build_mod(d, p), want), d
+    # columns that leave out the whole second block and half of the others
+    sizes = [len(monomial_basis(4, bd)) if bd >= 0 else 0 for bd in eng.space.block_degrees(-2)]
+    assert all(sizes)
+    start = np.cumsum([0] + sizes)
+    rng = np.random.default_rng(p % 1000)
+    cols = np.array([c for c in range(start[-1]) if not start[1] <= c < start[2] and rng.random() < 0.5])
+    assert np.array_equal(eng.build_mod(-2, p, cols), want[:, cols])
+
+
+def test_relative_build_mod_matches_oracle_on_a_saito_base_over_fp():
+    # carriers of degrees 1, 2 and 3: one block degree comes back with
+    # another carrier degree as d grows
+    p = 1009
+    A1, _ = braid(4, GF(p)).essentialize()
+    A = A1.add_hyperplane(LinearForm(GF(p), [1, 5, 17]))
+    base = free_base_from_saito(saito_check(A1))
+    for kind, degrees in (("D", range(0, 9)), ("O", range(-A.n, 1))):
+        eng = RelativeEngine(A, kind, base)
+        for d in degrees:
+            want = oracle_relative_build(eng, d, p)
+            assert np.array_equal(eng.build_mod(d, p), want), (kind, d)
+            cols = np.arange(0, want.shape[1], 3)
+            assert np.array_equal(eng.build_mod(d, p, cols), want[:, cols]), (kind, d)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_relative_build_mod_matches_oracle_on_generic_fp(seed):
+    # the engines of the F_p Euler ledgers: generic rank-3 arrangements
+    # over F_1009, both kinds, and a deletion
+    p = 1009
+    A = generic(6, 3, seed=seed, field=GF(p))
+    rng = np.random.default_rng(seed)
+    for B in (A, A.delete(4)):
+        for kind, degrees in (("D", range(0, B.n + 1)), ("O", range(-B.n, 1))):
+            eng = RelativeEngine(B, kind)
+            for d in degrees:
+                want = oracle_relative_build(eng, d, p)
+                assert np.array_equal(eng.build_mod(d, p), want), (kind, d)
+                cols = np.flatnonzero(rng.random(want.shape[1]) < 0.4)
+                assert np.array_equal(eng.build_mod(d, p, cols), want[:, cols]), (kind, d)

@@ -11,6 +11,7 @@ from arrlog.linalg import Matrix, kernel_basis, rref
 from arrlog.modular import (
     PRIMES,
     ModulusTooLarge,
+    _addmul,
     kernel_mod,
     kernel_qq_candidates,
     rank_mod,
@@ -169,6 +170,25 @@ def test_rref_mod_worst_case_entries():
     A = np.full((120, 200), p - 1, dtype=np.int64)
     A[np.arange(120), 3 * np.arange(120) // 2] = p - 2
     _assert_same_rref(A, p)
+
+
+@pytest.mark.parametrize("p", [7, PRIMES[0]])
+def test_addmul_is_exact_and_empty_operands_are_a_no_op(p):
+    rng = np.random.default_rng(p % 1000)
+    X = rng.integers(0, p, (5, 1100))
+    Y = rng.integers(0, p, (1100, 300))
+    C = rng.integers(0, p, (5, 300))
+    want = [[(int(C[i, j]) + sum(int(a) * int(b) for a, b in zip(X[i], Y[:, j]))) % p for j in range(300)]
+            for i in range(5)]
+    _addmul(C, X, Y, p)
+    assert C.tolist() == want
+    # a zero-width C (a constraint block whose columns are all left out),
+    # an empty inner dimension, and no rows
+    for c, x, y in (((5, 0), (5, 4), (4, 0)), ((5, 3), (5, 0), (0, 3)), ((0, 3), (0, 4), (4, 3))):
+        C = rng.integers(0, p, c)
+        before = C.copy()
+        _addmul(C, rng.integers(0, p, x), rng.integers(0, p, y), p)
+        assert np.array_equal(C, before)
 
 
 def test_rref_mod_more_than_1024_pivots():

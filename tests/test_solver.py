@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrlog.arrangement import validate
+from arrlog.arrangement import Arrangement, validate
 from arrlog.fields import GF, QQ
 from arrlog.library import boolean, braid, generic, grr3, nine4d, ziegler22
 from arrlog.linalg import Matrix, rank
@@ -551,6 +551,55 @@ def test_saito_exit_no_saito_basis(field, monkeypatch):
     assert gs.dims == {d: free_piece_dimension(3, [1, 2, 3], d) for d in range(7)}
     assert gs.degree_bound_used == (0, 6) and not gs.stopped_early
     assert saito_check(A, degree_bound=4).reason == "not free up to bound"
+
+
+def oracle_saito_constant(A, cvs):
+    """The determinant of the numerators over S, divided by each form in turn."""
+    from arrlog.poly import divide_by_linear, poly_det
+
+    f = poly_det([list(cv.numerators) for cv in cvs])
+    if f.is_zero():
+        return None
+    for alpha, m in zip(A.forms, A.mult):
+        for _ in range(m):
+            f, r = divide_by_linear(f, alpha)
+            assert r.is_zero()
+    assert f.total_degree() == 0
+    return f.coeff((0,) * A.ell)
+
+
+def _rescaled_ziegler22():
+    rng = random.Random(5)
+    forms = [LinearForm(QQ, [Fraction(rng.choice((-7, -2, 3, 5)), rng.randint(2, 9)) * c for c in f.coeffs])
+             for f in ziegler22().forms]
+    rng.shuffle(forms)
+    assert any(Fraction(c).denominator > 1 for f in forms for c in f.coeffs)
+    return Arrangement(QQ, 4, forms, [1] * len(forms))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        ziegler22,
+        _rescaled_ziegler22,
+        lambda: boolean(3).with_multiplicities([2, 1, 3]),
+        lambda: grr3(3, GF(13)),
+    ],
+    ids=["ziegler22", "rescaled-ziegler22", "boolean3-multiplicities", "grr3-F13"],
+)
+def test_saito_constant_matches_the_determinant_division(make):
+    from arrlog.solver import _saito_constant
+
+    A = make()
+    res = saito_check(A)
+    assert res.free
+    cvs = res.generators.representatives
+    c = _saito_constant(A, cvs)
+    assert c == oracle_saito_constant(A, cvs) == res.constant
+    assert c and type(c) is type(A.field.one)
+    # two equal rows: the determinant is 0, and so is its image
+    assert _saito_constant(A, cvs[:-1] + cvs[:1]) is None
+    assert oracle_saito_constant(A, cvs[:-1] + cvs[:1]) is None
 
 
 class _Eval(np.ndarray):
