@@ -31,7 +31,6 @@ from .solver import (
     graded_dimension,
     is_logarithmic,
     minimal_generators,
-    omega_generators_from_free,
     saito_check,
 )
 from .maps import euler_restrict_der, preparation_check, restrict_form, surjectivity_check

@@ -33,7 +33,6 @@ from .solver import (
     free_piece_dimension,
     graded_basis,
     minimal_generators,
-    omega_generators_from_free,
     saito_check,
 )
 
@@ -199,7 +198,7 @@ def claim_generic_cut_bundle(rep: Report, seeds=(101, 202, 303)):
     sr = saito_check(A1)
     lat = intersection_lattice(A1, max_codim=3)
     fb = free_base_from_saito(sr)
-    gens_src = omega_generators_from_free(fb)
+    gens_src = minimal_generators(A1, "O", base=fb)
     src_multiset = gens_src.degree_multiset()
     for seed in seeds:
         h = _sample_generic_hyperplane(A1, seed, lat, A1.ell - 1)
@@ -448,17 +447,12 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
         {"levels": {str(k): v for k, v in genericity.items()}, "fully_generic": fully},
     )
     sr = saito_check(A1)
-    fb = None
-    if sr.free:
-        pd_src = 0
-        fb = free_base_from_saito(sr)
-        gens_src = omega_generators_from_free(fb)
-    else:
-        gens_src = minimal_generators(A1, "O")
-        pd_src = None
-        if with_betti:
-            bt_src = betti_table(gens_src)
-            pd_src = bt_src.pd if bt_src.certified_free_tail else None
+    fb = free_base_from_saito(sr) if sr.free else None
+    gens_src = minimal_generators(A1, "O", base=fb)
+    pd_src = 0 if sr.free else None
+    if not sr.free and with_betti:
+        bt_src = betti_table(gens_src)
+        pd_src = bt_src.pd if bt_src.certified_free_tail else None
     hypothesis_ok = ell >= 4 and fully and pd_src is not None and pd_src <= ell - 3
     A = A1.add_hyperplane(hyper)
     sj = surjectivity_check(A, A.n - 1, kind="O", source_generators=gens_src)

@@ -13,7 +13,9 @@ hyperplanes outside the base (its complement) contribute constraints.
     basis attached to a maximal independent subset of the forms, or a
     Saito-certified free arrangement whose hyperplanes all lie in A.
     This collapses the solve sizes; the two bases must agree and are
-    cross-checked in the tests.
+    cross-checked in the tests.  Over its own Saito base a free
+    arrangement has no complement, so the sweep there certifies its
+    free module of 1-forms.
 
 The engine conditions on `condition_terms`, and it is the family of its
 module's pieces: `space`, `field`, `build_mod`, `verify` and
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
@@ -73,10 +75,12 @@ from .divisibility import divisibility_table_mod, monomial_exponents, monomial_r
 from .poly import (
     LinearForm,
     Poly,
+    Pullback,
     dim_homogeneous,
     divisible_by_linear_power,
     monomial_basis,
     monomial_index,
+    poly_det,
     product,
     sum_of_products,
 )
@@ -398,7 +402,8 @@ class _Engine:
             alpha, nconds, images = self._reduced_carriers(h, p)
             nrows = quotient_dim(ell, m, N)
             M = np.zeros((nconds * nrows, ncols), dtype=np.int64)
-            for D, blocks, U, at in groups if nconds else ():
+            # at ell = 1 the quotient S/(alpha^m) is 0 from degree m on
+            for D, blocks, U, at in groups if nconds * nrows else ():
                 bd = N - D
                 if D == 0:
                     table = divisibility_table_mod(alpha, m, bd)
@@ -562,10 +567,10 @@ def free_base_from_saito(saito_result) -> FreeBase:
 
     The base's arrangement is the one the certificate was computed for.
     The dual 1-form basis comes from the adjugate of the derivation
-    coefficient matrix and is verified exactly.
+    coefficient matrix and is verified exactly.  Those forms are the
+    minimal generators of the arrangement's 1-forms, as the sweep over
+    this base finds them: `minimal_generators(A, "O", base=fb)`.
     """
-    from .poly import poly_det
-
     if not saito_result.free:
         raise SolverError("free base needs a Saito-certified arrangement")
     gens = saito_result.generators
@@ -1253,93 +1258,22 @@ def _saito_constant(A: Arrangement, cvs):
     det = c * Q with c a constant (Saito's lemma).  The ring map
     x -> (1, z, ..., z^(ell-1)) sends Q to a nonzero univariate
     polynomial, so c is the ratio of the leading coefficients of the two
-    images, and c = 0 exactly when the image of det vanishes.  Each row
-    is scaled to integer coefficients, so the image of det is taken in
-    Z[z] and reduced into the field at the end.
+    images, and c = 0 exactly when the image of det vanishes.
     """
     fld = A.field
-    rows, scale = [], 1
-    for cv in cvs:
-        s = lcm(*(Fraction(c).denominator for f in cv.numerators for c in f.terms.values()))
-        scale *= s
-        row = []
-        for f in cv.numerators:
-            image = {}
-            for mono, c in f.terms.items():
-                e = sum(i * k for i, k in enumerate(mono))
-                image[e] = image.get(e, 0) + int(c * s)
-            row.append(image)
-        rows.append(row)
-    det = {e: fld.of(c) for e, c in _univariate_det(rows).items()}
-    top = max((e for e, c in det.items() if c), default=None)
-    if top is None:
+    z = Poly.variable(fld, 1, 0)
+    to_line = Pullback([z**i for i in range(A.ell)])
+    det = poly_det([[to_line(f) for f in cv.numerators] for cv in cvs])
+    if det.is_zero():
         return None
     lead_q = fld.one
     for alpha, m in zip(A.forms, A.mult):
         a = [c for c in alpha.coeffs if c][-1]
         for _ in range(m):
             lead_q = fld.mul(lead_q, a)
-    return fld.div(det[top], fld.mul(fld.of(scale), lead_q))
-
-
-def _univariate_det(rows) -> dict:
-    """Determinant of a square matrix over Z[z], entries {exponent: int}.
-
-    Laplace expansion along the rows, each minor (a set of columns)
-    computed once.
-    """
-    n = len(rows)
-    minors = {(): {0: 1}}
-
-    def minor(cols):
-        found = minors.get(cols)
-        if found is None:
-            found = {}
-            r = n - len(cols)
-            for j, c in enumerate(cols):
-                if not rows[r][c]:
-                    continue
-                sub = minor(cols[:j] + cols[j + 1 :])
-                sign = -1 if j % 2 else 1
-                for e1, a in rows[r][c].items():
-                    for e2, b in sub.items():
-                        found[e1 + e2] = found.get(e1 + e2, 0) + sign * a * b
-            minors[cols] = found
-        return found
-
-    return minor(tuple(range(n)))
+    return fld.div(det.terms[max(det.terms)], lead_q)
 
 
 def free_piece_dimension(ell: int, exponents, d: int) -> int:
     """Graded dimension of a free module with the given generator degrees."""
     return sum(dim_homogeneous(ell, d - e) for e in exponents)
-
-
-def omega_generators_from_free(base: FreeBase) -> GeneratorSet:
-    """Minimal 1-form generators of the free arrangement of a FreeBase.
-
-    The dual basis of the derivation basis generates the forms freely
-    (its numerator determinant is a nonzero multiple of Q^{ell-1}), so no
-    sweep is required; the dimension table is the free Hilbert function.
-    """
-    A = base.arrangement
-    degrees = [-e for e in base.exponents]
-    reps = [
-        CoeffVector("O", 1, -e, base.omega_numerators[i])
-        for i, e in enumerate(base.exponents)
-    ]
-    lo, hi = default_degree_range(A, "O")
-    dims = {d: free_piece_dimension(A.ell, degrees, d) for d in range(lo, hi + 1)}
-    order_idx = sorted(range(len(degrees)), key=lambda i: degrees[i])
-    return GeneratorSet(
-        arrangement=A,
-        kind="O",
-        order=1,
-        degrees=[degrees[i] for i in order_idx],
-        representatives=[reps[i] for i in order_idx],
-        elements=[tuple(reps[i].numerators) for i in order_idx],
-        dims=dims,
-        degree_bound_used=(lo, hi),
-        engine=AmbientEngine(A, "O", 1),
-        stopped_early=False,
-    )

@@ -2,7 +2,8 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -s) after
 asserting every sub-claim exactly; stated runtime budgets are asserted
-where the criteria pin them.
+where the criteria pin them.  The reports of criteria 2-6 are also
+compared byte for byte with their files under tests/golden/.
 """
 
 import json
@@ -28,6 +29,7 @@ from arrlog.claims import (
     run_verification_suite,
     surrogate_primes,
 )
+from test_golden import assert_golden
 
 
 def _report():
@@ -62,6 +64,7 @@ def test_criterion_2_restriction_and_genericity():
     claim_ziegler22_restriction(rep)
     elapsed = time.time() - t0
     _finish("2 restriction (1,10,11) + 2-generic-not-3-generic", rep, elapsed=elapsed)
+    assert_golden("criterion-2", rep.to_json())
 
 
 def test_criterion_3_nine4d_generators_and_surjectivity():
@@ -70,6 +73,7 @@ def test_criterion_3_nine4d_generators_and_surjectivity():
     claim_nine4d(rep)
     elapsed = time.time() - t0
     _finish("3 nine4d generator degrees + non-surjectivity", rep, budget=120, elapsed=elapsed)
+    assert_golden("criterion-3", rep.to_json())
 
 
 def test_criterion_4_criticality_counterexamples():
@@ -81,6 +85,7 @@ def test_criterion_4_criticality_counterexamples():
     for c in rep.claims:
         assert c.data["COUNTEREXAMPLE"] is True
     _finish("4 criticality counterexamples r=3,4,5 x 3 primes", rep, budget=300, elapsed=elapsed)
+    assert_golden("criterion-4", rep.to_json())
 
 
 def test_criterion_5_generic_cut_bundle_three_seeds():
@@ -90,6 +95,7 @@ def test_criterion_5_generic_cut_bundle_three_seeds():
     elapsed = time.time() - t0
     assert len(rep.claims) == 3
     _finish("5 generic-cut bundle on 3 seeds", rep, elapsed=elapsed)
+    assert_golden("criterion-5", rep.to_json())
 
 
 def test_criterion_6_property_suites():
@@ -98,6 +104,7 @@ def test_criterion_6_property_suites():
     elapsed = time.time() - t0
     assert len(rep.claims) == 7
     _finish("6 property suites", rep, elapsed=elapsed)
+    assert_golden("criterion-6", rep.to_json())
 
 
 def test_criterion_7_determinism(tmp_path):

@@ -288,7 +288,7 @@ def test_malformed_input_is_a_typed_error(args, text, tmp_path, capsys):
 
 
 SMOKE_COMMANDS = [["lattice"], ["free"], ["omega"], ["dmodule"], ["betti"], ["critical", "--k", "1"], ["generic-cut"]]
-SMOKE_INPUTS = [["@boolean:3"], ["@braid:n=4"], ["@braid:n=1"], ["@generic:n=5,ell=3,seed=1", "--field", "Fp:1009"]]
+SMOKE_INPUTS = [["@boolean:1"], ["@boolean:3"], ["@braid:n=4"], ["@braid:n=1"], ["@generic:n=5,ell=3,seed=1", "--field", "Fp:1009"]]
 SMOKE_FILES = {"empty.arr": EMPTY_FILE, "multi.arr": MULTI_FILE}
 
 

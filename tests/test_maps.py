@@ -161,13 +161,12 @@ def test_unhinted_ziegler22_cut_over_q_matches_the_hinted_sweep():
     # primes; the hinted sweep is the one the generic-cut claim makes
     from arrlog.claims import _sample_generic_hyperplane
     from arrlog.lattice import intersection_lattice
-    from arrlog.solver import omega_generators_from_free
 
     A1 = ziegler22()
     A = A1.add_hyperplane(_sample_generic_hyperplane(A1, 101, intersection_lattice(A1, max_codim=3), A1.ell - 1))
     unhinted = minimal_generators(restrict(A, A.n - 1).restricted, "O", engine="ambient")
     assert sorted(unhinted.degrees) == [-9, -7, -5, -1]
-    source = omega_generators_from_free(free_base_from_saito(saito_check(A1)))
+    source = minimal_generators(A1, "O", base=free_base_from_saito(saito_check(A1)))
     hinted = surjectivity_check(A, A.n - 1, kind="O", source_generators=source).target_generators
     assert unhinted.dims == hinted.dims
 

@@ -8,12 +8,14 @@ from arrlog.solver import (
     SolverError,
     boolean_like_base,
     free_base_from_saito,
+    default_degree_range,
+    free_piece_dimension,
     graded_dimension,
     is_logarithmic,
     minimal_generators,
-    omega_generators_from_free,
     saito_check,
 )
+from test_oracles import FREE
 
 
 def test_multiarrangement_saito():
@@ -53,20 +55,28 @@ def test_free_base_from_saito_members():
         assert is_logarithmic(A, cv)
 
 
-def test_omega_generators_from_free():
-    A = grr3(3, GF(7))
-    sr = saito_check(A)
-    gens = omega_generators_from_free(free_base_from_saito(sr))
-    assert gens.degree_multiset() == [-4, -4, -1]
-    for cv in gens.representatives:
-        assert is_logarithmic(A, cv)
-    # dimension table agrees with a direct solve at a few degrees
-    for d in (-4, -2, 0):
-        assert gens.dims[d] == graded_dimension(A, "O", 1, d)
+@pytest.mark.parametrize("name", FREE)
+def test_a_free_arrangement_sweeps_its_forms_over_its_own_saito_base(name):
+    # the base is the whole arrangement, so nothing is left to constrain:
+    # the sweep certifies the free module and keeps the dual basis
+    A = FREE[name][0]()
+    fb = free_base_from_saito(saito_check(A))
+    gens = minimal_generators(A, "O", base=fb)
+    assert gens.engine.complement == []
+    order = sorted(range(A.ell), key=lambda i: -fb.exponents[i])
+    assert gens.degrees == [-fb.exponents[i] for i in order]
+    lo, hi = gens.degree_bound_used
+    assert (lo, hi) == default_degree_range(A, "O")
+    assert gens.dims == {d: free_piece_dimension(A.ell, gens.degrees, d) for d in range(lo, hi + 1)}
+    assert [cv.numerators for cv in gens.representatives] == [tuple(fb.omega_numerators[i]) for i in order]
+
+
+def test_a_boolean_like_base_sweeps_the_forms_of_its_own_arrangement():
     # a base on ell of the n hyperplanes generates the forms of its own
     # boolean subarrangement
-    sub = omega_generators_from_free(boolean_like_base(A))
-    assert sub.arrangement.n == A.ell and sub.degree_multiset() == [-1, -1, -1]
+    base = boolean_like_base(grr3(3, GF(7)))
+    sub = minimal_generators(base.arrangement, "O", base=base)
+    assert sub.arrangement.n == 3 and sub.degree_multiset() == [-1, -1, -1]
     for cv in sub.representatives:
         assert is_logarithmic(sub.arrangement, cv)
 

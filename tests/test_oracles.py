@@ -7,10 +7,12 @@ multiplicity path computes.  Both are checked against Saito-certified
 exponents, over Q through both engines.
 """
 
+from itertools import combinations
+
 import pytest
 
-from arrlog.arrangement import restrict
-from arrlog.fields import GF
+from arrlog.arrangement import restrict, validate
+from arrlog.fields import GF, QQ
 from arrlog.lattice import characteristic_polynomial
 from arrlog.library import boolean, braid, grr3, ziegler22
 from arrlog.solver import (
@@ -26,9 +28,23 @@ def _braid4():
     return braid(4).essentialize()[0]
 
 
+def coxeter(ell: int, axes: bool):
+    """The reflection arrangement x_i +- x_j (i < j), with the axes x_i for type B_ell, without for D_ell."""
+    vecs = [[int(k == i) for k in range(ell)] for i in range(ell)] if axes else []
+    for i, j in combinations(range(ell), 2):
+        for sign in (1, -1):
+            v = [0] * ell
+            v[i], v[j] = 1, sign
+            vecs.append(v)
+    return validate(QQ, vecs, ell=ell)
+
+
 FREE = {
     "boolean4": (lambda: boolean(4), [1, 1, 1, 1]),
     "braid4": (_braid4, [1, 2, 3]),
+    "B3": (lambda: coxeter(3, True), [1, 3, 5]),
+    "D4": (lambda: coxeter(4, False), [1, 3, 3, 5]),
+    "B4": (lambda: coxeter(4, True), [1, 3, 5, 7]),
     "grr3-3-F7": (lambda: grr3(3, GF(7)), [1, 4, 4]),
     "ziegler22": (ziegler22, [1, 5, 7, 9]),
 }

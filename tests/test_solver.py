@@ -30,6 +30,7 @@ from arrlog.solver import (
     subsets,
     sweep_minimal_generators,
 )
+from test_oracles import coxeter
 
 
 def test_empty_arrangement_forms():
@@ -553,6 +554,14 @@ def test_saito_exit_no_saito_basis(field, monkeypatch):
     assert saito_check(A, degree_bound=4).reason == "not free up to bound"
 
 
+@pytest.mark.parametrize("m, exponents", [(1, [1]), (3, [3])])
+def test_saito_check_of_a_single_line(m, exponents):
+    # ell = 1: S/(x^m) is 0 from degree m on, so the constraint rows of
+    # those degrees are empty; x^m d/dx is the Saito basis
+    res = saito_check(boolean(1).with_multiplicities([m]))
+    assert res.free and res.exponents == exponents and res.constant == 1
+
+
 def oracle_saito_constant(A, cvs):
     """The determinant of the numerators over S, divided by each form in turn."""
     from arrlog.poly import divide_by_linear, poly_det
@@ -584,8 +593,10 @@ def _rescaled_ziegler22():
         _rescaled_ziegler22,
         lambda: boolean(3).with_multiplicities([2, 1, 3]),
         lambda: grr3(3, GF(13)),
+        lambda: coxeter(4, False),
+        lambda: coxeter(4, True),
     ],
-    ids=["ziegler22", "rescaled-ziegler22", "boolean3-multiplicities", "grr3-F13"],
+    ids=["ziegler22", "rescaled-ziegler22", "boolean3-multiplicities", "grr3-F13", "D4", "B4"],
 )
 def test_saito_constant_matches_the_determinant_division(make):
     from arrlog.solver import _saito_constant
