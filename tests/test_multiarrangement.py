@@ -7,8 +7,8 @@ from arrlog.solver import (
     CoeffVector,
     SolverError,
     boolean_like_base,
-    free_base_from_saito,
     default_degree_range,
+    free_base_from_saito,
     free_piece_dimension,
     graded_dimension,
     is_logarithmic,
