@@ -166,7 +166,8 @@ class Restriction:
     """Simple restriction of an arrangement to one of its hyperplanes.
 
     embedding rows span the hyperplane (coordinates y; points x = y @ embedding);
-    lift is a right inverse of embedding (embedding @ lift = identity).
+    the embedding is the identity off the pivot k of the hyperplane's
+    form, so the chart keeps the coordinates x_t, t != k, in order.
     image_info[j] = (class index in restricted, scalar s) with
     pullback(form_j) = s * restricted.form_class; the scalar product over
     all j is kappa, so Q(A') pulled back equals kappa * prod(forms^ziegler_mult).
@@ -176,7 +177,6 @@ class Restriction:
     restricted: Arrangement
     index: int
     embedding: Matrix
-    lift: Matrix
     image_info: list
     ziegler_mult: list
     kappa: object
@@ -210,15 +210,6 @@ def restrict(A: Arrangement, i: int) -> Restriction:
         row[k] = field.neg(field.mul(inv, a[t]))
         rows.append(row)
     B = Matrix(field, rows)
-    # right inverse: columns solve B y = e_t; B has identity in the non-pivot columns
-    lift_rows = []
-    nonpivot = [t for t in range(A.ell) if t != k]
-    for t in range(A.ell):
-        lr = [field.zero] * (A.ell - 1)
-        if t != k:
-            lr[nonpivot.index(t)] = field.one
-        lift_rows.append(lr)
-    lift = Matrix(field, lift_rows)
     # pullback of form alpha_j onto H: y -> alpha_j(y @ B) has coefficients B @ a_j
     images = []
     for j, f in enumerate(A.forms):
@@ -252,7 +243,6 @@ def restrict(A: Arrangement, i: int) -> Restriction:
         restricted=restricted,
         index=i,
         embedding=B,
-        lift=lift,
         image_info=image_info,
         ziegler_mult=class_mult,
         kappa=kappa,

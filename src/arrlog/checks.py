@@ -5,12 +5,13 @@ dichotomy, pole-degree bounds, and the plus-one extension count.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .arrangement import Arrangement, restrict, validate
 from .fields import QQ
 from .maps import certified_image_rank, restrict_generators
-from .poly import divide_by_linear
+from .poly import divisible_by_linear_power
 from .solver import (
     AmbientEngine,
     CoeffVector,
@@ -226,12 +227,6 @@ class AdditionDeletionReport:
     consistent: bool
 
 
-def _counter(xs):
-    from collections import Counter
-
-    return Counter(xs)
-
-
 def _pad(exps, length):
     exps = sorted(exps)
     while len(exps) < length:
@@ -263,36 +258,24 @@ def addition_deletion_check(A: Arrangement, i: int) -> AdditionDeletionReport:
     ed = _pad(r_del.exponents, A.ell) if r_del.free else None
     er = _pad(r_res.exponents, A.ell - 1) if r_res.free else None
 
-    def del_pattern(e):
-        c = _counter(ef)
-        c[e] -= 1
-        c[e - 1] += 1
-        return +c
-
+    cf, cd, cr = (Counter(x or ()) for x in (ef, ed, er))
     applicable = False
     consistent = True
     if ef is not None and ed is not None:
         applicable = True
-        matches = [e for e in set(ef) if _counter(ed) == del_pattern(e)]
-        if not matches:
-            consistent = False
-        else:
-            consistent = er is not None and any(
-                _counter(er) == _drop_one(ef, e) for e in matches
-            )
+        # A' lowers one exponent e of A by one; A^H drops it
+        matches = [e for e in cf if cd == cf - Counter([e]) + Counter([e - 1])]
+        consistent = bool(matches) and er is not None and any(cr == cf - Counter([e]) for e in matches)
     elif ef is not None and er is not None:
-        matches = [e for e in set(ef) if _counter(er) == _drop_one(ef, e)]
+        matches = [e for e in cf if cr == cf - Counter([e])]
         if matches:
             applicable = True
-            consistent = ed is not None and any(
-                _counter(ed) == del_pattern(e) for e in matches
-            )
+            consistent = ed is not None and any(cd == cf - Counter([e]) + Counter([e - 1]) for e in matches)
     elif ed is not None and er is not None:
-        diff = _counter(ed) - _counter(er)
-        if sum(diff.values()) == 1:
+        if (cd - cr).total() == 1:
+            # the addition theorem makes A free, and here it is not
             applicable = True
-            extra = next(iter(diff.elements()))
-            consistent = ef is not None and _counter(ef) == _counter(er + [extra + 1])
+            consistent = False
     return AdditionDeletionReport(
         free_full=r_full.free,
         free_deletion=r_del.free,
@@ -303,12 +286,6 @@ def addition_deletion_check(A: Arrangement, i: int) -> AdditionDeletionReport:
         applicable=applicable,
         consistent=consistent,
     )
-
-
-def _drop_one(exps, e):
-    c = _counter(exps)
-    c[e] -= 1
-    return +c
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +327,19 @@ def restriction_size_dichotomy(A: Arrangement):
 def has_pole_along(A: Arrangement, cv: CoeffVector, i: int) -> bool:
     """True iff the element does not lie in the deletion's module,
     i.e. some numerator is not divisible by the hyperplane's form."""
-    alpha = A.forms[i]
-    for f in cv.numerators:
-        if f.is_zero():
-            continue
-        _, r = divide_by_linear(f, alpha)
-        if not r.is_zero():
-            return True
-    return False
+    return not all(divisible_by_linear_power(f, A.forms[i], 1) for f in cv.numerators)
 
 
 def pole_degree_check(A: Arrangement):
     """Every minimal 1-form generator with a pole along H has degree at
     least |A^H| - |A|.  Returns (holds, rows)."""
     gens = minimal_generators(A, "O", 1)
+    bounds = [restrict(A, i).restricted.n - A.n for i in range(A.n)]
     rows = []
     holds = True
     for d, cv in zip(gens.degrees, gens.representatives):
-        for i in range(A.n):
+        for i, bound in enumerate(bounds):
             if has_pole_along(A, cv, i):
-                bound = restrict(A, i).restricted.n - A.n
                 ok = d >= bound
                 rows.append((d, i, bound, ok))
                 if not ok:

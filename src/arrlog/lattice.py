@@ -14,11 +14,12 @@ is computed once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 from .arrangement import Arrangement, ArrangementError
 from .linalg import Echelon
+from .poly import _int_vector
 
 
 class InLattice(ArrangementError):
@@ -60,14 +61,6 @@ def span_key(A: Arrangement, forms) -> tuple:
     for f in forms:
         e.add(f.coeffs)
     return e.key()
-
-
-def _int_vector(field, vec) -> list:
-    """vec as ints, up to a nonzero factor: residues over F_p, cleared denominators over Q."""
-    if field.char:
-        return [int(c) for c in vec]
-    den = lcm(*(c.denominator for c in vec))
-    return [int(c * den) for c in vec]
 
 
 def _direction(field, vec) -> tuple:

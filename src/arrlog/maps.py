@@ -8,6 +8,10 @@ the submodule generated by the images of its minimal generators; all the
 degreewise image computations below exploit that.  `restrict_generators`
 maps a generator set once, and `surjectivity_check` seeds the target's
 sweep with those images as hints.
+
+Everything here reads one chart on H, the `pullback` of `restrict`'s
+Restriction: both maps and the pole-coefficient test
+`preparation_check`, whose divisibility is `poly.divisible_by_linear_power`.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arrangement import Arrangement, Restriction, restrict
-from .linalg import Matrix, det, inverse
-from .poly import LinearForm, Poly, Pullback, divide_by_linear
+from .linalg import det
+from .poly import Poly, divide_by_linear, divisible_by_linear_power
 from .solver import (
     AmbientEngine,
     CoeffVector,
@@ -42,8 +46,11 @@ def euler_restrict_der(
 ) -> CoeffVector:
     """Image of a logarithmic p-vector field under the Euler restriction.
 
-    Raises NotLogarithmic if theta is not in D^p(A) (skipped when the
-    caller vouches with checked=True).
+    The chart of `res` keeps the coordinates other than the pivot of
+    alpha_H, so component T of the image is the restriction of the
+    numerator at those coordinates in positions T.  Raises NotLogarithmic
+    if theta is not in D^p(A) (skipped when the caller vouches with
+    checked=True).
     """
     if theta.kind != "D":
         raise ValueError("euler_restrict_der expects a derivation-side element")
@@ -51,35 +58,47 @@ def euler_restrict_der(
         raise NotLogarithmic("input is not logarithmic on the arrangement")
     if res is None:
         res = restrict(A, i)
-    lam = res.lift  # ell x (ell-1); columns lift the chart coordinates
-    out = _pulled_back_combinations(
-        theta, res, lambda I, T: det(lam.field, [[lam.rows[r][t] for t in T] for r in I])
+    k = A.forms[i].pivot()
+    coords = [t for t in range(A.ell) if t != k]
+    numerator = dict(zip(subsets(A.ell, theta.order), theta.numerators))
+    out = tuple(
+        res.pullback(numerator[tuple(coords[t] for t in T)])
+        for T in combinations(range(A.ell - 1), theta.order)
     )
-    return CoeffVector("D", theta.order, theta.degree, tuple(out))
+    return CoeffVector("D", theta.order, theta.degree, out)
 
 
 def restrict_form(omega: CoeffVector, A_prime: Arrangement, res: Restriction, checked: bool = False) -> CoeffVector:
     """Restriction of a logarithmic p-form on A' to a new hyperplane H.
 
     `res` is the Restriction of A = A' + H at H's index, so H is not in
-    A'.  The image lies in Omega^p of the simple restriction; when
-    collapsed multiplicities make the pulled-back form non-reducible to the
-    simple denominator the map is undefined and an error is raised.
+    A'.  Component T is the pullback of sum_I minor(I, T) * numerator_I
+    over kappa, the minors taken from the embedding; the numerators are
+    combined in the source ring, so each component is mapped once.  The
+    image lies in Omega^p of the simple restriction; when collapsed
+    multiplicities make the pulled-back form non-reducible to the simple
+    denominator the map is undefined and an error is raised.
     """
     if omega.kind != "O":
         raise ValueError("restrict_form expects a form-side element")
     if not checked and membership_failures(A_prime, omega):
         raise NotLogarithmic("input is not logarithmic on the deletion")
-    field = res.arrangement.field
+    A = res.arrangement
+    field = A.field
     B = res.embedding
     # Q(A')(y B) = kappa * prod(target forms ^ ziegler multiplicity)
     inv_kappa = field.inv(res.kappa)
-
-    def minor(I, T):
-        return field.mul(inv_kappa, det(field, [[B.rows[t][i] for i in I] for t in T]))
-
+    src_subs = subsets(A.ell, omega.order)
     out = []
-    for g in _pulled_back_combinations(omega, res, minor):
+    for T in combinations(range(A.ell - 1), omega.order):
+        acc = Poly.zero(field, A.ell)
+        for I, poly in zip(src_subs, omega.numerators):
+            if poly.is_zero():
+                continue
+            c = field.mul(inv_kappa, det(field, [[B.rows[t][i] for i in I] for t in T]))
+            if c:
+                acc = acc + poly.scale(c)
+        g = res.pullback(acc)
         for form, zm in zip(res.restricted.forms, res.ziegler_mult):
             for _ in range(zm - 1):
                 q, r = divide_by_linear(g, form)
@@ -90,27 +109,6 @@ def restrict_form(omega: CoeffVector, A_prime: Arrangement, res: Restriction, ch
                 g = q
         out.append(g)
     return CoeffVector("O", omega.order, omega.degree, tuple(out))
-
-
-def _pulled_back_combinations(cv: CoeffVector, res: Restriction, minor) -> list:
-    """For each chart subset T, the pullback of sum_I minor(I, T) * numerator_I.
-
-    The pullback is a ring map: the numerators are combined in the
-    source ring and each output coordinate is mapped once.
-    """
-    A = res.arrangement
-    src_subs = subsets(A.ell, cv.order)
-    out = []
-    for T in combinations(range(A.ell - 1), cv.order):
-        acc = Poly.zero(A.field, A.ell)
-        for I, poly in zip(src_subs, cv.numerators):
-            if poly.is_zero():
-                continue
-            c = minor(I, T)
-            if c:
-                acc = acc + poly.scale(c)
-        out.append(res.pullback(acc))
-    return out
 
 
 def restrict_generators(gens: GeneratorSet, res: Restriction) -> list:
@@ -233,42 +231,18 @@ def surjectivity_check(
 def preparation_check(omega: CoeffVector, A: Arrangement, i: int) -> bool:
     """Pole-coefficient membership test for logarithmic 1-forms.
 
-    In coordinates adapted so the chosen hyperplane is y_1 = 0, the dy_1
-    numerator of the form must lie in the ideal (alpha_H, B), where B is
-    the product of one chosen defining form per trace hyperplane: its
-    reduction mod alpha_H must be divisible by the reduction of B.
+    In coordinates where alpha_H is the first one, the numerator of its
+    differential is the dx_k numerator over a_k, k the pivot of alpha_H.
+    It must lie in the ideal (alpha_H, B), B the product of one defining
+    form per trace hyperplane: the traces are pairwise independent, so
+    the test is that each form of `res.restricted` divides the
+    restriction of the dx_k numerator to H.
     """
     if omega.kind != "O" or omega.order != 1:
         raise ValueError("preparation_check expects a 1-form")
-    field = A.field
-    ell = A.ell
-    alpha = A.forms[i]
-    k = alpha.pivot()
-    rows = [list(alpha.coeffs)]
-    for t in range(ell):
-        if t != k:
-            rows.append([field.one if s == t else field.zero for s in range(ell)])
-    T = Matrix(field, rows)
-    Tinv = inverse(T)
-    pull = Pullback.linear(field, Tinv.rows)  # x = Tinv y
-    G1 = Poly.zero(field, ell)
-    for kk in range(ell):
-        c = Tinv.rows[kk][0]
-        if c and not omega.numerators[kk].is_zero():
-            G1 = G1 + omega.numerators[kk].scale(c)
-    G1 = pull(G1)
-    # reduce mod y_1 by dropping terms with positive first exponent
-    g = Poly(field, ell, {m: c for m, c in G1.terms.items() if m[0] == 0})
     res = restrict(A, i)
-    for cls in range(res.restricted.n):
-        rep = next(j for j in range(A.n) if j != i and res.image_info[j][0] == cls)
-        bar = pull(A.forms[rep].as_poly())
-        bar = Poly(field, ell, {m: c for m, c in bar.terms.items() if m[0] == 0})
-        coeffs = [field.zero] * ell
-        for m, c in bar.terms.items():
-            coeffs[[t for t, e in enumerate(m) if e][0]] = c
-        q, r = divide_by_linear(g, LinearForm(field, coeffs))
-        if not r.is_zero():
-            return False
-        g = q
-    return True
+    traces = res.restricted.forms
+    if not traces:  # B = 1, and at ell = 1 the chart has no coordinates
+        return True
+    g = res.pullback(omega.numerators[A.forms[i].pivot()])
+    return all(divisible_by_linear_power(g, form, 1) for form in traces)

@@ -9,7 +9,7 @@ lexicographic order.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from operator import add
 
 from .fields import check_same_field
@@ -379,20 +379,12 @@ def divide_by_linear(f: Poly, alpha: LinearForm):
     return q, r
 
 
-def divisible_by_linear_power(f: Poly, alpha: LinearForm, m: int) -> bool:
-    """True iff alpha^m divides f exactly."""
-    from .fields import Rationals
-
-    if m == 1 and isinstance(f.field, Rationals):
-        return _divides_linear_rational(f, alpha)
-    g = f
-    for _ in range(m):
-        if g.is_zero():
-            return True
-        g, r = divide_by_linear(g, alpha)
-        if not r.is_zero():
-            return False
-    return True
+def _int_vector(field, vec) -> list:
+    """vec as ints, up to a nonzero factor: residues over F_p, cleared denominators over Q."""
+    if field.char:
+        return [int(c) for c in vec]
+    den = lcm(*(c.denominator for c in vec))
+    return [int(c * den) for c in vec]
 
 
 @lru_cache(maxsize=256)
@@ -415,41 +407,37 @@ def _int_linear_powers(coeffs: tuple, k: int, top: int):
     return pows
 
 
-def _divides_linear_rational(f: Poly, alpha: LinearForm) -> bool:
-    """alpha | f over Q via an integer-scaled reduction mod alpha.
+def divisible_by_linear_power(f: Poly, alpha: LinearForm, m: int) -> bool:
+    """True iff alpha^m divides f exactly.
 
-    Substituting x_k -> -L/a_k and clearing a_k powers gives
-    a_k^E (f mod alpha); f is divisible iff that vanishes.
+    With k the pivot of alpha and L = alpha - a_k x_k, substituting
+    x_k = (alpha - L) / a_k and clearing a_k powers writes a_k^E f as a
+    polynomial in alpha over the other variables (E the top x_k
+    exponent); alpha^m divides f iff its coefficients of alpha^0 ..
+    alpha^(m-1) vanish.  f and alpha are scaled to integers (residues
+    over F_p), so the expansion is integer arithmetic, with the power of
+    alpha kept in the pivot slot of each monomial.
     """
+    check_same_field(f.field, alpha.field)
     if f.is_zero():
         return True
-    from math import gcd
-
-    den = 1
-    for c in f.terms.values():
-        den = den // gcd(den, c.denominator) * c.denominator
-    aden = 1
-    for c in alpha.coeffs:
-        aden = aden // gcd(aden, c.denominator) * c.denominator
-    a = tuple(int(c * aden) for c in alpha.coeffs)
+    field = f.field
+    a = tuple(_int_vector(field, alpha.coeffs))
     k = alpha.pivot()
-    ak = a[k]
     E = max(mono[k] for mono in f.terms)
     pows = _int_linear_powers(a, k, E)
     acc: dict = {}
-    for mono, c in f.terms.items():
-        ci = int(c * den)
+    get = acc.get
+    for mono, c in zip(f.terms, _int_vector(field, f.terms.values())):
         e = mono[k]
-        rest = mono[:k] + (0,) + mono[k + 1 :]
-        scale = ci * ak ** (E - e)
-        for pm, pc in pows[e].items():
-            key = _mono_mul(rest, pm)
-            v = acc.get(key, 0) + scale * pc
-            if v:
-                acc[key] = v
-            else:
-                acc.pop(key, None)
-    return not acc
+        scale = c * a[k] ** (E - e)
+        for s in range(min(e + 1, m)):
+            lead = mono[:k] + (s,) + mono[k + 1 :]
+            cs = scale * comb(e, s)
+            for pm, pc in pows[e - s].items():
+                key = _mono_mul(lead, pm)
+                acc[key] = get(key, 0) + cs * pc
+    return not any(_reduced(field, acc).values())
 
 
 def sum_of_products(field, ell, pairs) -> Poly:

@@ -229,6 +229,13 @@ def test_preparation_check_on_log_basis():
             assert preparation_check(cv, A, i)
 
 
+def test_preparation_check_of_a_single_line():
+    # at ell = 1 the hyperplane has no traces, so every 1-form passes
+    A = boolean(1)
+    for cv in minimal_generators(A, "O").representatives:
+        assert preparation_check(cv, A, 0)
+
+
 def test_preparation_check_random_reject():
     # a non-logarithmic numerator tuple typically fails
     A = boolean(3)
@@ -346,7 +353,11 @@ def _per_TI(cv, res, coefficient):
 
 
 def euler_restrict_der_per_TI(theta, res):
-    lam = res.lift
+    # a right inverse of the embedding: identity in the non-pivot columns
+    field = res.arrangement.field
+    k = res.arrangement.forms[res.index].pivot()
+    coords = [t for t in range(res.arrangement.ell) if t != k]
+    lam = Matrix(field, [[field.one if t == c else field.zero for c in coords] for t in range(res.arrangement.ell)])
     return tuple(_per_TI(theta, res, lambda T, I: det(lam.field, [[lam.rows[i][j] for j in T] for i in I])))
 
 

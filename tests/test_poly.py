@@ -270,6 +270,33 @@ def test_divisibility_kernel_dimension_random():
             assert divisible_by_linear_power(f, alpha, m)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007)], ids=["QQ", "F7", "F10007"])
+def test_divisible_by_linear_power_is_the_divisibility_kernel(field):
+    # alpha^m | f iff f is in the kernel of the dense divisibility matrix,
+    # on alpha^j * g for j = 0 .. m + 1 and on random f; over Q the
+    # coefficients of alpha have denominators up to 4
+    rng = random.Random(25)
+    seen = {True: 0, False: 0}
+    for m in (1, 2, 3):
+        for _ in range(8):
+            ell = rng.randint(2, 4)
+            coeffs = [_random_coeff(rng, field) for _ in range(ell)]
+            if not any(coeffs):
+                coeffs[rng.randrange(ell)] = field.one
+            alpha = LinearForm(field, coeffs)
+            a = alpha.as_poly()
+            for j in range(m + 2):
+                e = rng.randint(0, 3)
+                g = _random_poly(rng, field, ell, [e], 5)
+                for f in (a**j * g, _random_poly(rng, field, ell, [j + e], 6)):
+                    M = _divisibility_matrix(j + e, alpha, m)
+                    v = [f.coeff(mono) for mono in monomial_basis(ell, j + e)]
+                    in_kernel = not any(M.mul_vec(v))
+                    assert divisible_by_linear_power(f, alpha, m) == in_kernel, (m, j, f)
+                    seen[in_kernel] += 1
+    assert seen[True] and seen[False]
+
+
 def test_poly_det_and_product():
     x = Poly.variable(QQ, 2, 0)
     y = Poly.variable(QQ, 2, 1)
