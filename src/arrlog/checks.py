@@ -247,7 +247,7 @@ def addition_deletion_check(A: Arrangement, i: int) -> AdditionDeletionReport:
     A_res = restrict(A, i).restricted
 
     def essential_saito(B):
-        if B.essential_rank != B.ell:
+        if not B.is_essential():
             B, _ = B.essentialize()
         return saito_check(B)
 
@@ -299,7 +299,7 @@ def restriction_size_dichotomy(A: Arrangement):
     Returns (holds, rows) with one row (index, |A^H|) per hyperplane.
     """
     B = A
-    if B.essential_rank != B.ell:
+    if not B.is_essential():
         B, _ = B.essentialize()
     res = saito_check(B)
     if not res.free or B.ell != 3:

@@ -292,9 +292,10 @@ def claim_saito_hilbert(rep: Report):
             ok = False
             cases.append({"name": name, "free": False})
             continue
+        # the sweep ends at the last exponent; later dims are the free ones
         dims_ok = all(
             res.generators.dims[d] == free_piece_dimension(A.ell, res.exponents, d)
-            for d in res.generators.dims
+            for d in range(max(res.exponents) + 1)
         )
         sum_ok = sum(res.exponents) == A.deg_Q()
         cases.append({"name": name, "exponents": res.exponents, "dims_ok": dims_ok, "sum_ok": sum_ok})
@@ -423,7 +424,7 @@ def generic_cut_analysis(rep: Report, A1: Arrangement, hyper, seed: int, with_be
     has rank 2 and is free, so the cut of a free source has 2 generators
     against its 3.
     """
-    if A1.essential_rank != A1.ell:
+    if not A1.is_essential():
         raise ArrangementError("generic-cut needs an essential arrangement")
     if not A1.is_simple():
         raise ArrangementError("generic-cut needs a simple arrangement")

@@ -130,7 +130,7 @@ def cmd_free(args) -> Report:
     rep = Report(command="free " + args.input, field_spec=_field_name(A))
     B = A
     note = None
-    if B.essential_rank != B.ell:
+    if not B.is_essential():
         B, _ = B.essentialize()
         note = f"essentialized from dimension {A.ell} to rank {B.ell}"
     res = saito_check(B, degree_bound=args.bound)

@@ -6,7 +6,7 @@ one, found degreewise as kernels of evaluation maps.  Degreewise linear
 algebra cannot see past its degree window, so a table is only trusted
 when the window was wide enough: the validity bound extends past the last
 generator degree and a Hilbert-count consistency check over the whole
-window must pass (certified_free_tail).
+window must pass (certified_free_tail).  A short column-0 window is extended.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .arrangement import Arrangement
 from .poly import dim_homogeneous
-from .solver import EvalKernelFamily, GeneratorSet, SolverError, sweep_minimal_generators
+from .solver import EvalKernelFamily, GeneratorSet, sweep_minimal_generators
 
 # unused here: perfbench checks that its tracer wraps this by-name import
 from .solver import minimal_generators
@@ -45,26 +45,19 @@ class BettiTable:
         return [sorted(c.twists) for c in self.columns]
 
 
-class GeneratorSetMismatch(SolverError):
-    """A generator set passed to betti_table is not a complete column 0:
-    its sweep stopped early."""
-
-
 def betti_table(generators: GeneratorSet) -> BettiTable:
     """Truncated minimal free resolution of the module `generators` spans.
 
-    `generators` is column 0, as minimal_generators returns it; the table
-    takes its arrangement, kind, order and sweep window.  Its engine
-    extends the dimension table past that window, and the relation
+    `generators` is column 0, every generator of its window (from
+    minimal_generators or a SaitoResult); the table takes its
+    arrangement, kind, order and window.  Its engine extends the
+    dimension table past that window, however short, and the relation
     columns are swept up to validity_bound = (largest column-0 degree) +
     ell + 2.  The table is certified only if no module generator turns up
     past the window and the alternating Hilbert counts reproduce the
-    directly computed piece dimensions at every checked degree.  A set
-    whose sweep stopped early raises GeneratorSetMismatch.
+    directly computed piece dimensions at every checked degree.
     """
     gs = generators
-    if gs.stopped_early:
-        raise GeneratorSetMismatch("generator set is incomplete: its sweep stopped early")
     A, kind, order = gs.arrangement, gs.kind, gs.order
     field = A.field
     if not gs.degrees:

@@ -46,7 +46,8 @@ Q), so a step with one new generator in a kernel of hundreds lifts
 that vector alone, from as few primes as its own height needs.  An eval
 rank that its lower bound mod p does not pin is certified by the same
 search on the eval matrix.  Hints complete the eval image through one
-check (`_completing_columns`).
+check (`_completing_columns`).  Saito's criterion (`_SaitoBasis`) ends
+every order-1 sweep at a basis, and `saito_check` reads its verdict.
 """
 
 from __future__ import annotations
@@ -623,7 +624,7 @@ class RelativeEngine(_Engine):
     def __init__(self, A: Arrangement, kind: str, base: FreeBase | None = None):
         if not A.is_simple():
             raise SolverError("relative engine needs a simple arrangement")
-        if A.essential_rank != A.ell:
+        if not A.is_essential():
             raise SolverError("relative engine needs an essential arrangement")
         if base is None:
             base = boolean_like_base(A)
@@ -704,13 +705,7 @@ def pick_engine(A: Arrangement, kind: str, order: int, prefer: str = "auto", bas
         return AmbientEngine(A, kind, order)
     if base is not None or prefer == "relative":
         return RelativeEngine(A, kind, base)
-    if (
-        order == 1
-        and A.is_simple()
-        and A.ell >= 1
-        and A.n > A.ell
-        and A.essential_rank == A.ell
-    ):
+    if order == 1 and A.is_simple() and A.ell >= 1 and A.n > A.ell and A.is_essential():
         return RelativeEngine(A, kind)
     return AmbientEngine(A, kind, order)
 
@@ -863,7 +858,6 @@ class SweepResult:
     degrees: list  # degrees of the generators found in the window, in sweep order
     elements: list  # engine/space elements, aligned with degrees
     dims: dict  # degree -> exact piece dimension, for every degree swept
-    stopped_early: bool
 
 
 def _eval_prime(gens, primes):
@@ -900,7 +894,6 @@ def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=(
     gens = list(gens)
     known = len(gens)
     dims = {}
-    stopped = False
     for d in range(lo, hi + 1):
         ncols = family.space.dim(d)
         if ncols == 0:
@@ -910,15 +903,9 @@ def sweep_minimal_generators(family, degree_range, stop=None, hints=None, gens=(
         dims[d] = n_d
         gens.extend((d, el) for el in new)
         if stop is not None and stop(gens):
-            stopped = True
             break
     found = gens[known:]
-    return SweepResult(
-        degrees=[d for d, _ in found],
-        elements=[el for _, el in found],
-        dims=dims,
-        stopped_early=stopped,
-    )
+    return SweepResult(degrees=[d for d, _ in found], elements=[el for _, el in found], dims=dims)
 
 
 def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
@@ -1114,7 +1101,8 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, E0=N
 
 @dataclass
 class GeneratorSet:
-    """Minimal generators of a log module within a degree window."""
+    """Every minimal generator of a log module in a degree window, and the
+    exact piece dimension (`dims`) at each degree of the window."""
 
     arrangement: Arrangement
     kind: str
@@ -1125,7 +1113,6 @@ class GeneratorSet:
     dims: dict
     degree_bound_used: tuple
     engine: object
-    stopped_early: bool = False
 
     def degree_multiset(self):
         return sorted(self.degrees)
@@ -1156,7 +1143,10 @@ def minimal_generators(
 
     Sweeps the degree window (default: [0, deg Q] for D, [-deg Q, 0] for
     Omega) and at each degree quotients the graded piece by the span of
-    the monomial multiples of the generators already found.
+    the monomial multiples of the generators already found.  For p = 1
+    the sweep ends once its generators pass Saito's criterion
+    (`_SaitoBasis`); they are then a basis, and the rest of the window
+    has the dimensions of the free module they span.
 
     `base` (a FreeBase whose hyperplanes all lie in A) chooses the
     coordinates of the relative engine.  `hints` (CoeffVectors tried
@@ -1178,8 +1168,9 @@ def minimal_generators(
         if membership_failures(A, cv):
             raise SolverError(f"hint of degree {cv.degree} is not a member of the module")
         hint_map.setdefault(cv.degree, []).append(el)
-    res = sweep_minimal_generators(eng, degree_range, hints=hint_map)
-    return _generator_set(A, kind, order, eng, res, tuple(degree_range), False)
+    stop = _SaitoBasis(eng) if order == 1 else None
+    res = sweep_minimal_generators(eng, degree_range, stop=stop, hints=hint_map)
+    return _generator_set(A, kind, order, eng, res, tuple(degree_range))
 
 
 @dataclass
@@ -1197,37 +1188,27 @@ class SaitoResult:
 def saito_check(A: Arrangement, degree_bound=None) -> SaitoResult:
     """Freeness certificate via the determinant criterion.
 
-    Sweeps minimal generators of the derivation module; once ell
-    generators with degree sum deg Q(A, m) are found, their coefficient
-    determinant is compared with c * Q(A, m) by exact polynomial
-    division.  Success certifies freeness with the generator degrees as
-    exponents; a completed sweep without success certifies non-freeness.
+    Sweeps minimal generators of the derivation module until they pass
+    Saito's criterion (`_SaitoBasis`), which certifies freeness with their
+    degrees as exponents, or number more than ell; a completed sweep with
+    neither certifies non-freeness.  Its set covers (0, deg Q), (0,
+    degree_bound) or, past ell generators, (0, the last degree swept).
     An ell = 0 arrangement is free with no exponents and constant 1.
     """
-    if A.essential_rank != A.ell:
+    if not A.is_essential():
         raise SolverError("saito_check needs an essential arrangement; essentialize first")
     ell = A.ell
     if ell == 0:
         return SaitoResult(True, [], A.field.one, None, "ell = 0: the empty basis has determinant 1 = Q")
-    degQ = A.deg_Q()
-    hi = degQ if degree_bound is None else degree_bound
+    hi = A.deg_Q() if degree_bound is None else degree_bound
     eng = pick_engine(A, "D", 1)
-    constant = None
-
-    def stop(gens):
-        nonlocal constant
-        if len(gens) > ell:
-            return True
-        if len(gens) == ell and sum(e for e, _ in gens) == degQ:
-            constant = _saito_constant(A, [eng.to_coeffvector(el, e) for e, el in gens])
-        return constant is not None
-
-    res = sweep_minimal_generators(eng, (0, hi), stop=stop)
-    rng = (0, max(res.dims)) if res.stopped_early else (0, hi)
-    gs = _generator_set(A, "D", 1, eng, res, rng, res.stopped_early and constant is None)
-    if constant is not None:
-        return SaitoResult(True, sorted(res.degrees), constant, gs, "determinant matches Q")
-    if res.stopped_early:
+    rule = _SaitoBasis(eng)
+    res = sweep_minimal_generators(eng, (0, hi), stop=lambda gens: len(gens) > ell or rule(gens))
+    too_many = len(res.degrees) > ell
+    gs = _generator_set(A, "D", 1, eng, res, (0, max(res.dims)) if too_many else (0, hi))
+    if rule.constant is not None:
+        return SaitoResult(True, sorted(res.degrees), rule.constant, gs, "determinant matches Q")
+    if too_many:
         reason = f"more than {ell} minimal generators"
     elif degree_bound is None:
         reason = "no Saito basis; arrangement not free"
@@ -1236,7 +1217,30 @@ def saito_check(A: Arrangement, degree_bound=None) -> SaitoResult:
     return SaitoResult(False, None, None, gs, reason)
 
 
-def _generator_set(A, kind, order, eng, res: SweepResult, rng, stopped):
+class _SaitoBasis:
+    """Saito's criterion as the stop rule of an order-1 sweep (K. Saito
+    1980; Ziegler 1989 for multiarrangements): ell generators whose
+    degrees sum to deg Q(A, m) for D, or -deg Q for Omega, are a basis
+    when `_saito_constant` of their numerators is not None.  It tests
+    them once, fires when they pass and keeps that constant."""
+
+    def __init__(self, eng):
+        self.eng = eng
+        self.degree_sum = eng.A.deg_Q() if eng.kind == "D" else -eng.A.deg_Q()
+        self.constant = None
+        self.tried = False
+
+    def __call__(self, gens) -> bool:
+        if len(gens) == self.eng.A.ell and not self.tried and sum(e for e, _ in gens) == self.degree_sum:
+            self.tried = True
+            self.constant = _saito_constant(self.eng.A, [self.eng.to_coeffvector(el, e) for e, el in gens])
+        return self.constant is not None
+
+
+def _generator_set(A, kind, order, eng, res: SweepResult, rng):
+    # a degree of the window past a Saito basis has the free module's dimension
+    dims = {d: res.dims[d] if d in res.dims else free_piece_dimension(A.ell, res.degrees, d)
+            for d in range(rng[0], rng[1] + 1)}
     return GeneratorSet(
         arrangement=A,
         kind=kind,
@@ -1244,18 +1248,18 @@ def _generator_set(A, kind, order, eng, res: SweepResult, rng, stopped):
         degrees=res.degrees,
         representatives=[eng.to_coeffvector(el, d) for d, el in zip(res.degrees, res.elements)],
         elements=res.elements,
-        dims=res.dims,
+        dims=dims,
         degree_bound_used=rng,
         engine=eng,
-        stopped_early=stopped,
     )
 
 
 def _saito_constant(A: Arrangement, cvs):
-    """c with det(coefficient matrix) = c * Q(A, m), or None when c = 0.
+    """c with det(numerator matrix) = c * Q(A, m)^k, or None when c = 0.
 
-    The generators are members of D(A, m) whose degrees sum to deg Q, so
-    det = c * Q with c a constant (Saito's lemma).  The ring map
+    The numerators are those of ell members of D(A, m) (k = 1) or of
+    Omega^1(A, m) (k = ell - 1) whose degrees sum to deg Q or -deg Q, so
+    det = c * Q^k with c a constant (Saito's lemma).  The ring map
     x -> (1, z, ..., z^(ell-1)) sends Q to a nonzero univariate
     polynomial, so c is the ratio of the leading coefficients of the two
     images, and c = 0 exactly when the image of det vanishes.
@@ -1266,10 +1270,11 @@ def _saito_constant(A: Arrangement, cvs):
     det = poly_det([[to_line(f) for f in cv.numerators] for cv in cvs])
     if det.is_zero():
         return None
+    k = A.ell - 1 if cvs[0].kind == "O" else 1
     lead_q = fld.one
     for alpha, m in zip(A.forms, A.mult):
         a = [c for c in alpha.coeffs if c][-1]
-        for _ in range(m):
+        for _ in range(m * k):
             lead_q = fld.mul(lead_q, a)
     return fld.div(det.terms[max(det.terms)], lead_q)
 

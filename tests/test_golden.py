@@ -25,6 +25,7 @@ CLI_CASES = {
     "omega-nine4d": ["omega", "@nine4d"],
     "free-ziegler22": ["free", "@ziegler22"],
     "dmodule-braid5": ["dmodule", "@braid:n=5"],
+    "dmodule-ziegler22": ["dmodule", "@ziegler22"],
     "verify-paper-free-ziegler22": ["verify-paper", "--only", "free:ziegler22"],
 }
 

@@ -478,7 +478,8 @@ def test_preparation_check_is_the_per_term_check(restriction_inputs):
 
 def test_one_restriction_builds_each_monomial_image_once(monkeypatch):
     # every generator of a hyperplane's ledger goes through one Restriction,
-    # whose pullback builds the image of each monomial at most once
+    # whose pullback builds the image of each monomial at most once (the
+    # Saito rule of a sweep maps to a line through a Pullback of its own)
     built = Counter()
     build = Pullback._build
 
@@ -494,8 +495,8 @@ def test_one_restriction_builds_each_monomial_image_once(monkeypatch):
     A_del = A.delete(2)
     for omega in minimal_generators(A_del, "O").representatives:
         restrict_form(omega, A_del, res=res, checked=True)
-    assert built and max(built.values()) == 1
-    assert {pull for pull, _ in built} == {id(res.pullback)}
+    mine = [n for (pull, _), n in built.items() if pull == id(res.pullback)]
+    assert mine and max(mine) == 1
     assert res == replace(res)  # the cached pullback takes no part in equality
     built.clear()
     euler_exactness_check(generic(5, 3, seed=3, field=GF(1009)), 1, "O")

@@ -4,21 +4,25 @@ Terao's factorization reads the characteristic polynomial off the
 intersection lattice alone; Ziegler's multirestriction theorem predicts
 the exponents of a multiarrangement that the ambient engine's
 multiplicity path computes.  Both are checked against Saito-certified
-exponents, over Q through both engines.
+exponents, over Q through both engines.  Saito's criterion, which ends a
+sweep at a basis, is checked against the sweep with the criterion off.
 """
 
 from itertools import combinations
 
 import pytest
 
+import arrlog.solver as solver
 from arrlog.arrangement import restrict, validate
 from arrlog.fields import GF, QQ
 from arrlog.lattice import characteristic_polynomial
-from arrlog.library import boolean, braid, grr3, ziegler22
+from arrlog.library import boolean, braid, grr3, nine4d, ziegler22
 from arrlog.solver import (
     AmbientEngine,
     RelativeEngine,
     _saito_constant,
+    free_base_from_saito,
+    minimal_generators,
     saito_check,
     sweep_minimal_generators,
 )
@@ -85,3 +89,39 @@ def test_ziegler_multirestriction(name, i):
     assert max(res.ziegler_mult) > 1
     got = saito_check(multi)
     assert got.free and got.exponents == exponents[1:]
+
+
+RULE_CASES = {
+    **{name: make for name, (make, _) in FREE.items()},
+    "boolean3-multiplicities": lambda: boolean(3).with_multiplicities([2, 1, 3]),
+    "nine4d": nine4d,
+}
+
+
+@pytest.mark.parametrize("kind", ["D", "O"])
+@pytest.mark.parametrize("name", RULE_CASES)
+def test_saito_rule_leaves_the_sweep_unchanged(name, kind, monkeypatch):
+    # with the rule on, the sweep of a free module stops at a Saito basis
+    # and the rest of its window gets the free module's dimensions; with
+    # it off, the sweep runs to the end of the window.  nine4d is not
+    # free, so the rule never fires there.  Without the rule ziegler22's
+    # sweeps take 13 s (D) and 50 s (Omega), so its D window ends at 12;
+    # its 1-forms and B4's (4 s a sweep) are swept over their Saito bases
+    A = RULE_CASES[name]()
+    kw = {}
+    if name == "ziegler22" and kind == "D":
+        kw = {"degree_range": (0, 12)}
+    elif name in ("ziegler22", "B4") and kind == "O":
+        kw = {"base": free_base_from_saito(saito_check(A))}
+    constants = []
+
+    def spy(A, cvs):
+        constants.append(_saito_constant(A, cvs))
+        return constants[-1]
+
+    monkeypatch.setattr(solver, "_saito_constant", spy)
+    on = minimal_generators(A, kind, **kw)
+    monkeypatch.setattr(solver, "_saito_constant", lambda A, cvs: None)
+    off = minimal_generators(A, kind, **kw)
+    assert any(c is not None for c in constants) == (name != "nine4d")
+    assert (on.degrees, on.dims, on.representatives) == (off.degrees, off.dims, off.representatives)

@@ -109,19 +109,18 @@ def test_betti_table_from_generators_matches_unseeded():
         assert got.arrangement is X and (got.kind, got.order) == (kind, 1)
 
 
-def test_betti_table_rejects_mismatched_generators():
-    from arrlog.resolution import GeneratorSetMismatch
+def test_betti_table_of_a_truncated_saito_sweep():
     from arrlog.solver import saito_check
 
-    # the Saito sweep stops once it has 4 > 3 generators
+    # the Saito sweep stops once it has 4 > 3 generators, at degree 2; its
+    # set holds every generator of (0, 2), and the table extends that window
     A = boolean(3).add_hyperplane(LinearForm(QQ, [1, 2, 3]))
     gs = saito_check(A).generators
-    assert gs.stopped_early and gs.degrees == [1, 2, 2, 2]
-    with pytest.raises(GeneratorSetMismatch) as err:
-        betti_table(gs)
-    assert isinstance(err.value, ValueError)
-    # the completed sweep of the same module is accepted
-    assert betti_table(minimal_generators(A, "D")).pd == 1
+    assert gs.degrees == [1, 2, 2, 2] and gs.degree_bound_used == (0, 2)
+    full = minimal_generators(A, "D")
+    assert full.degree_bound_used == (0, 4) and full.degrees == gs.degrees
+    got = betti_table(gs)
+    assert _summary(got) == _summary(betti_table(full)) and got.pd == 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from arrlog.solver import (
     RelativeEngine,
     condition_polys,
     condition_terms,
+    free_base_from_saito,
     free_piece_dimension,
     graded_basis,
     graded_dimension,
@@ -508,11 +509,14 @@ def test_saito_exit_free(field):
     res = saito_check(boolean(3, field=field))
     assert res.free and res.reason == "determinant matches Q"
     assert (res.exponents, res.constant) == ([1, 1, 1], 1)
+    # the sweep stops at degree 1; the set covers the window (0, deg Q),
+    # with the free module's dimensions past the degrees it swept
     gs = res.generators
-    assert gs.degrees == [1, 1, 1] and gs.dims == {0: 0, 1: 3}
-    assert gs.degree_bound_used == (0, 1) and not gs.stopped_early
+    assert gs.degrees == [1, 1, 1] and gs.dims == {0: 0, 1: 3, 2: 9, 3: 18}
+    assert gs.degree_bound_used == (0, 3)
     # a bound past the last generator degree exits the same way
-    assert saito_check(boolean(3, field=field), degree_bound=5).generators.degree_bound_used == (0, 1)
+    gs = saito_check(boolean(3, field=field), degree_bound=5).generators
+    assert gs.degree_bound_used == (0, 5) and gs.dims == {d: free_piece_dimension(3, [1, 1, 1], d) for d in range(6)}
 
 
 @SAITO_FIELDS
@@ -522,7 +526,7 @@ def test_saito_exit_too_many_generators(field):
     assert res.exponents is None and res.constant is None
     gs = res.generators
     assert gs.degrees == [1, 3, 3, 3, 3] and gs.dims == {0: 0, 1: 1, 2: 3, 3: 10}
-    assert gs.degree_bound_used == (0, 3) and gs.stopped_early
+    assert gs.degree_bound_used == (0, 3)
 
 
 @SAITO_FIELDS
@@ -532,7 +536,7 @@ def test_saito_exit_not_free_up_to_bound(field):
     assert not res.free and res.reason == "not free up to bound"
     gs = res.generators
     assert gs.degrees == [1, 2] and gs.dims == {0: 0, 1: 1, 2: 4}
-    assert gs.degree_bound_used == (0, 2) and not gs.stopped_early
+    assert gs.degree_bound_used == (0, 2)
 
 
 @SAITO_FIELDS
@@ -550,7 +554,7 @@ def test_saito_exit_no_saito_basis(field, monkeypatch):
     gs = res.generators
     assert gs.degrees == [1, 2, 3]
     assert gs.dims == {d: free_piece_dimension(3, [1, 2, 3], d) for d in range(7)}
-    assert gs.degree_bound_used == (0, 6) and not gs.stopped_early
+    assert gs.degree_bound_used == (0, 6)
     assert saito_check(A, degree_bound=4).reason == "not free up to bound"
 
 
@@ -562,15 +566,15 @@ def test_saito_check_of_a_single_line(m, exponents):
     assert res.free and res.exponents == exponents and res.constant == 1
 
 
-def oracle_saito_constant(A, cvs):
-    """The determinant of the numerators over S, divided by each form in turn."""
+def oracle_saito_constant(A, cvs, power=1):
+    """The determinant of the numerators over S, divided by Q(A, m)^power one form at a time."""
     from arrlog.poly import divide_by_linear, poly_det
 
     f = poly_det([list(cv.numerators) for cv in cvs])
     if f.is_zero():
         return None
     for alpha, m in zip(A.forms, A.mult):
-        for _ in range(m):
+        for _ in range(m * power):
             f, r = divide_by_linear(f, alpha)
             assert r.is_zero()
     assert f.total_degree() == 0
@@ -611,6 +615,14 @@ def test_saito_constant_matches_the_determinant_division(make):
     # two equal rows: the determinant is 0, and so is its image
     assert _saito_constant(A, cvs[:-1] + cvs[:1]) is None
     assert oracle_saito_constant(A, cvs[:-1] + cvs[:1]) is None
+    # the dual 1-forms F = adj(M)^T / c have det F = Q^(ell-1) / c (the
+    # division of the rescaled determinant takes 13 s, so it is left out)
+    fb = free_base_from_saito(res)
+    forms = [CoeffVector("O", 1, -e, nums) for e, nums in zip(fb.exponents, fb.omega_numerators)]
+    assert _saito_constant(A, forms) == A.field.inv(c)
+    if make is not _rescaled_ziegler22:
+        assert _saito_constant(A, forms) == oracle_saito_constant(A, forms, A.ell - 1)
+    assert _saito_constant(A, forms[:-1] + forms[:1]) is None
 
 
 class _Eval(np.ndarray):
