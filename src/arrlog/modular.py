@@ -28,8 +28,8 @@ terms below 2**28 * 2**14 and, with the entry it updates, stays below
 echelon form is unique, so R and the pivots are those of plain
 elimination, whatever the order of the work.
 
-Callers that read only the pivots (`rank_mod`, pivot profiles of
-augmented matrices) ask for `rref_mod(A, p, reduced=False)`.  The same
+Callers that read only the pivots (pivot profiles of augmented
+matrices) ask for `rref_mod(A, p, reduced=False)`.  The same
 recursion then updates only the rows that are still free: pivot rows are
 neither back-substituted in the base case nor touched by a transform, and
 their rows of X are never read.  A free row after a set of pivots is the
@@ -37,12 +37,25 @@ unique vector of its coset that vanishes on the pivot columns, with or
 without back-substitution, so every free row, and with it every pivot
 choice, is bit-identical to the reduced path.
 
+The pivots of a sparse matrix given by its entries (`sparse_pivots_mod`,
+the row pivots of an eval matrix) are the leading columns of its row
+space, read as in the symbolic preprocessing of Faugère's F4 (J. Pure
+Appl. Algebra 1999).  Of the rows with one leading column the first
+is a pivot row as it stands.  The others are reduced against the pivot
+rows, sparse row by dense block in increasing column order, until they
+vanish on every leading column; what is left spans a space that meets
+the pivot rows' span only in 0, and its pivots, found by the pivots-only
+elimination, are the remaining ones.  The column rank profile is
+canonical, so these are the pivots of `rref_mod(A, p, reduced=False)`,
+and the only dense array has one row per row not taken as it stands.
+
 A rank does not change under a permutation of the rows or columns, nor
 under transposition, so `rank_mod` works on the short side: it
 transposes a matrix with more rows than columns and orders rows and
-columns by their nonzero count, sparsest first.  The pivots-only
-elimination then ends once every row is a pivot row, after at most
-min(m, n) pivots, and the sparse lines it starts from cause little fill.
+columns by their nonzero count, sparsest first, in the one copy it
+reduces in place.  The pivots-only elimination then ends once every row
+is a pivot row, after at most min(m, n) pivots, and the sparse lines it
+starts from cause little fill.
 A matrix whose short side is at most `_BASE_COLS` is ranked as given:
 it is eliminated pivot by pivot in few steps whatever the order, and
 reordering it costs more than it saves.
@@ -54,6 +67,7 @@ and of constraint assembly below 2**56.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -105,16 +119,26 @@ def rref_mod(A: np.ndarray, p: int, reduced: bool = True):
     `reduced=False` only the pivots are computed and (None, pivots) is
     returned; they equal the pivots of the reduced path.
     """
+    _check_modulus(p)
+    W = np.asarray(A, dtype=np.int64) % p
+    rows, pivots = _eliminate(W, p, reduced)
+    return (W[rows] if reduced else None), pivots
+
+
+def _check_modulus(p: int):
     if p >= MODULUS_LIMIT:
         raise ModulusTooLarge(f"modulus {p} too large: modular elimination needs p < 2**28")
-    W = np.asarray(A, dtype=np.int64) % p
+
+
+def _eliminate(W, p, reduced):
+    """Eliminate W, int64 entries in [0, p), in place; return (pivot rows, pivots)."""
     free = np.ones(W.shape[0], dtype=bool)
     n = W.shape[1]
     # up to two base widths one split saves less than its products cost,
     # and small matrices then never touch the BLAS workspace
     solve = _solve_base if n <= 2 * _BASE_COLS else _solve
     rows, pivots, _ = solve(W, 0, n, p, free, False, reduced)
-    return (W[rows] if reduced else None), pivots
+    return rows, pivots
 
 
 def _solve(W, c0, c1, p, free, need_x, reduced):
@@ -255,15 +279,77 @@ def _addmul(C, X, Y, p):
 def rank_mod(A: np.ndarray, p: int) -> int:
     """Rank of an integer matrix mod p; a large one is eliminated on its short side."""
     A = np.asarray(A)
-    if min(A.shape) > _BASE_COLS:
-        if A.shape[0] > A.shape[1]:
-            A = A.T
-        rows = np.argsort(np.count_nonzero(A, axis=1), kind="stable")
-        cols = np.argsort(np.count_nonzero(A, axis=0), kind="stable")
-        # rebinding A frees an argument that only this call holds before
-        # the elimination makes its own copy
-        A = A[np.ix_(rows, cols)]
-    return len(rref_mod(A, p, reduced=False)[1])
+    if min(A.shape) <= _BASE_COLS:
+        return len(rref_mod(A, p, reduced=False)[1])
+    _check_modulus(p)
+    if A.shape[0] > A.shape[1]:
+        A = A.T
+    rows = np.argsort(np.count_nonzero(A, axis=1), kind="stable")
+    cols = np.argsort(np.count_nonzero(A, axis=0), kind="stable")
+    # the reordered copy is the working array: rebinding A frees an
+    # argument that only this call holds before the elimination
+    A = A[np.ix_(rows, cols)].astype(np.int64, copy=False)
+    np.remainder(A, p, out=A)
+    return len(_eliminate(A, p, False)[1])
+
+
+def sparse_pivots_mod(rows, cols, vals, ncols: int, p: int) -> list:
+    """The pivots of `rref_mod(A, p, reduced=False)` for A given by its entries.
+
+    A has `ncols` columns and A[rows[i], cols[i]] = vals[i] at distinct
+    positions (any integers), zero elsewhere.  The pivots are the leading
+    (first nonzero) columns of the vectors of A's row space.  Of the rows
+    with one leading column the first is a pivot row as it stands; the
+    others are reduced against the pivot rows in a dense block, and the
+    pivots-only elimination of what is left gives the remaining pivots.
+    Only that block is dense.
+    """
+    _check_modulus(p)
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    vals = np.asarray(vals, dtype=np.int64) % p
+    live = vals.nonzero()[0]
+    live = live[np.lexsort((cols[live], rows[live]))]  # by row, then by column
+    rows, cols, vals = rows[live], cols[live], vals[live]
+    bounds = np.append(np.flatnonzero(np.diff(rows, prepend=-1)), rows.size)
+    starts, ends = bounds[:-1], bounds[1:]  # the entries of each nonzero row
+    lead = cols[starts]
+    leads, first = np.unique(lead, return_index=True)
+    rest = np.ones(starts.size, dtype=bool)
+    rest[first] = False
+    if not rest.any():
+        return leads.tolist()
+    # the rows that share a leading column, dense, cleared on every
+    # leading column in increasing order; a pivot row starts at its
+    # leading column, so it adds entries only to the right of it
+    piv = np.full(ncols, -1)
+    piv[leads] = first
+    rest = np.flatnonzero(rest)
+    X = np.zeros((rest.size, ncols), dtype=np.int64)
+    nnz = ends[rest] - starts[rest]
+    at = np.repeat(starts[rest] - np.cumsum(nnz) + nnz, nnz) + np.arange(nnz.sum())  # their entries
+    X[np.repeat(np.arange(rest.size), nnz), cols[at]] = vals[at]
+    queued = (piv >= 0) & X.any(axis=0)
+    heap = np.flatnonzero(queued).tolist()
+    while heap:
+        c = heapq.heappop(heap)
+        r = X[:, c].nonzero()[0]
+        if not r.size:
+            continue
+        k = piv[c]
+        pc, pv = cols[starts[k] : ends[k]], vals[starts[k] : ends[k]]
+        f = X[r, c] * pow(int(pv[0]), -1, p) % p
+        block = np.ix_(r, pc)
+        X[block] = (X[block] - f[:, None] * pv) % p
+        new = pc[(piv[pc] >= 0) & ~queued[pc]]
+        queued[new] = True
+        for j in new.tolist():
+            heapq.heappush(heap, j)
+    off = np.ones(ncols, dtype=bool)
+    off[leads] = False
+    off = np.flatnonzero(off)
+    X = X[:, off]  # what is left lives off the leading columns
+    found = off[_eliminate(X, p, False)[1]]
+    return sorted(leads.tolist() + found.tolist())
 
 
 def kernel_mod(A: np.ndarray, p: int) -> np.ndarray:

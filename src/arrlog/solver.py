@@ -35,7 +35,8 @@ rational reconstruction, and then certified: exhibited elements are
 verified exactly at the polynomial level, and mod-p ranks bound the
 ranks over Q from below, which pins every reported dimension exactly.
 A degree step takes the row pivots P of the eval matrix of the
-generators below it first and builds the constraint matrix only on the
+generators below it first, read off the matrix's nonzero entries
+(`sparse_pivots_mod`), and builds the constraint matrix only on the
 columns off P (`build_mod(d, p, cols)`): the eval image projects onto P
 isomorphically and lies in the kernel, so at most degrees a full column
 rank there certifies the piece.  At a generator degree every vector of
@@ -71,6 +72,7 @@ from .modular import (
     kernel_qq_candidates,
     rank_mod,
     rref_mod,
+    sparse_pivots_mod,
 )
 from .divisibility import divisibility_table_mod, monomial_exponents, monomial_rank, product_pattern, quotient_dim
 from .poly import (
@@ -762,15 +764,18 @@ def eval_matrix_mod(space: TwistSpace, gens, d: int, p: int) -> np.ndarray:
     flattened coordinates of mono * gen_k.  Column order matches the
     TwistSpace with twists (e_1, ..., e_s).
     """
+    return _densify(_eval_entries(space, gens, d, p))
+
+
+def _eval_entries(space: TwistSpace, gens, d: int, p: int):
+    """(rows, cols, vals, shape): the entries of `eval_matrix_mod`'s matrix, at distinct positions."""
     ell = space.ell
-    ncols = sum(dim_homogeneous(ell, d - e) for e, _ in gens)
-    E = np.zeros((space.dim(d), ncols), dtype=np.int64)
     tgt_offsets = []
     pos = 0
     for deg in space.block_degrees(d):
         tgt_offsets.append(pos)
         pos += dim_homogeneous(ell, deg)
-    col = 0
+    rows, vals, counts = [], [], []
     for e, el in gens:
         gdeg = d - e
         if gdeg < 0:
@@ -779,20 +784,32 @@ def eval_matrix_mod(space: TwistSpace, gens, d: int, p: int) -> np.ndarray:
         per_block = []
         for j, poly in enumerate(el):
             if src_degs[j] < 0 or poly.is_zero():
-                per_block.append(None)
                 continue
             idxmap = monomial_index(ell, src_degs[j])
             src_idx = np.array([idxmap[mo] for mo in poly.terms], dtype=np.int64)
-            vals = np.array([_coeff_mod(c, p) for c in poly.terms.values()], dtype=np.int64)
-            per_block.append((src_idx, vals, src_degs[j]))
+            v = np.array([_coeff_mod(c, p) for c in poly.terms.values()], dtype=np.int64)
+            per_block.append((tgt_offsets[j], src_idx, v, src_degs[j]))
+        n = sum(v.size for _, _, v, _ in per_block)
         for mono in monomial_basis(ell, gdeg):
-            for j, blk in enumerate(per_block):
-                if blk is None:
-                    continue
-                src_idx, vals, sdeg = blk
-                tab = shift_table(ell, sdeg, mono)
-                E[tgt_offsets[j] + tab[src_idx], col] = vals
-            col += 1
+            for offset, src_idx, v, sdeg in per_block:
+                rows.append(offset + shift_table(ell, sdeg, mono)[src_idx])
+                vals.append(v)
+            counts.append(n)
+    empty = np.zeros(0, dtype=np.int64)
+    cols = np.repeat(np.arange(len(counts)), counts)
+    return np.concatenate([empty, *rows]), cols, np.concatenate([empty, *vals]), (space.dim(d), len(counts))
+
+
+def _densify(entries, cols=None) -> np.ndarray:
+    """The dense int64 matrix of (rows, cols, vals, shape) entries, on the distinct columns `cols` if given."""
+    rows, c, vals, (m, n) = entries
+    if cols is not None:
+        at = np.full(n, -1)
+        at[cols] = np.arange(len(cols))
+        keep = at[c] >= 0
+        rows, c, vals, n = rows[keep], at[c[keep]], vals[keep], len(cols)
+    E = np.zeros((m, n), dtype=np.int64)
+    E[rows, c] = vals
     return E
 
 
@@ -843,8 +860,7 @@ class EvalKernelFamily:
         self.image_dims = image_dims or {}
 
     def build_mod(self, d: int, p: int, cols=None) -> np.ndarray:
-        E = eval_matrix_mod(self.tgt_space, self.gens, d, p)
-        return E if cols is None else E[:, cols]
+        return _densify(_eval_entries(self.tgt_space, self.gens, d, p), cols)
 
     def verify(self, element, d: int) -> bool:
         return combination_is_zero(self.gens, element)
@@ -929,7 +945,7 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     rank = family.known_rank(d)
     if rank == ncols:
         return 0, []
-    rows, E = _eval_row_pivots(family.space, gens, d, p0)
+    rows, entries = _eval_row_pivots(family.space, gens, d, p0)
     cols = np.setdiff1d(np.arange(ncols), rows)
     K = None  # the exact kernel off P mod the field's prime, once taken
     if rank is None and len(primes) > 1:
@@ -942,11 +958,11 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     n0 = ncols - rank
     if n0 == len(rows):
         return n0, []
-    rank_eval = _certified_eval_rank(family.space, gens, d, field, n0, E, len(rows))
+    rank_eval = _certified_eval_rank(family.space, gens, d, field, n0, entries, len(rows))
     if rank_eval == n0:
         return n0, []
     if hints_d:
-        chosen = _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0)
+        chosen = _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, entries, p0)
         if chosen is not None:
             return n0, chosen
     if len(rows) < rank_eval:
@@ -988,7 +1004,7 @@ def _degree_step(family, gens, d: int, ncols: int, hints_d=()):
     return rank_eval + len(K), new_generators(K.tolist())
 
 
-def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
+def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, entries, p0):
     """Fill the quotient with caller-supplied exact elements if possible.
 
     Returns the selected new generators, or None when the hints do not
@@ -1003,7 +1019,7 @@ def _try_hinted_generators(family, gens, d, hints_d, n0, rank_eval, E, p0):
         C = eval_matrix_mod(family.space, [(d, el) for el in hints_d], d, p0)
     except ZeroDivisionError:
         return None
-    picked = _completing_columns(E, C, p0, rank_eval, n0)
+    picked = _completing_columns(_densify(entries), C, p0, rank_eval, n0)
     if picked is None:
         return None
     return [normalize_element(hints_d[c]) for c in picked]
@@ -1025,26 +1041,28 @@ def _completing_columns(E, C, p: int, rank_eval: int, upper: int):
 
 
 def _eval_row_pivots(tgt_space: TwistSpace, gens, d: int, p: int):
-    """(P, E): the eval matrix E of `gens` at degree d mod p and its row pivots P, from the last row.
+    """(P, entries): the entries of the eval matrix E of `gens` at degree d mod p and its row pivots P, from the last row.
 
     P is the set of last nonzero coordinates of the image's vectors, so
-    the image mod p projects isomorphically onto these coordinates.  One
-    pivots-only elimination of the transposed matrix, its coordinates
-    reversed, gives them.  E is handed back for the caller's other reads
-    at p, so a degree step builds it once there.  Why the last rows: a
-    vector of the kernel ends at a free column of the constraint matrix,
-    so P is free there, and the reduced kernel basis on the columns off
-    P is the set of rows of the full reduced kernel basis that complete
-    the image (those whose free column is no image vector's last
-    coordinate).  Taken from the first rows, P would give other new
-    generators, equal modulo the image, and other reported elements: the
-    sign of ziegler22's Saito constant flips.
+    the image mod p projects isomorphically onto these coordinates.  They
+    are the pivots of the transposed matrix with its coordinates reversed,
+    read off its entries (`sparse_pivots_mod`): a generator multiple whose
+    last nonzero coordinate no other multiple shares puts it in P as it
+    stands, and only the multiples that share one are eliminated.  The
+    entries are handed back for the caller's other reads at p, so a degree
+    step builds E once there, and densifies it only for a dense
+    elimination.  Why the last rows: a vector of the kernel ends at a free
+    column of the constraint matrix, so P is free there, and the reduced
+    kernel basis on the columns off P is the set of rows of the full
+    reduced kernel basis that complete the image (those whose free column
+    is no image vector's last coordinate).  Taken from the first rows, P
+    would give other new generators, equal modulo the image, and other
+    reported elements: the sign of ziegler22's Saito constant flips.
     """
-    if not TwistSpace(tgt_space.ell, tuple(e for e, _ in gens)).dim(d):
-        return [], np.zeros((tgt_space.dim(d), 0), dtype=np.int64)
-    E = eval_matrix_mod(tgt_space, gens, d, p)
-    last = E.shape[0] - 1
-    return sorted(last - r for r in rref_mod(E[::-1].T, p, reduced=False)[1]), E
+    entries = _eval_entries(tgt_space, gens, d, p)
+    rows, cols, vals, (m, _) = entries
+    last = m - 1
+    return sorted(last - r for r in sparse_pivots_mod(cols, last - rows, vals, m, p)), entries
 
 
 def _eval_row_pivots_at_rank(tgt_space: TwistSpace, gens, d: int, primes, rank: int):
@@ -1059,16 +1077,17 @@ def _eval_row_pivots_at_rank(tgt_space: TwistSpace, gens, d: int, primes, rank: 
     raise SolverError(f"no prime reaches the certified eval rank {rank} at degree {d}")
 
 
-def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, E0=None, rank=None):
+def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, entries=None, rank=None):
     """Exact rank over `field` of the evaluation map of `gens` at degree d.
 
-    The rank is taken first mod p0, the prime of `_eval_prime` (`E0` and
-    `rank` are the eval matrix and its rank there, when the caller already
-    has them).  That rank bounds the rank over `field` from below, so it
-    is exact when it reaches `upper` (an upper bound the caller knows, or
-    None) or the number of columns, or when p0 is the field's own prime.  Otherwise the rank is certified by
-    exhibiting the whole kernel, lifted from the ladder primes: every
-    candidate relation must vanish exactly.
+    The rank is taken first mod p0, the prime of `_eval_prime` (`entries`
+    and `rank` are the eval matrix's entries and its rank there, when the
+    caller already has them).  That rank bounds the rank over `field`
+    from below, so it is exact when it reaches `upper` (an upper bound the
+    caller knows, or None) or the number of columns, or when p0 is the
+    field's own prime.  Otherwise the rank is certified by exhibiting the
+    whole kernel, lifted from the ladder primes: every candidate relation
+    must vanish exactly.
     """
     primes = _primes(field)
     p0 = _eval_prime(gens, primes)
@@ -1076,10 +1095,10 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, E0=N
     ncols = src.dim(d)
     if ncols == 0:
         return 0
-    if E0 is None:
-        E0 = eval_matrix_mod(tgt_space, gens, d, p0)
+    if entries is None:
+        entries = _eval_entries(tgt_space, gens, d, p0)
     if rank is None:
-        rank = rank_mod(E0, p0)
+        rank = rank_mod(_densify(entries), p0)
     if rank in (upper, ncols) or len(primes) == 1:
         return rank
 
@@ -1089,7 +1108,7 @@ def _certified_eval_rank(tgt_space: TwistSpace, gens, d: int, field, upper, E0=N
         return None
 
     def build(p):
-        return E0 if p == p0 else eval_matrix_mod(tgt_space, gens, d, p)
+        return _densify(entries) if p == p0 else eval_matrix_mod(tgt_space, gens, d, p)
 
     return kernel_qq_candidates(build, ncols, accept)[0]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrlog.fields import QQ, _is_prime
@@ -18,6 +18,7 @@ from arrlog.modular import (
     rational_reconstruct,
     reconstruct_matrix,
     rref_mod,
+    sparse_pivots_mod,
 )
 
 
@@ -261,6 +262,49 @@ def test_rank_mod_is_the_pivot_count_of_the_untouched_matrix(m, n, r, density, p
     rank = len(rref_mod(A, p, reduced=False)[1])
     assert rank == r or density < 1.0
     assert rank_mod(A, p) == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(1, 150),
+    rank_frac=st.floats(0.0, 1.0),
+    density=st.sampled_from([0.0, 0.01, 0.05, 0.3, 1.0]),
+    shared_lead=st.booleans(),
+    zero_rows=st.booleans(),
+    p=st.sampled_from([3, PRIMES[0]]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=6, n=9, rank_frac=1.0, density=0.0, shared_lead=False, zero_rows=False, p=3, seed=0)  # zero matrix
+@example(m=1, n=70, rank_frac=1.0, density=0.05, shared_lead=False, zero_rows=False, p=3, seed=1)  # 1 x n
+@example(m=30, n=1, rank_frac=1.0, density=0.3, shared_lead=False, zero_rows=True, p=PRIMES[0], seed=2)  # m x 1
+@example(m=25, n=140, rank_frac=0.3, density=0.05, shared_lead=True, zero_rows=False, p=PRIMES[0], seed=3)
+@example(m=40, n=60, rank_frac=0.5, density=1.0, shared_lead=True, zero_rows=True, p=3, seed=4)
+def test_sparse_pivots_mod_matches_rref_mod(m, n, rank_frac, density, shared_lead, zero_rows, p, seed):
+    # the pivots read off the entries are those of the dense pivots-only
+    # elimination: rows beyond the rank reduce to zero, `shared_lead` puts
+    # every row's leading entry in one column, `zero_rows` clears some
+    # rows; the entries come unsorted, unreduced, with explicit zeros
+    rng = np.random.default_rng(seed)
+    A = _random_rank(rng, m, n, round(rank_frac * min(m, n)), p, density)
+    if shared_lead:
+        c = int(rng.integers(n))
+        A[:, :c] = 0
+        A[:, c] = rng.integers(1, p, m)
+    if zero_rows:
+        A[rng.random(m) < 0.3] = 0
+    rows, cols = np.nonzero(A)
+    zeros = np.argwhere(A == 0)
+    zeros = zeros[rng.random(len(zeros)) < 0.05]
+    rows, cols = np.append(rows, zeros[:, 0]), np.append(cols, zeros[:, 1])
+    order = rng.permutation(rows.size)
+    rows, cols = rows[order], cols[order]
+    vals = A[rows, cols] + p * rng.integers(-2, 3, rows.size)
+    pivots = sparse_pivots_mod(rows, cols, vals, n, p)
+    assert pivots == rref_mod(A, p, reduced=False)[1]
+    assert all(type(c) is int for c in pivots)
+    with pytest.raises(ModulusTooLarge):
+        sparse_pivots_mod(rows, cols, vals, n, 1 << 28)
 
 
 def test_modulus_limit():

@@ -633,16 +633,55 @@ class _Constraint(np.ndarray):
     """A constraint matrix of one engine at one degree."""
 
 
-def test_fp_degree_step_eliminates_eval_matrix_once(monkeypatch):
-    # over F_p the eval rank at the field's prime is exact: a degree step
-    # takes the row pivots of its eval matrix, and no rank or kernel of it;
-    # and one reduced elimination of its constraint matrix on the columns
-    # off those pivots gives the rank and, at a generator degree, the new
-    # generators themselves
+def test_eval_row_pivots_allocate_little_beyond_a_sparse_eval_matrix():
+    # the row pivots of a large sparse eval matrix come from its entries:
+    # its 2730 x 840 dense int64 form (18 MB) is never made.  The leading
+    # coordinates of g2 and g3, and of g3 and g4, meet from degree 10 on:
+    # the multiples that share one are reduced, and those of g3 and g4 go
+    # to zero (a Koszul relation), so the eval rank is below 840
+    import tracemalloc
+
     from arrlog import solver
 
-    eval_matrix_mod = solver.eval_matrix_mod
-    eval_eliminations = {"rref_mod": 0, "rank_mod": 0, "kernel_mod": 0}
+    ell, a, d, p = 5, 5, 11, PRIMES[0]
+
+    def poly(*terms):
+        return Poly(QQ, ell, {tuple(mono): QQ.of(c) for c, mono in terms})
+
+    zero = Poly.zero(QQ, ell)
+    gens = [
+        (a, (poly((1, (a, 0, 0, 0, 0)), (2, (a - 1, 1, 0, 0, 0))), zero)),
+        (a, (poly((3, (a, 0, 0, 0, 0))), poly((1, (0, a, 0, 0, 0)), (5, (1, a - 1, 0, 0, 0))))),
+        (a, (zero, poly((1, (0, 0, 0, a, 0)), (7, (0, 0, 1, a - 1, 0))))),
+        (a, (zero, poly((1, (0, 0, 0, 0, a)), (11, (0, 0, 1, 0, a - 1))))),
+    ]
+    space = solver.TwistSpace(ell, (0, 0))
+    solver._eval_row_pivots(space, gens, d, p)  # fills the monomial tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows, (_, _, _, (m, n)) = solver._eval_row_pivots(space, gens, d, p)
+        extra = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (m, n) == (2730, 840)
+    assert extra < 0.1 * m * n * 8, extra
+    E = solver.eval_matrix_mod(space, gens, d, p)
+    assert rows == sorted(m - 1 - r for r in solver.rref_mod(E[::-1].T, p, reduced=False)[1])
+    assert len(rows) < n
+
+
+def test_fp_degree_step_eliminates_eval_matrix_once(monkeypatch):
+    # over F_p the eval rank at the field's prime is exact: a degree step
+    # takes the row pivots of its eval matrix off its entries, once, and
+    # no rank or kernel of it; and one reduced elimination of its
+    # constraint matrix on the columns off those pivots gives the rank
+    # and, at a generator degree, the new generators themselves
+    from arrlog import solver
+
+    eval_entries, densify, sparse_pivots_mod = solver._eval_entries, solver._densify, solver.sparse_pivots_mod
+    eval_eliminations = {"sparse_pivots_mod": 0, "rank_mod": 0, "kernel_mod": 0}
+    eval_builds = [0]
     built, eliminated = {}, {}
 
     def counting_build(build_mod):
@@ -666,18 +705,29 @@ def test_fp_degree_step_eliminates_eval_matrix_once(monkeypatch):
 
         return spy
 
+    def counting_entries(*args):
+        eval_builds[0] += 1
+        return eval_entries(*args)
+
+    def counting_pivots(*args):
+        eval_eliminations["sparse_pivots_mod"] += 1
+        return sparse_pivots_mod(*args)
+
     for cls in (AmbientEngine, RelativeEngine):
         monkeypatch.setattr(cls, "build_mod", counting_build(cls.build_mod))
-    monkeypatch.setattr(solver, "eval_matrix_mod", lambda *args: eval_matrix_mod(*args).view(_Eval))
-    for name in eval_eliminations:
+    # every dense eval matrix is an _Eval
+    monkeypatch.setattr(solver, "_densify", lambda *args: densify(*args).view(_Eval))
+    monkeypatch.setattr(solver, "_eval_entries", counting_entries)
+    for name in ("rank_mod", "kernel_mod"):
         monkeypatch.setattr(solver, name, counting(name))
+    monkeypatch.setattr(solver, "sparse_pivots_mod", counting_pivots)
     F = GF(1009)
     generator_degrees = 0
     for A in (boolean(3, field=F).add_hyperplane(LinearForm(F, [1, 2, 3])), generic(5, 3, seed=1, field=F)):
         for kind in ("D", "O"):
             generator_degrees += len(set(minimal_generators(A, kind).degrees))
-    # the pivots come from the transposed eval matrix, which stays an _Eval
-    assert eval_eliminations["rref_mod"] > 0
+    # the pivots come from the eval matrix's entries, one pass per build
+    assert eval_eliminations["sparse_pivots_mod"] == eval_builds[0] > 0
     assert eval_eliminations["rank_mod"] == eval_eliminations["kernel_mod"] == 0
     assert generator_degrees > 0
     assert set(built.values()) == {1}
@@ -809,7 +859,8 @@ def test_qq_degree_step_ranks_constraints_off_the_eval_image(monkeypatch):
     from arrlog import modular, solver
     from arrlog.resolution import betti_table
 
-    degree_step, rref_mod, eval_matrix_mod = solver._degree_step, modular.rref_mod, solver.eval_matrix_mod
+    degree_step, rref_mod, densify = solver._degree_step, modular.rref_mod, solver._densify
+    sparse_pivots_mod = solver.sparse_pivots_mod
     originals = {cls: cls.build_mod for cls in (AmbientEngine, RelativeEngine, solver.EvalKernelFamily)}
     steps, current = [], []
 
@@ -840,8 +891,15 @@ def test_qq_degree_step_ranks_constraints_off_the_eval_image(monkeypatch):
             current[-1].append((A.tag, A.shape, len(pivots)))
         return R, pivots
 
-    # rank_mod hands rref_mod a reordered, untagged copy of its argument,
-    # so its eliminations are read at the argument
+    # the row pivots of an eval matrix are read off its entries
+    def spy_pivots(rows, cols, vals, ncols, p):
+        pivots = sparse_pivots_mod(rows, cols, vals, ncols, p)
+        if current:
+            current[-1].append(("eval", None, len(pivots)))
+        return pivots
+
+    # rank_mod eliminates a reordered, untagged copy of its argument, so
+    # its eliminations are read at the argument
     def spy_rank(A, p):
         rank = modular.rank_mod(A, p)
         if current and getattr(A, "tag", None):
@@ -851,7 +909,8 @@ def test_qq_degree_step_ranks_constraints_off_the_eval_image(monkeypatch):
     for cls, build_mod in originals.items():
         monkeypatch.setattr(cls, "build_mod", tagging(build_mod))
     monkeypatch.setattr(solver, "_degree_step", spy_step)
-    monkeypatch.setattr(solver, "eval_matrix_mod", lambda *args: tagged(eval_matrix_mod(*args), "eval"))
+    monkeypatch.setattr(solver, "_densify", lambda *args: tagged(densify(*args), "eval"))
+    monkeypatch.setattr(solver, "sparse_pivots_mod", spy_pivots)
     monkeypatch.setattr(modular, "rref_mod", spy_rref)
     monkeypatch.setattr(solver, "rref_mod", spy_rref)
     monkeypatch.setattr(solver, "rank_mod", spy_rank)
