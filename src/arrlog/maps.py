@@ -7,7 +7,8 @@ S-linear over the coordinate-ring surjection, so the image of a module is
 the submodule generated by the images of its minimal generators; all the
 degreewise image computations below exploit that.  `restrict_generators`
 maps a generator set once, and `surjectivity_check` seeds the target's
-sweep with those images as hints.
+sweep with those images as hints, which that sweep reads in the
+coordinates of whatever engine it picks.
 
 Everything here reads one chart on H, the `pullback` of `restrict`'s
 Restriction: both maps and the pole-coefficient test
@@ -176,8 +177,8 @@ def surjectivity_check(
     The image piece at degree d is the degree-d part of the submodule
     generated by the images of the source's minimal generators (the maps
     are module homomorphisms).  Without `target_generators` the target is
-    swept with those images as hints, which checks their membership;
-    with it they are checked here.  The ledger runs from the lowest to
+    swept on its own engine with those images as hints, which checks
+    their membership; with it they are checked here.  The ledger runs from the lowest to
     the highest generator degree of the target, so the verdict is
     module-exact.
     """

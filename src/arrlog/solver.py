@@ -47,7 +47,9 @@ Q), so a step with one new generator in a kernel of hundreds lifts
 that vector alone, from as few primes as its own height needs.  An eval
 rank that its lower bound mod p does not pin is certified by the same
 search on the eval matrix.  Hints complete the eval image through one
-check (`_completing_columns`).  Saito's criterion (`_SaitoBasis`) ends
+check (`_completing_columns`), on any engine: a hint's numerators are
+read in the engine's coordinates through its base's dual basis
+(`element_from_cv`).  Saito's criterion (`_SaitoBasis`) ends
 every order-1 sweep at a basis, and `saito_check` reads its verdict.
 """
 
@@ -80,6 +82,7 @@ from .poly import (
     Poly,
     Pullback,
     dim_homogeneous,
+    divide_by_linear,
     divisible_by_linear_power,
     monomial_basis,
     monomial_index,
@@ -272,27 +275,42 @@ class _Engine:
     The base's own conditions hold for any coefficients, so the piece at
     degree d is the kernel of the divisibility constraints of the
     complement hyperplanes only (`build_mod`), and `verify` checks an
-    element exactly on them.  The empty arrangement's base, the unit
-    p-vectors or p-forms with exponents 0, gives the ambient engine.
+    element exactly on them.  Each base hyperplane is found in A by its
+    canonical form and multiplicity, and one that A lacks raises
+    SolverError; the others, in A's order, are the complement.  The
+    base's other side (`_dual`) reads a member's numerators in these
+    coordinates (`element_from_cv`).  The empty arrangement's base, the
+    unit p-vectors or p-forms with exponents 0, gives the ambient engine.
     Dimensions are remembered per degree, so one engine answers repeated
     questions about its module without eliminating again.
     """
 
-    def __init__(self, A: Arrangement, kind: str, order: int, basis, exponents, complement):
+    def __init__(self, A: Arrangement, kind: str, order: int, base: FreeBase):
         if kind not in ("D", "O"):
             raise ValueError("kind must be 'D' or 'O'")
         self.A = A
         self.kind = kind
         self.order = order
         self.field = A.field
-        self._basis = basis
-        self.complement = complement
+        index = {(canonicalize_form(f), m): i for i, (f, m) in enumerate(zip(A.forms, A.mult))}
+        in_base = set()
+        for f, m in zip(base.arrangement.forms, base.arrangement.mult):
+            i = index.get((canonicalize_form(f), m))
+            if i is None:
+                raise SolverError(f"base hyperplane {f} (multiplicity {m}) is not in the arrangement")
+            in_base.add(i)
+        self.complement = [i for i in range(A.n) if i not in in_base]
+        # the linear factors of Q(base), each as often as its multiplicity
+        self._q_base = [f for f, m in zip(base.arrangement.forms, base.arrangement.mult) for _ in range(m)]
         if kind == "D":
-            self.space = TwistSpace(A.ell, tuple(exponents))
+            self._basis, self._dual = list(base.d_basis), list(base.omega_numerators)
+            self.space = TwistSpace(A.ell, tuple(base.exponents))
         else:
-            degree = sum(A.mult[h] for h in complement)
-            self.space = TwistSpace(A.ell, tuple(-(degree + e) for e in exponents))
-        self._images = {}
+            self._basis = [CoeffVector("O", order, -e, nums) for e, nums in zip(base.exponents, base.omega_numerators)]
+            self._dual = [cv.numerators for cv in base.d_basis]
+            degree = sum(A.mult[h] for h in self.complement)
+            self.space = TwistSpace(A.ell, tuple(-(degree + e) for e in base.exponents))
+        self._images = base._images
         self._dims = {}
 
     def known_rank(self, d: int):
@@ -448,6 +466,28 @@ class _Engine:
         )
         return CoeffVector(self.kind, self.order, d, numerators)
 
+    def element_from_cv(self, cv: CoeffVector):
+        """The coordinates of a member given by its numerators F.
+
+        The base's two sides pair to delta_ij Q(base) (Saito's criterion),
+        so coordinate j is <F, dual_j> / Q(base), where dual_j is the
+        base's other side: its 1-form numerators for kind "D", its
+        derivations for kind "O".  The division is exact exactly when F
+        lies in the base's module; a remainder raises SolverError.  The
+        unit base is its own dual and Q(base) = 1.
+        """
+        if cv.kind != self.kind or cv.order != self.order:
+            raise SolverError("hint does not match the module selector")
+        element = []
+        for dual in self._dual:
+            g = sum_of_products(self.field, self.A.ell, zip(cv.numerators, dual))
+            for alpha in self._q_base:
+                g, r = divide_by_linear(g, alpha)
+                if not r.is_zero():
+                    raise SolverError(f"hint of degree {cv.degree} is not a member of the module")
+            element.append(g)
+        return tuple(element)
+
     def verify(self, element, d: int) -> bool:
         # the base's conditions hold identically; check the complement
         cv = self.to_coeffvector(element, d)
@@ -485,16 +525,12 @@ class AmbientEngine(_Engine):
             raise SolverError("order must satisfy 0 <= p <= ell")
         index = subsets(A.ell, order)
         units = [tuple(Poly.const(A.field, A.ell, int(I == J)) for J in index) for I in index]
-        units = [CoeffVector(kind, order, 0, nums) for nums in units]
-        super().__init__(A, kind, order, units, [0] * len(units), list(range(A.n)))
+        empty = Arrangement(A.field, A.ell, [], [])
+        unit = FreeBase(empty, [0] * len(units), [CoeffVector("D", order, 0, nums) for nums in units], units)
+        super().__init__(A, kind, order, unit)
 
     # perfbench traces each engine's builds through its own class dict
     build_mod = _Engine.build_mod
-
-    def element_from_cv(self, cv: CoeffVector):
-        if cv.kind != self.kind or cv.order != self.order:
-            raise SolverError("hint does not match the module selector")
-        return tuple(cv.numerators)
 
 
 @dataclass
@@ -505,7 +541,8 @@ class FreeBase:
     A finds each of its hyperplanes in A.  `d_basis[i]` is a logarithmic
     derivation basis of it (degrees = `exponents`) and
     `omega_numerators[i]` the numerator tuples of the dual basis of its
-    1-forms (degrees = negated exponents).
+    1-forms (degrees = negated exponents): the two pair to delta_ij times
+    Q(arrangement).  The ambient engine's unit base holds unit p-vectors.
     """
 
     arrangement: Arrangement
@@ -617,10 +654,8 @@ class RelativeEngine(_Engine):
     Requires a simple essential arrangement A and p = 1.  The base is a
     Saito-certified free arrangement (`free_base_from_saito`) or, by
     default, the boolean-like base on a maximal independent subset of
-    A's forms.  Each base hyperplane is found in A by its canonical form
-    and multiplicity, and one that A lacks raises SolverError; the other
-    hyperplanes of A, in A's order, are the complement.  Only they
-    contribute constraints, which collapses the solve sizes.
+    A's forms.  Only the hyperplanes of A outside the base contribute
+    constraints, which collapses the solve sizes.
     """
 
     def __init__(self, A: Arrangement, kind: str, base: FreeBase | None = None):
@@ -628,21 +663,7 @@ class RelativeEngine(_Engine):
             raise SolverError("relative engine needs a simple arrangement")
         if not A.is_essential():
             raise SolverError("relative engine needs an essential arrangement")
-        if base is None:
-            base = boolean_like_base(A)
-        if kind == "D":
-            basis = list(base.d_basis)
-        else:
-            basis = [CoeffVector("O", 1, -e, nums) for e, nums in zip(base.exponents, base.omega_numerators)]
-        index = {(canonicalize_form(f), m): i for i, (f, m) in enumerate(zip(A.forms, A.mult))}
-        in_base = set()
-        for f, m in zip(base.arrangement.forms, base.arrangement.mult):
-            i = index.get((canonicalize_form(f), m))
-            if i is None:
-                raise SolverError(f"base hyperplane {f} (multiplicity {m}) is not in the arrangement")
-            in_base.add(i)
-        super().__init__(A, kind, 1, basis, base.exponents, [i for i in range(A.n) if i not in in_base])
-        self._images = base._images
+        super().__init__(A, kind, 1, boolean_like_base(A) if base is None else base)
 
     # perfbench traces each engine's builds through its own class dict
     build_mod = _Engine.build_mod
@@ -1169,22 +1190,19 @@ def minimal_generators(
 
     `base` (a FreeBase whose hyperplanes all lie in A) chooses the
     coordinates of the relative engine.  `hints` (CoeffVectors tried
-    before reconstruction at their degree) are numerator tuples, the
-    coordinates of the unit base, so they select the ambient engine, and
-    hints with a `base` or engine "relative" raise SolverError.  Each
-    hint is checked for membership once, here, and a non-member raises
-    SolverError.  `engine` ("auto", "ambient" or "relative") picks the
-    engine by name.
+    before reconstruction at their degree) ride whatever engine is
+    picked: each is read in its coordinates once, here
+    (`element_from_cv`), and checked on the complement (`verify`); a
+    non-member raises SolverError.  `engine` ("auto", "ambient" or
+    "relative") picks the engine by name.
     """
     if degree_range is None:
         degree_range = default_degree_range(A, kind)
-    if hints and (engine == "relative" or base is not None):
-        raise SolverError("hints need the ambient engine, not engine 'relative' or a base")
-    eng = pick_engine(A, kind, order, "ambient" if hints else engine, base=base)
+    eng = pick_engine(A, kind, order, engine, base=base)
     hint_map = {}
     for cv in hints or ():
         el = eng.element_from_cv(cv)
-        if membership_failures(A, cv):
+        if not eng.verify(el, cv.degree):
             raise SolverError(f"hint of degree {cv.degree} is not a member of the module")
         hint_map.setdefault(cv.degree, []).append(el)
     stop = _SaitoBasis(eng) if order == 1 else None

@@ -17,6 +17,7 @@ from arrlog.solver import (
     AmbientEngine,
     CoeffVector,
     RelativeEngine,
+    boolean_like_base,
     condition_polys,
     condition_terms,
     free_base_from_saito,
@@ -207,9 +208,13 @@ def test_oversized_prime_is_a_typed_error():
     assert minimal_generators(nine4d(GF(268435399)), "O").count_by_degree() == {-1: 1, -2: 6}
 
 
-@pytest.mark.parametrize("field", [QQ, GF(1009)], ids=["QQ", "F1009"])
+@pytest.mark.parametrize(
+    "field, engine",
+    [(QQ, "ambient"), (GF(1009), "ambient"), (QQ, "relative"), (GF(1009), "relative")],
+    ids=["QQ", "F1009", "QQ-relative", "F1009-relative"],
+)
 @pytest.mark.parametrize("source", ["boolean4", "generic5"])
-def test_hints_keep_generator_degrees_and_dims(field, source):
+def test_hints_keep_generator_degrees_and_dims(field, engine, source):
     # the restrictions of a source's generators, as hints for the sweep of
     # the cut, change which representatives are found but not the module
     from arrlog.arrangement import restrict
@@ -223,8 +228,8 @@ def test_hints_keep_generator_degrees_and_dims(field, source):
     res = restrict(A, A.n - 1)
     gens = minimal_generators(A1, "O")
     hints = [restrict_form(cv, A1, res=res, checked=True) for cv in gens.representatives]
-    hinted = minimal_generators(res.restricted, "O", engine="ambient", hints=hints)
-    plain = minimal_generators(res.restricted, "O", engine="ambient")
+    hinted = minimal_generators(res.restricted, "O", engine=engine, hints=hints)
+    plain = minimal_generators(res.restricted, "O", engine=engine)
     assert hinted.degrees == plain.degrees
     assert hinted.dims == plain.dims
     for cv in hinted.representatives:
@@ -242,13 +247,13 @@ def _nine4d_cut_with_hints():
     return res.restricted, [restrict_form(cv, N, res=res, checked=True) for cv in gens.representatives]
 
 
-def test_hints_select_the_ambient_engine():
-    # the nine4d cut is simple and essential, so without hints the auto
-    # engine is the relative one, which cannot read hints
+def test_hints_ride_the_engine_that_pick_engine_gives():
+    # the nine4d cut is simple and essential, so its auto engine is the
+    # relative one, with hints or without
     cut, hints = _nine4d_cut_with_hints()
     assert isinstance(pick_engine(cut, "O", 1), RelativeEngine)
     hinted = minimal_generators(cut, "O", hints=hints)
-    assert isinstance(hinted.engine, AmbientEngine)
+    assert isinstance(hinted.engine, RelativeEngine)
     plain = minimal_generators(cut, "O")
     assert hinted.degrees == plain.degrees
     assert hinted.dims == plain.dims
@@ -256,13 +261,13 @@ def test_hints_select_the_ambient_engine():
         assert is_logarithmic(cut, cv)
 
 
-def test_hints_with_the_relative_engine_or_a_base_are_rejected():
-    from arrlog.solver import SolverError, boolean_like_base
-
+def test_hints_with_the_relative_engine_or_a_base_are_accepted():
     cut, hints = _nine4d_cut_with_hints()
+    plain = minimal_generators(cut, "O")
     for kw in ({"engine": "relative"}, {"base": boolean_like_base(cut)}):
-        with pytest.raises(SolverError, match="hints need the ambient engine"):
-            minimal_generators(cut, "O", hints=hints, **kw)
+        hinted = minimal_generators(cut, "O", hints=hints, **kw)
+        assert hinted.degrees == plain.degrees
+        assert hinted.dims == plain.dims
 
 
 def test_hinted_step_needs_the_certified_eval_rank_mod_p(monkeypatch):
@@ -292,7 +297,7 @@ def test_hinted_step_needs_the_certified_eval_rank_mod_p(monkeypatch):
     monkeypatch.setattr(solver, "_completing_columns", spy_completing)
     monkeypatch.setattr(solver, "_try_hinted_generators", spy_hints)
     cut, hints = _nine4d_cut_with_hints()
-    assert isinstance(minimal_generators(cut, "O", hints=hints).engine, AmbientEngine)
+    assert isinstance(minimal_generators(cut, "O", hints=hints).engine, RelativeEngine)
     steps = [step for step in hinted if step[-1]]
     assert steps
     for E, C, p, rank_eval, upper, picked in steps:
@@ -311,6 +316,65 @@ def test_a_hint_that_is_not_a_member_is_rejected():
     assert membership_failures(A, hint)
     with pytest.raises(SolverError, match="not a member"):
         minimal_generators(A, "O", hints=[hint])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1009)], ids=["QQ", "F1009"])
+@pytest.mark.parametrize("kind", ["D", "O"])
+def test_element_from_cv_on_the_unit_base_is_the_numerators(field, kind):
+    # the unit base is its own dual and Q(base) = 1, so every order reads
+    # a member's numerators as its coordinates
+    A = generic(4, 3, seed=1, field=field)
+    for order in range(A.ell + 1):
+        gens = minimal_generators(A, kind, order, engine="ambient")
+        assert gens.degrees
+        for cv, el in zip(gens.representatives, gens.elements):
+            assert gens.engine.element_from_cv(cv) == tuple(el) == cv.numerators
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1009)], ids=["QQ", "F1009"])
+@pytest.mark.parametrize("kind", ["D", "O"])
+@pytest.mark.parametrize("name, base", [("braid5", "boolean-like"), ("braid5", "saito"), ("nine4d", "boolean-like")])
+def test_element_from_cv_round_trips_over_a_free_base(name, base, kind, field):
+    # <F, dual_j> / Q(base) reads a member's coordinates over the base:
+    # the generators' own elements, and their numerators back again
+    A = braid(5, field).essentialize()[0] if name == "braid5" else nine4d(field)
+    fb = free_base_from_saito(saito_check(A)) if base == "saito" else boolean_like_base(A)
+    gens = minimal_generators(A, kind, base=fb)
+    eng = gens.engine
+    for cv, el in zip(gens.representatives, gens.elements):
+        assert eng.element_from_cv(cv) == tuple(el)
+        assert eng.to_coeffvector(eng.element_from_cv(cv), cv.degree) == cv
+
+
+def test_a_hint_outside_the_base_module_leaves_a_remainder():
+    # dy / Q on the nine4d cut pairs with the boolean-like base's
+    # derivations to polynomials of degree 1, which Q(base), of degree 3,
+    # does not divide
+    from arrlog.solver import SolverError
+
+    cut, _ = _nine4d_cut_with_hints()
+    zero, one = Poly.zero(QQ, 3), Poly.const(QQ, 3, 1)
+    hint = CoeffVector("O", 1, -cut.deg_Q(), (zero, one, zero))
+    with pytest.raises(SolverError, match="not a member"):
+        RelativeEngine(cut, "O").element_from_cv(hint)
+    with pytest.raises(SolverError, match="not a member"):
+        minimal_generators(cut, "O", hints=[hint])
+
+
+def test_a_hint_that_fails_only_on_the_complement_is_rejected():
+    # a derivation of the boolean-like base reads as a unit coordinate
+    # vector, with no remainder, and is not tangent to the other
+    # hyperplanes of the cut
+    from arrlog.solver import SolverError
+
+    cut, _ = _nine4d_cut_with_hints()
+    eng = RelativeEngine(cut, "D")
+    hint = boolean_like_base(cut).d_basis[0]
+    el = eng.element_from_cv(hint)
+    assert [g.is_zero() for g in el] == [False, True, True]
+    assert membership_failures(cut, hint) and not eng.verify(el, hint.degree)
+    with pytest.raises(SolverError, match="not a member"):
+        minimal_generators(cut, "D", hints=[hint])
 
 
 def test_a_base_with_the_ambient_engine_is_rejected():
